@@ -42,6 +42,7 @@ from .gradient import (
     log_likelihood,
     partition_term,
     stochastic_gradient,
+    variance_gradients,
 )
 from .localmodel import (
     AlphaVector,
@@ -58,7 +59,6 @@ from .optimizer import (
     load_checkpoint,
     resume_training,
     train,
-    variance_gradients,
 )
 from .partition import PartitionedDataset, assign_block, assign_blocks, kmeans_partition
 from .predict import (

@@ -147,7 +147,6 @@ def train_config_from(doc: dict) -> TrainConfig:
         plan=GradientSamplePlan(
             n_partition_samples=train["partition_samples"],
             n_z_samples=train["z_samples"],
-            rng_seed=doc["seed"],
         ),
         schedule=StepSchedule(
             base_step=train["base_step"],

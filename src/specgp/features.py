@@ -84,16 +84,16 @@ class SpectralConfig:
 
 
 def as_frequency_matrix(theta, cfg: SpectralConfig) -> np.ndarray:
-    """Validate ``theta`` and reshape it to an ``(m, d)`` matrix of rows ``r_i``."""
+    """Validate ``theta`` and reshape it to ``(m, d)`` rows ``r_i`` (``(b, m, d)`` for a stack)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (cfg.theta_dim,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != cfg.theta_dim:
         raise ContractError(
-            f"theta must have shape ({cfg.theta_dim},) for m={cfg.m}, d={cfg.d}; "
+            f"theta must have shape ([b,] {cfg.theta_dim}) for m={cfg.m}, d={cfg.d}; "
             f"got {theta.shape}"
         )
     if not np.all(np.isfinite(theta)):
         raise ContractError("theta contains non-finite entries")
-    return theta.reshape(cfg.m, cfg.d)
+    return theta.reshape(theta.shape[:-1] + (cfg.m, cfg.d))
 
 
 def _check_input(x, cfg: SpectralConfig) -> np.ndarray:
@@ -127,14 +127,14 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     X : array_like, shape (n, d)
         Input points, one per row.  ``n = 0`` is allowed and produces an
         empty ``(2m, 0)`` matrix.
-    theta : array_like, shape (m * d,)
-        Flattened frequency vectors.
+    theta : array_like, shape (m * d,) or (b, m * d)
+        Flattened frequency vectors, or a stack of ``b`` of them.
     cfg : SpectralConfig
 
     Returns
     -------
-    numpy.ndarray, shape (2m, n)
-        Column ``j`` equals ``basis_vector(X[j], theta, cfg)``.
+    numpy.ndarray, shape (2m, n) or (b, 2m, n)
+        Column ``j`` equals ``basis_vector(X[j], theta, cfg)``, per vector of a stack.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != cfg.d:
@@ -142,9 +142,9 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     if X.size and not np.all(np.isfinite(X)):
         raise ContractError("X contains non-finite entries")
     angles = TWO_PI * (as_frequency_matrix(theta, cfg) @ X.T)
-    phi = np.empty((cfg.num_features, X.shape[0]))
-    phi[0::2] = np.cos(angles)
-    phi[1::2] = np.sin(angles)
+    phi = np.empty(angles.shape[:-2] + (cfg.num_features, X.shape[0]))
+    phi[..., 0::2, :] = np.cos(angles)
+    phi[..., 1::2, :] = np.sin(angles)
     return phi
 
 

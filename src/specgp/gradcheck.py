@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import SpectralConfig, basis_jacobian, basis_vector
-from .gradient import partition_term
+from .gradient import partition_term, variance_gradients
 from .localmodel import AlphaVector
-from .optimizer import variance_gradients
 from .variational import PriorSpec, VariationalState, kl_term_gradient, log_prior, log_q, transform
 
 DEFAULT_TOL = 1e-5

@@ -3,18 +3,23 @@
 The Gaussian likelihood of a data block factorizes through the residual
 ``v = y - Phi(X)^T s``:
 
-    log p(y | alpha) = -0.5 ||v||^2 / noise_variance - 0.5 n log(2 pi noise_variance),
+    log p(y | alpha) = -0.5 ||v||^2 / noise_variance - 0.5 n log(2 pi noise_variance).
 
-and the bound over ``p`` equally-weighted blocks is estimated doubly
-stochastically: sample block indices ``i_1..i_a`` uniformly with
-replacement and standard normal draws ``z_1..z_b``, then
+The bound over ``p`` equally-weighted blocks is estimated doubly
+stochastically from block indices ``i_1..i_a``, drawn uniformly with
+replacement, and standard normal draws ``z_1..z_b``.  Both sums are linear,
+so one kernel evaluates them at once: it takes the concatenated rows of the
+sampled blocks (a block drawn twice appears twice) and the ``(b, D)`` stack
+``A = Z M^T + b``, and returns each draw's data-term gradient ``G_j`` in
+alpha and ``||v_j||^2``.  Then
 
-    grad ~ (1/(a b)) sum_k sum_j [ p * partition_term(i_k, z_j)
-                                   - kl_term_gradient(z_j) ].
+    grad_M = (p / (a b)) G^T Z - mean_j kl_grad_M(z_j),
+    grad_b = (p / (a b)) sum_j G_j - mean_j kl_grad_b(z_j).
 
-The index stream and the z stream are split from one master seed so that
-tests (and the variance-reduction analysis) can share z draws across
-estimators while varying the index subsample.
+:func:`partition_term`, :func:`log_likelihood` and :func:`variance_gradients`
+are the same kernel for one draw on one block.  The index stream and the z
+stream are split from one master seed so that tests can share z draws
+across estimators while varying the index subsample.
 """
 
 from __future__ import annotations
@@ -61,62 +66,65 @@ class GradientSamplePlan:
             raise ContractError("n_z_samples must be >= 1")
 
 
-def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig) -> float:
-    """Gaussian log likelihood of ``(X, y)`` under the sampled weights.
+def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
+    """Gradient ``g_alpha`` of ``-0.5 ||v||^2 / noise_variance`` in
+    ``(theta, s)``, and ``v_sq = ||v||^2``, for one draw or a stack of draws
+    (the results carry the same leading axis).  The ``s`` part is
+    ``Phi v / noise_variance``.  The ``theta`` part follows from the
+    feature Jacobian: with ``w_ij = -s_{2i} sin(a_ij) + s_{2i+1} cos(a_ij)``
+    (the derivative of ``phi^T s`` in the angle ``a_ij``),
 
-    Summing this over the blocks of a partition reproduces the full-data
-    value exactly, because both the quadratic and the ``n log`` terms are
-    additive over rows.
+        d(-0.5||v||^2/noise)/d r_i = (2 pi / noise) * sum_j v_j w_ij x_j,
+
+    assembled for all frequencies at once as ``(W * v) @ X`` without
+    materializing any per-point Jacobian.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if y.shape != (X.shape[0],):
         raise ContractError(f"y must have shape ({X.shape[0]},), got {y.shape}")
+    s = alpha.s
     phi = feature_matrix(X, alpha.theta, cfg)
-    v = y - phi.T @ alpha.s
-    return float(
-        -0.5 * np.dot(v, v) / cfg.noise_variance
-        - 0.5 * y.size * np.log(2.0 * np.pi * cfg.noise_variance)
+    v = y - (s[..., None, :] @ phi)[..., 0, :]
+    inv_noise = 1.0 / cfg.noise_variance
+    g_s = inv_noise * (phi @ v[..., None])[..., 0]
+    rotated = s[..., 1::2, None] * phi[..., 0::2, :] - s[..., 0::2, None] * phi[..., 1::2, :]
+    g_theta = (TWO_PI * inv_noise) * ((rotated * v[..., None, :]) @ X)
+    g_alpha = np.concatenate([g_theta.reshape(g_s.shape[:-1] + (-1,)), g_s], axis=-1)
+    return g_alpha, np.sum(v * v, axis=-1)
+
+
+def _dlog_variances(alpha: AlphaVector, v_sq, n_rows: int, cfg: SpectralConfig):
+    """Per-draw derivatives of the data term in ``log noise_variance`` and of
+    ``log N(s | 0, Lambda)`` in ``log signal_variance``."""
+    d_noise = 0.5 * v_sq / cfg.noise_variance - 0.5 * n_rows
+    d_signal = 0.5 * cfg.m * np.sum(alpha.s * alpha.s, axis=-1) / cfg.signal_variance - cfg.m
+    return d_noise, d_signal
+
+
+def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
+    """Gaussian log likelihood of ``(X, y)`` under the sampled weights.
+
+    A stack of draws gives one value per draw.  Summing this over the
+    blocks of a partition reproduces the full-data value exactly, because
+    both the quadratic and the ``n log`` terms are additive over rows.
+    """
+    _, v_sq = _data_term(y, X, alpha, cfg)
+    return -0.5 * v_sq / cfg.noise_variance - 0.5 * len(y) * np.log(
+        2.0 * np.pi * cfg.noise_variance
     )
 
 
-def _block_gradient_stats(y_i, X_i, alpha: AlphaVector, cfg: SpectralConfig):
-    """Gradient of the block data term with respect to alpha, plus residual stats.
+def variance_gradients(y_i, X_i, alpha: AlphaVector, cfg: SpectralConfig):
+    """Derivatives of one sample's objective pieces in the log variances.
 
-    Returns ``(g_alpha, v_dot_v)`` where ``g_alpha`` is the gradient of
-    ``-0.5 ||v||^2 / noise_variance`` with respect to ``(theta, s)``.  The
-    ``s`` part is ``Phi v / noise_variance``.  The ``theta`` part follows
-    from the feature Jacobian: with ``w_ij = -s_{2i} sin(a_ij) + s_{2i+1}
-    cos(a_ij)`` (the derivative of ``phi^T s`` in the angle ``a_ij``),
-
-        d(-0.5||v||^2/noise)/d r_i = (2 pi / noise) * sum_j v_j w_ij x_j,
-
-    assembled for all frequencies at once as ``(W * v) @ X_i`` without
-    materializing any per-point Jacobian.
+    Returns ``(d_log_noise, d_log_signal)``: the derivative of the block
+    log likelihood with respect to ``log noise_variance`` and of the
+    weight-prior term ``log N(s | 0, Lambda)`` with respect to
+    ``log signal_variance``.  Neither term depends on the other variance.
     """
-    y_i = np.asarray(y_i, dtype=float)
-    X_i = np.asarray(X_i, dtype=float)
-    if y_i.shape != (X_i.shape[0],):
-        raise ContractError(f"y_i must have shape ({X_i.shape[0]},), got {y_i.shape}")
-    phi = feature_matrix(X_i, alpha.theta, cfg)
-    v = y_i - phi.T @ alpha.s
-    inv_noise = 1.0 / cfg.noise_variance
-    g_s = inv_noise * (phi @ v)
-    cos_part = phi[0::2]
-    sin_part = phi[1::2]
-    rotated = alpha.s[1::2, None] * cos_part - alpha.s[0::2, None] * sin_part
-    g_theta = (TWO_PI * inv_noise) * ((rotated * v) @ X_i)
-    return np.concatenate([g_theta.ravel(), g_s]), float(np.dot(v, v))
-
-
-def _dlog_noise_variance(v_dot_v: float, n_points: int, cfg: SpectralConfig) -> float:
-    """Derivative of the block log likelihood in ``log noise_variance``."""
-    return 0.5 * v_dot_v / cfg.noise_variance - 0.5 * n_points
-
-
-def _dlog_signal_variance(alpha: AlphaVector, cfg: SpectralConfig) -> float:
-    """Derivative of ``log N(s | 0, Lambda)`` in ``log signal_variance``."""
-    return 0.5 * cfg.m * float(np.dot(alpha.s, alpha.s)) / cfg.signal_variance - cfg.m
+    _, v_sq = _data_term(y_i, X_i, alpha, cfg)
+    return _dlog_variances(alpha, v_sq, len(y_i), cfg)
 
 
 def partition_term(
@@ -133,7 +141,7 @@ def partition_term(
         raise ContractError(f"z must have shape ({state.dim},), got {z.shape}")
     if alpha.flat.size != state.dim or state.dim != cfg.alpha_dim:
         raise ContractError("alpha, state and config dimensions disagree")
-    g_alpha, _ = _block_gradient_stats(y_i, X_i, alpha, cfg)
+    g_alpha, _ = _data_term(y_i, X_i, alpha, cfg)
     return EtaGradient(grad_m=np.outer(g_alpha, z), grad_b=g_alpha)
 
 
@@ -182,35 +190,20 @@ def stochastic_gradient(
     EtaGradient or (EtaGradient, (float, float))
     """
     indices, z_draws = draw_sample_sets(plan, data.p, state.dim)
-    n_blocks = data.p
-    a = plan.n_partition_samples
-    b_count = plan.n_z_samples
-    dim = state.dim
-
-    acc_m = np.zeros((dim, dim))
-    acc_b = np.zeros(dim)
-    acc_noise = 0.0
-    acc_signal = 0.0
-    block_scale = n_blocks / (a * b_count)
-    for z in z_draws:
-        alpha = transform(state, z, cfg)
-        g_sum = np.zeros(dim)
-        for i in indices:
-            X_i, y_i = data.blocks[i]
-            g_alpha, v_dot_v = _block_gradient_stats(y_i, X_i, alpha, cfg)
-            g_sum += g_alpha
-            if return_variance_grads:
-                acc_noise += block_scale * _dlog_noise_variance(v_dot_v, y_i.size, cfg)
-        g_sum *= block_scale
-        grad_m_kl, grad_b_kl = kl_term_gradient(state, z, prior, cfg)
-        acc_m += np.outer(g_sum, z) - grad_m_kl / b_count
-        acc_b += g_sum - grad_b_kl / b_count
-        if return_variance_grads:
-            acc_signal += _dlog_signal_variance(alpha, cfg) / b_count
-    grad = EtaGradient(grad_m=acc_m, grad_b=acc_b)
-    if return_variance_grads:
-        return grad, (acc_noise, acc_signal)
-    return grad
+    X = np.concatenate([data.blocks[i][0] for i in indices])
+    y = np.concatenate([data.blocks[i][1] for i in indices])
+    alpha = transform(state, z_draws, cfg)
+    g_alpha, v_sq = _data_term(y, X, alpha, cfg)
+    scale = data.p / (plan.n_partition_samples * plan.n_z_samples)
+    kl_m, kl_b = kl_term_gradient(state, z_draws, prior, cfg)
+    grad = EtaGradient(
+        grad_m=scale * (g_alpha.T @ z_draws) - kl_m,
+        grad_b=scale * g_alpha.sum(axis=0) - kl_b,
+    )
+    if not return_variance_grads:
+        return grad
+    d_noise, d_signal = _dlog_variances(alpha, v_sq, y.size, cfg)
+    return grad, (scale * float(np.sum(d_noise)), float(np.mean(d_signal)))
 
 
 def elbo_estimate(
@@ -233,20 +226,13 @@ def elbo_estimate(
         raise ContractError("n_z must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_draws = rng.standard_normal((n_z, state.dim))
-    total = 0.0
-    parts = {"log_likelihood": 0.0, "log_prior": 0.0, "log_q": 0.0}
-    for z in z_draws:
-        alpha = transform(state, z, cfg)
-        ll = 0.0
-        for X_i, y_i in data.blocks:
-            ll += log_likelihood(y_i, X_i, alpha, cfg)
-        lp = log_prior(alpha, prior, cfg)
-        lq = log_q(state, z)
-        total += ll + lp - lq
-        parts["log_likelihood"] += ll
-        parts["log_prior"] += lp
-        parts["log_q"] += lq
-    elbo = total / n_z
+    alpha = transform(state, z_draws, cfg)
+    parts = {
+        "log_likelihood": sum(log_likelihood(y_i, X_i, alpha, cfg) for X_i, y_i in data.blocks),
+        "log_prior": log_prior(alpha, prior, cfg),
+        "log_q": log_q(state, z_draws),
+    }
+    elbo = float(np.mean(parts["log_likelihood"] + parts["log_prior"] - parts["log_q"]))
     if return_parts:
-        return elbo, {k: val / n_z for k, val in parts.items()}
+        return elbo, {k: float(np.mean(val)) for k, val in parts.items()}
     return elbo

@@ -40,25 +40,25 @@ _JITTER_MAX_FRACTION = 1e-4
 class AlphaVector:
     """Joint latent vector: frequencies ``theta`` followed by weights ``s``."""
 
-    theta: np.ndarray  # shape (m * d,)
-    s: np.ndarray  # shape (2 m,)
+    theta: np.ndarray  # shape (m * d,) or (b, m * d)
+    s: np.ndarray  # shape (2 m,) or (b, 2 m)
 
     @classmethod
     def from_flat(cls, flat, cfg: SpectralConfig) -> "AlphaVector":
-        """Split a flat length ``m d + 2 m`` vector into (theta, s)."""
+        """Split a flat length ``m d + 2 m`` vector (or a stack of rows) into (theta, s)."""
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (cfg.alpha_dim,):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != cfg.alpha_dim:
             raise ContractError(
-                f"alpha must have shape ({cfg.alpha_dim},), got {flat.shape}"
+                f"alpha must have shape ([b,] {cfg.alpha_dim}), got {flat.shape}"
             )
         if not np.all(np.isfinite(flat)):
             raise ContractError("alpha contains non-finite entries")
-        return cls(theta=flat[: cfg.theta_dim].copy(), s=flat[cfg.theta_dim :].copy())
+        return cls(theta=flat[..., : cfg.theta_dim].copy(), s=flat[..., cfg.theta_dim :].copy())
 
     @property
     def flat(self) -> np.ndarray:
-        """Concatenated (theta, s) vector."""
-        return np.concatenate([self.theta, self.s])
+        """Concatenated (theta, s) vector, one row per draw for a stack."""
+        return np.concatenate([self.theta, self.s], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ save/load cycle is lossless at double precision.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +96,23 @@ def model_to_doc(model: TrainedModel) -> dict:
     }
 
 
+def _check_partition(X_all, y_all, centroids, block_indices, d) -> None:
+    """Reject non-finite data or centroids, mismatched shapes, and block
+    indices that are not a disjoint cover of the data rows."""
+    n = y_all.shape[0] if y_all.ndim == 1 else -1
+    p = len(block_indices)
+    if X_all.shape != (n, d) or centroids.shape != (p, d):
+        raise ModelFormatError(
+            f"model: need data.X ({n}, {d}) and partition.centroids ({p}, {d}) for "
+            f"{n} targets and {p} blocks, got {X_all.shape} and {centroids.shape}"
+        )
+    if not all(np.all(np.isfinite(a)) for a in (X_all, y_all, centroids)):
+        raise ModelFormatError("model: data.X, data.y or partition.centroids is not finite")
+    rows = np.concatenate(block_indices) if block_indices else np.zeros(0, dtype=int)
+    if not np.array_equal(np.sort(rows), np.arange(n)):
+        raise ModelFormatError("model: partition.block_indices must list each data row once")
+
+
 def model_from_doc(doc: dict) -> TrainedModel:
     """Rebuild a :class:`TrainedModel`, validating format and version."""
     if not isinstance(doc, dict):
@@ -129,6 +148,7 @@ def model_from_doc(doc: dict) -> TrainedModel:
         block_indices = [
             np.asarray(idx, dtype=int) for idx in doc["partition"]["block_indices"]
         ]
+        _check_partition(X_all, y_all, centroids, block_indices, spectral.d)
         blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
         partition = PartitionedDataset(
             blocks=blocks, centroids=centroids, block_indices=block_indices
@@ -156,9 +176,24 @@ def model_from_doc(doc: dict) -> TrainedModel:
     )
 
 
+def write_json_atomic(path, doc) -> None:
+    """Write ``doc`` as JSON so that ``path`` holds its old or its new
+    contents, never a partial file: the text goes to a temporary file in the
+    same directory, which then replaces ``path`` in one rename.  There is no
+    fsync, so this survives an interrupted process, not a power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(doc, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_model(path, model: TrainedModel) -> None:
-    with open(path, "w") as handle:
-        json.dump(model_to_doc(model), handle)
+    write_json_atomic(path, model_to_doc(model))
 
 
 def load_model(path) -> TrainedModel:

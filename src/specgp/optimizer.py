@@ -24,16 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, ModelFormatError, NumericalError
-from .features import SpectralConfig, feature_matrix
-from .gradient import (
-    GradientSamplePlan,
-    _dlog_noise_variance,
-    _dlog_signal_variance,
-    elbo_estimate,
-    stochastic_gradient,
-)
-from .localmodel import AlphaVector
-from .model_io import TrainedModel, model_from_doc, model_to_doc
+from .features import SpectralConfig
+from .gradient import GradientSamplePlan, elbo_estimate, stochastic_gradient
+from .model_io import TrainedModel, model_from_doc, model_to_doc, write_json_atomic
 from .variational import PriorSpec, VariationalState
 
 RCOND_GUARD = 1e-13
@@ -128,26 +121,6 @@ class _OptState:
     variance_accumulator: Optional[np.ndarray] = None
     trace: list = field(default_factory=list)
     iteration: int = 0
-
-
-def variance_gradients(y_i, X_i, alpha: AlphaVector, cfg: SpectralConfig):
-    """Derivatives of one sample's objective pieces in the log variances.
-
-    Returns ``(d_log_noise, d_log_signal)``: the derivative of the block
-    log likelihood with respect to ``log noise_variance`` and of the
-    weight-prior term ``log N(s | 0, Lambda)`` with respect to
-    ``log signal_variance``.  Neither term depends on the other variance.
-    """
-    y_i = np.asarray(y_i, dtype=float)
-    X_i = np.asarray(X_i, dtype=float)
-    if y_i.shape != (X_i.shape[0],):
-        raise ContractError(f"y_i must have shape ({X_i.shape[0]},), got {y_i.shape}")
-    phi = feature_matrix(X_i, alpha.theta, cfg)
-    v = y_i - phi.T @ alpha.s
-    return (
-        _dlog_noise_variance(float(np.dot(v, v)), y_i.size, cfg),
-        _dlog_signal_variance(alpha, cfg),
-    )
 
 
 def _iteration_seed(seed: int, t: int, stream: int = 0) -> int:
@@ -298,7 +271,6 @@ def _tcfg_to_doc(tcfg: TrainConfig) -> dict:
         "plan": {
             "n_partition_samples": tcfg.plan.n_partition_samples,
             "n_z_samples": tcfg.plan.n_z_samples,
-            "rng_seed": tcfg.plan.rng_seed,
         },
         "schedule": {
             "base_step": tcfg.schedule.base_step,
@@ -320,7 +292,6 @@ def _tcfg_from_doc(doc: dict) -> TrainConfig:
         plan=GradientSamplePlan(
             n_partition_samples=int(doc["plan"]["n_partition_samples"]),
             n_z_samples=int(doc["plan"]["n_z_samples"]),
-            rng_seed=int(doc["plan"]["rng_seed"]),
         ),
         schedule=StepSchedule(
             base_step=float(doc["schedule"]["base_step"]),
@@ -355,8 +326,7 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
         },
         "trace": _trace_rows(opt.trace),
     }
-    with open(path, "w") as handle:
-        json.dump(doc, handle)
+    write_json_atomic(path, doc)
 
 
 def load_checkpoint(path):

@@ -178,33 +178,34 @@ def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> Varia
 
 def _check_z(state: VariationalState, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if z.shape != (state.dim,):
-        raise ContractError(f"z must have shape ({state.dim},), got {z.shape}")
+    if z.ndim not in (1, 2) or z.shape[-1] != state.dim:
+        raise ContractError(f"z must have shape ([b,] {state.dim}), got {z.shape}")
     return z
 
 
 def transform(state: VariationalState, z, cfg: SpectralConfig) -> AlphaVector:
-    """Map a standard normal draw to the joint vector ``alpha = M z + b``."""
+    """Map a standard normal draw (or a stack) to the joint vector ``alpha = M z + b``."""
     z = _check_z(state, z)
-    return AlphaVector.from_flat(state.M @ z + state.b, cfg)
+    return AlphaVector.from_flat((state.M @ z.T).T + state.b, cfg)
 
 
-def log_q(state: VariationalState, z) -> float:
+def log_q(state: VariationalState, z):
     """Log density of ``alpha = M z + b`` under q, evaluated via ``z``.
 
-    Change of variables gives ``log N(z | 0, I) - log |det M|``.
+    Change of variables gives ``log N(z | 0, I) - log |det M|``; a stack of
+    draws gives one value per draw.
     """
     z = _check_z(state, z)
-    return float(-0.5 * np.dot(z, z) - 0.5 * state.dim * np.log(2.0 * np.pi) - state.log_abs_det)
+    return -0.5 * np.sum(z * z, axis=-1) - 0.5 * state.dim * np.log(2.0 * np.pi) - state.log_abs_det
 
 
-def log_prior(alpha: AlphaVector, prior: PriorSpec, cfg: SpectralConfig) -> float:
-    """Log density of ``alpha`` under the diagonal Gaussian prior."""
+def log_prior(alpha: AlphaVector, prior: PriorSpec, cfg: SpectralConfig):
+    """Log density of ``alpha`` (per draw of a stack) under the diagonal Gaussian prior."""
     var = prior.variances(cfg)
     flat = alpha.flat
-    if flat.size != var.size:
+    if flat.shape[-1] != var.size:
         raise ContractError("alpha and prior dimensions disagree")
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * var) + flat**2 / var))
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + flat**2 / var, axis=-1)
 
 
 def kl_term_gradient(state: VariationalState, z, prior: PriorSpec, cfg: SpectralConfig):
@@ -214,12 +215,14 @@ def kl_term_gradient(state: VariationalState, z, prior: PriorSpec, cfg: Spectral
     -------
     (grad_m, grad_b) : tuple of numpy.ndarray
         ``grad_m = -(M^{-1})^T + g_p z^T`` and ``grad_b = g_p`` with
-        ``g_p = Sigma_prior^{-1} (M z + b)``.
+        ``g_p = Sigma_prior^{-1} (M z + b)``.  For a ``(b, D)`` stack of
+        draws both are averaged over the draws.
     """
     z = _check_z(state, z)
     var = prior.variances(cfg)
     if var.size != state.dim:
         raise ContractError("prior and state dimensions disagree")
-    g_p = (state.M @ z + state.b) / var
-    grad_m = -state.inverse_transpose + np.outer(g_p, z)
-    return grad_m, g_p
+    zs = np.atleast_2d(z)
+    g_p = ((state.M @ zs.T).T + state.b) / var
+    grad_m = g_p.T @ zs / zs.shape[0] - state.inverse_transpose
+    return grad_m, g_p.mean(axis=0)

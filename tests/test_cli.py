@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specgp.cli as cli
-from specgp import load_model
+from specgp import load_model, save_model
 from specgp.gradcheck import CheckResult
 
 
@@ -346,3 +346,80 @@ def test_dropped_row_warning_reaches_stderr(tmp_path, capsys):
     )
     assert code == 0
     assert "dropped 1 rows" in err
+
+
+@pytest.fixture(scope="module")
+def trained_model_doc(tmp_path_factory):
+    """A small trained model's JSON document and the CSV it was trained on."""
+    root = tmp_path_factory.mktemp("model")
+    data, model_path = str(root / "data.csv"), str(root / "model.json")
+    assert cli.main(
+        ["synth", "--n", "60", "--d", "2", "--m-true", "1", "--noise", "0.1", "--output", data]
+    ) == 0
+    assert cli.main(
+        [
+            "train", "--data", data, "--model", model_path,
+            "--m", "1", "--p", "3", "--iterations", "2", "--seed", "0",
+        ]
+    ) == 0
+    with open(model_path) as handle:
+        return json.load(handle), data
+
+
+def _nan_x(doc):
+    doc["data"]["X"][0][1] = float("nan")
+
+
+def _nan_y(doc):
+    doc["data"]["y"][-1] = float("nan")
+
+
+def _nan_centroid(doc):
+    doc["partition"]["centroids"][1][0] = float("nan")
+
+
+def _too_few_centroids(doc):
+    doc["partition"]["centroids"].pop()
+
+
+def _index_out_of_range(doc):
+    doc["partition"]["block_indices"][0][0] = len(doc["data"]["y"])
+
+
+def _overlapping_blocks(doc):
+    indices = doc["partition"]["block_indices"]
+    indices[1][0] = indices[0][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range, _overlapping_blocks],
+)
+def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):
+    doc, data = trained_model_doc
+    doc = json.loads(json.dumps(doc))
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["evaluate", "--model", str(bad), "--data", data], capsys)
+    assert code == 3
+    assert err.startswith("specgp: data: model: ")
+    assert err.count("\n") == 1
+
+
+def test_interrupted_model_save_keeps_previous_file(trained_model_doc, tmp_path, monkeypatch):
+    doc, _ = trained_model_doc
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(str(path))
+    before = path.read_bytes()
+
+    def dump_fails(obj, handle):
+        handle.write(json.dumps(obj)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_fails)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(str(path), model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

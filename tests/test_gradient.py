@@ -22,6 +22,7 @@ from specgp import (
     partition_term,
     stochastic_gradient,
     transform,
+    variance_gradients,
 )
 
 
@@ -289,6 +290,66 @@ def test_stochastic_gradient_determinism_and_finiteness():
     np.testing.assert_array_equal(g1.grad_b, g2.grad_b)
     assert np.isfinite(g1.grad_m).all() and np.isfinite(g1.grad_b).all()
     assert g1.norm() > 0
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_batched_gradient_matches_explicit_draw_block_sum():
+    # a = 4 indices over p = 2 blocks must repeat; a repeated block counts
+    # once per draw of its index
+    cfg = make_cfg()
+    rng = np.random.default_rng(16)
+    prior = random_prior(rng, cfg)
+    state = random_state(rng, cfg.alpha_dim)
+    data = make_dataset(rng, cfg, [5, 7])
+    a, b_count = 4, 8
+    plan = GradientSamplePlan(a, b_count, rng_seed=21)
+    grad, (d_noise, d_signal) = stochastic_gradient(
+        plan, data, state, prior, cfg, return_variance_grads=True
+    )
+    indices, z_draws = draw_sample_sets(plan, data.p, cfg.alpha_dim)
+    assert len(set(indices.tolist())) < a
+
+    scale = data.p / (a * b_count)
+    ref_m = np.zeros_like(grad.grad_m)
+    ref_b = np.zeros_like(grad.grad_b)
+    ref_noise = ref_signal = 0.0
+    for z in z_draws:
+        alpha = transform(state, z, cfg)
+        for i in indices:
+            X, y = data.blocks[i]
+            f = partition_term(y, X, alpha, state, z, cfg)
+            ref_m += scale * f.grad_m
+            ref_b += scale * f.grad_b
+            ref_noise += scale * variance_gradients(y, X, alpha, cfg)[0]
+        km, kb = kl_term_gradient(state, z, prior, cfg)
+        ref_m -= km / b_count
+        ref_b -= kb / b_count
+        X, y = data.blocks[0]
+        ref_signal += variance_gradients(y, X, alpha, cfg)[1] / b_count
+    assert_rel_close(grad.grad_m, ref_m)
+    assert_rel_close(grad.grad_b, ref_b)
+    assert_rel_close(d_noise, ref_noise)
+    assert_rel_close(d_signal, ref_signal)
+
+    n_z = 6
+    elbo, parts = elbo_estimate(n_z, data, state, prior, cfg, seed=9, return_parts=True)
+    terms = []
+    elbo_draws = np.random.default_rng(np.random.SeedSequence(9)).standard_normal(
+        (n_z, cfg.alpha_dim)
+    )
+    for z in elbo_draws:
+        alpha = transform(state, z, cfg)
+        ll = sum(log_likelihood(y, X, alpha, cfg) for X, y in data.blocks)
+        terms.append([ll, log_prior(alpha, prior, cfg), log_q(state, z)])
+    terms = np.array(terms)
+    assert_rel_close(elbo, np.mean(terms[:, 0] + terms[:, 1] - terms[:, 2]))
+    assert_rel_close(
+        [parts["log_likelihood"], parts["log_prior"], parts["log_q"]], terms.mean(axis=0)
+    )
 
 
 def test_stochastic_gradient_variance_shrinks_with_samples():

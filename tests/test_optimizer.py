@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -179,8 +182,6 @@ def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path):
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    import json
-
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
@@ -197,6 +198,59 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
     with pytest.raises(ModelFormatError):
         load_checkpoint(str(tmp_path / "absent.json"))
+
+
+def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    path = str(tmp_path / "checkpoint.json")
+    sched = StepSchedule(0.1, 0.6, adaptive=True)
+    straight = train(data, init, prior, cfg, TrainConfig(iterations=40, schedule=sched, seed=5))
+
+    real_dump = json.dump
+
+    def dump_fails_at_30(doc, handle):
+        if doc["iteration"] == 30:
+            handle.write(json.dumps(doc)[:100])
+            raise OSError("disk full")
+        real_dump(doc, handle)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", dump_fails_at_30)
+        with pytest.raises(OSError, match="disk full"):
+            train(
+                data, init, prior, cfg,
+                TrainConfig(
+                    iterations=40, schedule=sched, seed=5,
+                    checkpoint_every=10, checkpoint_path=path,
+                ),
+            )
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
+    assert load_checkpoint(path)[2].iteration == 20
+    resumed = resume_training(path)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
+
+
+def test_checkpoint_with_plan_seed_still_resumes(tmp_path):
+    # checkpoints once stored the per-iteration plan seed, which training ignores
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=0)
+    path = str(tmp_path / "checkpoint.json")
+    train(
+        data, init, prior, cfg,
+        TrainConfig(iterations=2, checkpoint_every=2, checkpoint_path=path),
+    )
+    with open(path) as handle:
+        doc = json.load(handle)
+    assert "rng_seed" not in doc["train_config"]["plan"]
+    doc["train_config"]["plan"]["rng_seed"] = 7
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    straight = train(data, init, prior, cfg, TrainConfig(iterations=4))
+    resumed = resume_training(path, iterations=4)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
 
 
 def test_singular_update_halves_step():
