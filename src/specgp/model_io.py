@@ -96,6 +96,14 @@ def model_to_doc(model: TrainedModel) -> dict:
     }
 
 
+def _block_rows(idx) -> np.ndarray:
+    """One block's row indices; a float or boolean entry is rejected, not
+    truncated to an integer."""
+    if not isinstance(idx, list) or not all(type(i) is int for i in idx):
+        raise ModelFormatError("model: partition.block_indices entries must be integers")
+    return np.asarray(idx, dtype=int)
+
+
 def _check_partition(X_all, y_all, centroids, block_indices, d) -> None:
     """Reject non-finite data or centroids, mismatched shapes, and block
     indices that are not a disjoint cover of the data rows."""
@@ -145,9 +153,7 @@ def model_from_doc(doc: dict) -> TrainedModel:
             X_all = X_all.reshape(0, spectral.d)
         y_all = np.asarray(doc["data"]["y"], dtype=float)
         centroids = np.asarray(doc["partition"]["centroids"], dtype=float)
-        block_indices = [
-            np.asarray(idx, dtype=int) for idx in doc["partition"]["block_indices"]
-        ]
+        block_indices = [_block_rows(idx) for idx in doc["partition"]["block_indices"]]
         _check_partition(X_all, y_all, centroids, block_indices, spectral.d)
         blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
         partition = PartitionedDataset(

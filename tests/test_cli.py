@@ -391,9 +391,24 @@ def _overlapping_blocks(doc):
     indices[1][0] = indices[0][0]
 
 
+def _fractional_index(doc):
+    # truncation would map the entry back to its own row, so the cover would hold
+    doc["partition"]["block_indices"][0][0] += 0.5
+
+
+def _boolean_index(doc):
+    # True reads as row 1, so the cover would still look complete
+    for indices in doc["partition"]["block_indices"]:
+        if 1 in indices:
+            indices[indices.index(1)] = True
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range, _overlapping_blocks],
+    [
+        _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range,
+        _overlapping_blocks, _fractional_index, _boolean_index,
+    ],
 )
 def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):
     doc, data = trained_model_doc

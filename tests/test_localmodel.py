@@ -12,7 +12,7 @@ from specgp import (
     feature_matrix,
 )
 from specgp import test_conditional as conditional
-from specgp.localmodel import _jittered_cholesky
+from specgp.localmodel import _jittered_cholesky, _stacked_cholesky, conditional_moments
 
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
@@ -257,3 +257,53 @@ def test_jitter_escalation_gives_up_on_indefinite_matrix():
     with pytest.raises(NumericalError) as err:
         _jittered_cholesky(gamma, block_id=7)
     assert err.value.block_id == 7
+
+
+def test_stacked_gram_and_conditional_match_per_theta_views():
+    rng = np.random.default_rng(13)
+    cfg = make_cfg(m=3)
+    X, y, _ = random_block(rng, cfg, 11)
+    thetas = rng.normal(size=(4, cfg.theta_dim))
+    s = rng.normal(size=(4, cfg.num_features))
+    X_star = rng.normal(size=(5, cfg.d))
+    stacked = build_local_gram(X, y, thetas, cfg, block_id=2)
+    assert stacked.chol.shape == (4, cfg.num_features, cfg.num_features)
+    means, variances = conditional_moments(
+        stacked, feature_matrix(X_star, thetas, cfg), s, 0.4, cfg.noise_variance
+    )
+    assert means.shape == variances.shape == (4, 5)
+    for i, theta in enumerate(thetas):
+        single = build_local_gram(X, y, theta, cfg, block_id=2)
+        np.testing.assert_allclose(stacked.gamma[i], single.gamma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.chol[i], single.chol, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.phi_y[i], single.phi_y, rtol=0, atol=1e-12)
+        alpha = AlphaVector(theta=theta, s=s[i])
+        for j, x_star in enumerate(X_star):
+            mom = conditional(x_star, single, alpha, 0.4, cfg)
+            assert means[i, j] == pytest.approx(mom.mean, rel=0, abs=1e-12)
+            assert variances[i, j] == pytest.approx(mom.variance, rel=0, abs=1e-12)
+
+
+def test_stacked_cholesky_jitters_only_the_failing_draw():
+    # the middle member is the rank-one case above; its neighbours are SPD
+    rng = np.random.default_rng(14)
+    k = 3
+    A = rng.normal(size=(2, k, k))
+    spd = A @ np.swapaxes(A, -1, -2) + k * np.eye(k)
+    stack = np.stack([spd[0], np.ones((k, k)), spd[1]])
+    chol, jittered = _stacked_cholesky(stack, block_id=4)
+    for i in (0, 2):
+        np.testing.assert_array_equal(jittered[i], stack[i])
+        np.testing.assert_array_equal(chol[i], np.linalg.cholesky(stack[i]))
+    assert np.all(np.diag(jittered[1]) > 1.0)
+    off_diag = ~np.eye(k, dtype=bool)
+    np.testing.assert_array_equal(jittered[1][off_diag], stack[1][off_diag])
+    np.testing.assert_allclose(chol[1] @ chol[1].T, jittered[1], rtol=0, atol=1e-12)
+    # a lone matrix takes the same fallback
+    for got, want in zip(_stacked_cholesky(stack[1], 4), _jittered_cholesky(stack[1], 4)):
+        np.testing.assert_array_equal(got, want)
+    # an indefinite member cannot be rescued by jitter
+    stack[1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(NumericalError) as err:
+        _stacked_cholesky(stack, block_id=4)
+    assert err.value.block_id == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specgp
+import specgp.predict as predict_module
 from specgp import (
     ContractError,
     PredictConfig,
@@ -77,6 +78,41 @@ def test_batch_matches_independent_loop():
         ref_means, ref_variances = loop_reference(X_star, model, pcfg)
         np.testing.assert_allclose(means, ref_means, atol=1e-12, rtol=0)
         np.testing.assert_allclose(variances, ref_variances, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "p, draws_per_chunk, chunk_sizes", [(3, 1, [1] * 10), (1, 3, [3, 3, 3, 1])]
+)
+def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, chunk_sizes):
+    # r = 10 is not a multiple of 3, so the last 3-draw chunk is short
+    model = make_model(seed=14, p=p)
+    X_star = np.random.default_rng(15).normal(size=(5, 2))
+    r = 10
+    calls = {}
+    build = predict_module.build_local_gram
+
+    def recording_build(X_k, y_k, theta, cfg, block_id=0):
+        calls.setdefault(block_id, []).append(len(theta))
+        return build(X_k, y_k, theta, cfg, block_id=block_id)
+
+    monkeypatch.setattr(predict_module, "build_local_gram", recording_build)
+    # a draw's buffer holds 2m * (n_k + t_k) elements; at p=1 that is 2m * (n + t)
+    per_draw = model.spectral.num_features * (model.partition.blocks[0][0].shape[0] + 5)
+    cap = draws_per_chunk * per_draw if p == 1 else 1
+    for gamma in (0.0, 0.4, -0.3):
+        pcfg = PredictConfig(n_samples=r, gamma_mix=gamma, seed=19)
+        calls.clear()
+        whole = predict_batch(X_star, model, pcfg)
+        assert all(sizes == [r] for sizes in calls.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(predict_module, "_CHUNK_ELEMENTS", cap)
+            calls.clear()
+            chunked = predict_batch(X_star, model, pcfg)
+        assert all(sizes == chunk_sizes for sizes in calls.values())
+        reference = loop_reference(X_star, model, pcfg)
+        for got, want, ref in zip(chunked, whole, reference):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(got, ref, atol=1e-12, rtol=0)
 
 
 def test_predict_point_matches_batch():
