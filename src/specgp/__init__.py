@@ -30,7 +30,6 @@ from .features import (
     SpectralConfig,
     approx_kernel,
     as_frequency_matrix,
-    basis_jacobian,
     basis_vector,
     feature_matrix,
 )
@@ -60,14 +59,13 @@ from .optimizer import (
     resume_training,
     train,
 )
-from .partition import PartitionedDataset, assign_block, assign_blocks, kmeans_partition
+from .partition import PartitionedDataset, assign_blocks, kmeans_partition
 from .predict import (
     PredictConfig,
     mnlp,
     mnlp_variance_floor,
     posterior_draws,
     predict_batch,
-    predict_point,
     rmse,
 )
 from .variational import (
@@ -106,9 +104,7 @@ __all__ = [
     "VariationalState",
     "approx_kernel",
     "as_frequency_matrix",
-    "assign_block",
     "assign_blocks",
-    "basis_jacobian",
     "basis_vector",
     "build_local_gram",
     "draw_sample_sets",
@@ -129,7 +125,6 @@ __all__ = [
     "posterior_draws",
     "partition_term",
     "predict_batch",
-    "predict_point",
     "resume_training",
     "rmse",
     "save_csv",

@@ -28,7 +28,7 @@ from .data import (
 from .errors import ContractError, DataError, NumericalError
 from .features import SpectralConfig
 from .gradcheck import run_all
-from .model_io import destandardize_moments, load_model, save_model, standardize_inputs
+from .model_io import load_model, save_model
 from .optimizer import train
 from .partition import kmeans_partition
 from .predict import mnlp, mnlp_variance_floor, predict_batch, rmse
@@ -294,8 +294,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     X_raw, _, names = _load_features(args.data, model)
     pcfg = run_config.predict_config_from(doc)
-    means_std, vars_std = predict_batch(standardize_inputs(model, X_raw), model, pcfg)
-    means, variances = destandardize_moments(model, means_std, vars_std)
+    std = model.standardization
+    means_std, vars_std = predict_batch(std.apply_x(X_raw), model, pcfg)
+    means, variances = std.invert_mean(means_std), std.invert_variance(vars_std)
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(names) + ["mean", "variance"])
@@ -314,10 +315,11 @@ def cmd_evaluate(args) -> int:
     if y_raw.size == 0:
         raise DataError("evaluation CSV has no usable rows")
     pcfg = run_config.predict_config_from(doc)
-    means_std, vars_std = predict_batch(standardize_inputs(model, X_raw), model, pcfg)
+    std = model.standardization
+    means_std, vars_std = predict_batch(std.apply_x(X_raw), model, pcfg)
     if doc["predict"]["mnlp_observed"]:
         vars_std = vars_std + model.spectral.noise_variance
-    means, variances = destandardize_moments(model, means_std, vars_std)
+    means, variances = std.invert_mean(means_std), std.invert_variance(vars_std)
     floored = int(np.count_nonzero(variances <= 0))
     if floored:
         variances = mnlp_variance_floor(variances, y_raw)

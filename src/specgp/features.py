@@ -15,8 +15,7 @@ features induce the stationary covariance
 whose expectation over frequencies drawn from
 ``N(0, (4 pi^2 diag(l^2))^{-1})`` is the squared-exponential kernel with
 lengthscales ``l``.  Everything downstream (local Gram matrices,
-likelihood gradients) is built from the three dense primitives here plus
-the block-sparse Jacobian of ``phi`` with respect to ``theta``.
+likelihood gradients) is built from the dense primitives here.
 """
 
 from __future__ import annotations
@@ -122,12 +121,17 @@ def basis_vector(x, theta, cfg: SpectralConfig) -> np.ndarray:
 def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     """Feature vectors for each row of ``X``, stacked as columns.
 
+    This is the hot kernel of training and prediction, so it checks
+    nothing: ``X`` and ``theta`` must be finite and of the shapes below,
+    which the entry points (CSV loading, partition construction, model
+    load, ``predict_batch``) have already validated.
+
     Parameters
     ----------
-    X : array_like, shape (n, d)
+    X : numpy.ndarray, shape (n, d)
         Input points, one per row.  ``n = 0`` is allowed and produces an
         empty ``(2m, 0)`` matrix.
-    theta : array_like, shape (m * d,) or (b, m * d)
+    theta : numpy.ndarray, shape (m * d,) or (b, m * d)
         Flattened frequency vectors, or a stack of ``b`` of them.
     cfg : SpectralConfig
 
@@ -137,11 +141,8 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
         Column ``j`` equals ``basis_vector(X[j], theta, cfg)``, per vector of a stack.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != cfg.d:
-        raise ContractError(f"X must have shape (n, {cfg.d}), got {X.shape}")
-    if X.size and not np.all(np.isfinite(X)):
-        raise ContractError("X contains non-finite entries")
-    angles = TWO_PI * (as_frequency_matrix(theta, cfg) @ X.T)
+    theta = np.asarray(theta, dtype=float)
+    angles = TWO_PI * (theta.reshape(theta.shape[:-1] + (cfg.m, cfg.d)) @ X.T)
     phi = np.empty(angles.shape[:-2] + (cfg.num_features, X.shape[0]))
     phi[..., 0::2, :] = np.cos(angles)
     phi[..., 1::2, :] = np.sin(angles)
@@ -157,25 +158,3 @@ def approx_kernel(x, x2, theta, cfg: SpectralConfig) -> float:
     phi_a = basis_vector(x, theta, cfg)
     phi_b = basis_vector(x2, theta, cfg)
     return float(cfg.lambda_diag * np.dot(phi_a, phi_b))
-
-
-def basis_jacobian(x, theta, cfg: SpectralConfig) -> np.ndarray:
-    """Jacobian of ``basis_vector`` with respect to ``theta``.
-
-    The result has shape ``(2m, m d)`` and is block sparse: feature pair
-    ``(2i, 2i+1)`` depends only on frequency ``r_i``, so the only nonzero
-    columns in those rows are ``i*d : (i+1)*d`` with values
-
-        d cos(2 pi r_i . x) / d r_i = -2 pi x sin(2 pi r_i . x)
-        d sin(2 pi r_i . x) / d r_i = +2 pi x cos(2 pi r_i . x).
-    """
-    x = _check_input(x, cfg)
-    freq = as_frequency_matrix(theta, cfg)
-    angles = TWO_PI * (freq @ x)
-    jac = np.zeros((cfg.num_features, cfg.theta_dim))
-    scaled = TWO_PI * x
-    for i in range(cfg.m):
-        cols = slice(i * cfg.d, (i + 1) * cfg.d)
-        jac[2 * i, cols] = -np.sin(angles[i]) * scaled
-        jac[2 * i + 1, cols] = np.cos(angles[i]) * scaled
-    return jac

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import SpectralConfig, basis_jacobian, basis_vector
+from .features import SpectralConfig, basis_vector
 from .gradient import partition_term, variance_gradients
 from .localmodel import AlphaVector
 from .variational import PriorSpec, VariationalState, kl_term_gradient, log_prior, log_q, transform
@@ -84,23 +84,6 @@ def _random_problem(rng, max_m=3, max_d=2, max_points=15):
     y_i = rng.standard_normal(n_k)
     z = rng.standard_normal(dim)
     return cfg, prior, state, X_i, y_i, z
-
-
-def check_basis_jacobian(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = 0.0
-    for _ in range(instances):
-        cfg, _, _, X_i, _, _ = _random_problem(rng)
-        theta = rng.standard_normal(cfg.theta_dim)
-        x = X_i[0]
-        analytic = basis_jacobian(x, theta, cfg)
-        numeric = np.empty_like(analytic)
-        for row in range(cfg.num_features):
-            numeric[row] = central_difference(
-                lambda th, r=row: basis_vector(x, th, cfg)[r], theta, step
-            )
-        worst = max(worst, relative_error(analytic, numeric))
-    return CheckResult("basis_jacobian", instances, worst, DEFAULT_TOL)
 
 
 def _pack(M, b):
@@ -195,7 +178,6 @@ def check_variance_gradients(seed=0, instances=20, step=DEFAULT_STEP) -> CheckRe
 def run_all(seed=0, instances=20):
     """Run every gradient check; returns the list of results."""
     return [
-        check_basis_jacobian(seed, instances),
         check_partition_term(seed, instances),
         check_kl_gradient(seed, instances),
         check_variance_gradients(seed, instances),

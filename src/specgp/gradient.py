@@ -78,11 +78,10 @@ def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
 
     assembled for all frequencies at once as ``(W * v) @ X`` without
     materializing any per-point Jacobian.
+
+    Nothing is checked here: ``X`` ``(n, d)`` and ``y`` ``(n,)`` are rows of
+    a validated partition and ``alpha`` comes from a validated state.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ContractError(f"y must have shape ({X.shape[0]},), got {y.shape}")
     s = alpha.s
     phi = feature_matrix(X, alpha.theta, cfg)
     v = y - (s[..., None, :] @ phi)[..., 0, :]

@@ -53,8 +53,6 @@ class AlphaVector:
             raise ContractError(
                 f"alpha must have shape ([b,] {cfg.alpha_dim}), got {flat.shape}"
             )
-        if not np.all(np.isfinite(flat)):
-            raise ContractError("alpha contains non-finite entries")
         return cls(theta=flat[..., : cfg.theta_dim].copy(), s=flat[..., cfg.theta_dim :].copy())
 
     @property
@@ -146,15 +144,19 @@ def _stacked_cholesky(gamma: np.ndarray, block_id: int):
 def build_local_gram(X_k, y_k, theta, cfg: SpectralConfig, block_id: int = 0) -> LocalGram:
     """Assemble and factorize ``Gamma_k`` for one data block, per ``theta`` of a stack.
 
+    The inputs are trusted: the block comes from a validated partition
+    (``kmeans_partition`` or a loaded model) and ``theta`` from a validated
+    state, so all of them are finite and of the shapes below.
+
     Parameters
     ----------
-    X_k : array_like, shape (n_k, d)
+    X_k : numpy.ndarray, shape (n_k, d)
         Block inputs; ``n_k = 0`` leaves the pure regularizer
         ``noise_variance * Lambda^{-1}``, which is diagonal and always
         factorizable.
-    y_k : array_like, shape (n_k,)
+    y_k : numpy.ndarray, shape (n_k,)
         Block targets.
-    theta : array_like, shape (m * d,) or (b, m * d)
+    theta : numpy.ndarray, shape (m * d,) or (b, m * d)
         Frequencies used to evaluate the features, or a stack of ``b`` of
         them; the stack is factorized in one call.
     cfg : SpectralConfig
@@ -166,17 +168,6 @@ def build_local_gram(X_k, y_k, theta, cfg: SpectralConfig, block_id: int = 0) ->
     LocalGram
         With a leading axis of length ``b`` for a stack.
     """
-    X_k = np.asarray(X_k, dtype=float)
-    if X_k.ndim != 2:
-        raise ContractError(f"X_k must be 2-d, got shape {X_k.shape}")
-    y_k = np.asarray(y_k, dtype=float)
-    if y_k.shape != (X_k.shape[0],):
-        raise ContractError(
-            f"y_k must have shape ({X_k.shape[0]},) to match X_k, got {y_k.shape}"
-        )
-    if y_k.size and not np.all(np.isfinite(y_k)):
-        raise ContractError("y_k contains non-finite entries")
-
     phi = feature_matrix(X_k, theta, cfg)
     gamma = phi @ np.swapaxes(phi, -1, -2)
     # noise_variance * Lambda^{-1} with Lambda = (signal_variance/m) * I.

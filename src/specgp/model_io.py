@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Standardization, identity_standardization
-from .errors import ModelFormatError
+from .errors import ContractError, ModelFormatError
 from .features import SpectralConfig
 from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
@@ -31,7 +31,10 @@ MODEL_VERSION = 1
 @dataclass
 class TrainedModel:
     """Bundle of everything needed to predict: posterior, prior, config,
-    partition and the standardization of the training pipeline."""
+    partition and the standardization of the training pipeline.
+
+    Construction checks that the parts agree in dimension, so the kernels
+    that later use them together need not."""
 
     state: VariationalState
     prior: PriorSpec
@@ -42,8 +45,22 @@ class TrainedModel:
     target_name: str = "y"
 
     def __post_init__(self):
+        spectral = self.spectral
+        if self.state.dim != spectral.alpha_dim:
+            raise ContractError(
+                f"state has dimension {self.state.dim}, the config needs {spectral.alpha_dim}"
+            )
+        if self.prior.theta_dim != spectral.theta_dim:
+            raise ContractError(
+                f"prior covers {self.prior.theta_dim} frequency coordinates, "
+                f"the config needs {spectral.theta_dim}"
+            )
+        if self.partition.d != spectral.d:
+            raise ContractError(
+                f"partition has input dimension {self.partition.d}, the config needs {spectral.d}"
+            )
         if self.standardization is None:
-            self.standardization = identity_standardization(self.spectral.d)
+            self.standardization = identity_standardization(spectral.d)
 
 
 def _array(a):
@@ -76,7 +93,8 @@ def model_to_doc(model: TrainedModel) -> dict:
         },
         "prior": {
             "theta_prior_variance": _array(model.prior.theta_prior_variance),
-            "lambda_diag": model.prior.lambda_diag,
+            # Written for readers of the format; loading derives it from "spectral".
+            "lambda_diag": model.spectral.lambda_diag,
         },
         "state": {"M": _array(model.state.M), "b": _array(model.state.b)},
         "partition": {
@@ -141,8 +159,7 @@ def model_from_doc(doc: dict) -> TrainedModel:
             noise_variance=doc["spectral"]["noise_variance"],
         )
         prior = PriorSpec(
-            theta_prior_variance=np.asarray(doc["prior"]["theta_prior_variance"], dtype=float),
-            lambda_diag=doc["prior"]["lambda_diag"],
+            theta_prior_variance=np.asarray(doc["prior"]["theta_prior_variance"], dtype=float)
         )
         state = VariationalState(
             np.asarray(doc["state"]["M"], dtype=float),
@@ -167,19 +184,21 @@ def model_from_doc(doc: dict) -> TrainedModel:
             y_scale=float(std_doc["y_scale"]),
             constant_columns=np.asarray(std_doc["constant_columns"], dtype=bool),
         )
+        # A ContractError from the dimension check is a ValueError, so a
+        # state or prior that does not fit "spectral" is a format error here.
+        return TrainedModel(
+            state=state,
+            prior=prior,
+            spectral=spectral,
+            partition=partition,
+            standardization=standardization,
+            feature_names=doc.get("feature_names"),
+            target_name=doc.get("target_name") or "y",
+        )
     except KeyError as missing:
         raise ModelFormatError(f"model: missing field {missing}") from None
     except (TypeError, ValueError) as bad:
         raise ModelFormatError(f"model: malformed field ({bad})") from None
-    return TrainedModel(
-        state=state,
-        prior=prior,
-        spectral=spectral,
-        partition=partition,
-        standardization=standardization,
-        feature_names=doc.get("feature_names"),
-        target_name=doc.get("target_name") or "y",
-    )
 
 
 def write_json_atomic(path, doc) -> None:
@@ -211,14 +230,3 @@ def load_model(path) -> TrainedModel:
     except json.JSONDecodeError as bad:
         raise ModelFormatError(f"model: invalid JSON ({bad})") from None
     return model_from_doc(doc)
-
-
-def standardize_inputs(model: TrainedModel, X_raw) -> np.ndarray:
-    """Map raw-unit inputs into the space the model was trained in."""
-    return model.standardization.apply_x(X_raw)
-
-
-def destandardize_moments(model: TrainedModel, means, variances):
-    """Map model-space predictive moments back to raw target units."""
-    std = model.standardization
-    return std.invert_mean(means), std.invert_variance(variances)

@@ -165,6 +165,8 @@ def train(
     """
     if init.dim != cfg.alpha_dim:
         raise ContractError("initial state does not match the spectral config")
+    if prior.theta_dim != cfg.theta_dim:
+        raise ContractError("prior does not match the spectral config")
     opt = _OptState()
     return _run(data, init, prior, cfg, tcfg, opt, gradient_fn)
 
@@ -210,10 +212,6 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
                 cfg,
                 noise_variance=float(np.exp(log_noise)),
                 signal_variance=float(np.exp(log_signal)),
-            )
-            prior = PriorSpec(
-                theta_prior_variance=prior.theta_prior_variance,
-                lambda_diag=cfg.lambda_diag,
             )
 
         elbo = None

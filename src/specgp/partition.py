@@ -212,16 +212,9 @@ def _rebalance(X, centroids, labels, p):
     return labels
 
 
-def assign_block(x_star, data: PartitionedDataset) -> int:
-    """Block index of the centroid nearest to ``x_star`` (ties: lowest index)."""
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (data.d,):
-        raise ContractError(f"x_star must have shape ({data.d},), got {x_star.shape}")
-    return int(_nearest_centroid(x_star[None, :], data.centroids)[0])
-
-
 def assign_blocks(X_star, data: PartitionedDataset) -> np.ndarray:
-    """Vectorized :func:`assign_block` over the rows of ``X_star``."""
+    """Block index of the centroid nearest to each row of ``X_star`` (ties:
+    lowest index)."""
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim != 2 or X_star.shape[1] != data.d:
         raise ContractError(f"X_star must have shape (t, {data.d}), got {X_star.shape}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError
 from .features import feature_matrix
-from .localmodel import PredictiveMoments, build_local_gram, conditional_moments
+from .localmodel import build_local_gram, conditional_moments
 from .model_io import TrainedModel
 from .partition import assign_blocks
 from .variational import transform
@@ -63,6 +63,9 @@ def posterior_draws(model: TrainedModel, pcfg: PredictConfig) -> np.ndarray:
 def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     """Predictive mean and variance for each row of ``X_star`` (model space).
 
+    This is where test inputs enter, so their shape and finiteness are
+    checked here once; the kernels below trust them.
+
     Returns
     -------
     (means, variances) : pair of numpy.ndarray, shape (t,)
@@ -73,6 +76,8 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
         raise ContractError(
             f"X_star must have shape (t, {model.spectral.d}), got {X_star.shape}"
         )
+    if not np.all(np.isfinite(X_star)):
+        raise ContractError("X_star contains non-finite entries")
     t = X_star.shape[0]
     if t == 0:
         return np.zeros(0), np.zeros(0)
@@ -108,17 +113,6 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
             stacklevel=2,
         )
     return mean_hat, np.maximum(var_hat, 0.0)
-
-
-def predict_point(x_star, model: TrainedModel, pcfg: PredictConfig) -> PredictiveMoments:
-    """Single-point convenience wrapper around :func:`predict_batch`."""
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (model.spectral.d,):
-        raise ContractError(
-            f"x_star must have shape ({model.spectral.d},), got {x_star.shape}"
-        )
-    means, variances = predict_batch(x_star[None, :], model, pcfg)
-    return PredictiveMoments(mean=float(means[0]), variance=float(variances[0]))
 
 
 def rmse(predictions, targets) -> float:

@@ -13,8 +13,8 @@ inverse transpose needed by the divergence gradient
     g_p = Sigma_prior^{-1} (M z + b),
 
 where the prior over ``alpha`` is the diagonal Gaussian with the ``theta``
-variances first and the weight variance ``lambda_diag`` repeated ``2m``
-times.
+variances first and the config's weight variance ``signal_variance / m``
+repeated ``2m`` times.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ class PriorSpec:
     """Diagonal Gaussian prior over the joint vector ``alpha``.
 
     ``theta_prior_variance`` holds one variance per frequency coordinate
-    (length ``m * d``); ``lambda_diag`` is the shared variance of the
-    ``2m`` trigonometric weights, normally ``signal_variance / m``.
+    (length ``m * d``).  The shared variance of the ``2m`` trigonometric
+    weights is not stored here: it is ``SpectralConfig.lambda_diag``, so it
+    follows the signal variance when that is learned.
     """
 
     theta_prior_variance: np.ndarray
-    lambda_diag: float
 
     def __post_init__(self):
         var = np.atleast_1d(np.asarray(self.theta_prior_variance, dtype=float))
@@ -54,8 +54,6 @@ class PriorSpec:
             raise ContractError("theta_prior_variance must be a non-empty vector")
         if not np.all(np.isfinite(var)) or np.any(var <= 0):
             raise ContractError("theta_prior_variance entries must be positive and finite")
-        if not (np.isfinite(self.lambda_diag) and self.lambda_diag > 0):
-            raise ContractError(f"lambda_diag must be positive, got {self.lambda_diag!r}")
         object.__setattr__(self, "theta_prior_variance", var)
 
     @property
@@ -63,14 +61,10 @@ class PriorSpec:
         return self.theta_prior_variance.size
 
     def variances(self, cfg: SpectralConfig) -> np.ndarray:
-        """Full diagonal of the prior covariance, length ``alpha_dim``."""
-        if self.theta_dim != cfg.theta_dim:
-            raise ContractError(
-                f"prior covers {self.theta_dim} frequency coordinates but the "
-                f"config needs {cfg.theta_dim}"
-            )
+        """Full diagonal of the prior covariance, length ``alpha_dim``; the
+        caller guarantees ``theta_dim == cfg.theta_dim``."""
         return np.concatenate(
-            [self.theta_prior_variance, np.full(cfg.num_features, self.lambda_diag)]
+            [self.theta_prior_variance, np.full(cfg.num_features, cfg.lambda_diag)]
         )
 
     def sample_theta(self, rng: np.random.Generator) -> np.ndarray:
@@ -86,10 +80,7 @@ class PriorSpec:
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
             raise ContractError("lengthscales must be positive and finite")
         per_dim = 1.0 / (FOUR_PI_SQ * ls**2)
-        return cls(
-            theta_prior_variance=np.tile(per_dim, cfg.m),
-            lambda_diag=cfg.lambda_diag,
-        )
+        return cls(theta_prior_variance=np.tile(per_dim, cfg.m))
 
     @classmethod
     def for_inputs(cls, X, cfg: SpectralConfig) -> "PriorSpec":
@@ -202,10 +193,7 @@ def log_q(state: VariationalState, z):
 def log_prior(alpha: AlphaVector, prior: PriorSpec, cfg: SpectralConfig):
     """Log density of ``alpha`` (per draw of a stack) under the diagonal Gaussian prior."""
     var = prior.variances(cfg)
-    flat = alpha.flat
-    if flat.shape[-1] != var.size:
-        raise ContractError("alpha and prior dimensions disagree")
-    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + flat**2 / var, axis=-1)
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + alpha.flat**2 / var, axis=-1)
 
 
 def kl_term_gradient(state: VariationalState, z, prior: PriorSpec, cfg: SpectralConfig):
@@ -216,12 +204,11 @@ def kl_term_gradient(state: VariationalState, z, prior: PriorSpec, cfg: Spectral
     (grad_m, grad_b) : tuple of numpy.ndarray
         ``grad_m = -(M^{-1})^T + g_p z^T`` and ``grad_b = g_p`` with
         ``g_p = Sigma_prior^{-1} (M z + b)``.  For a ``(b, D)`` stack of
-        draws both are averaged over the draws.
+        draws both are averaged over the draws.  The prior must cover the
+        state's dimension, which ``train`` and model loading check once.
     """
     z = _check_z(state, z)
     var = prior.variances(cfg)
-    if var.size != state.dim:
-        raise ContractError("prior and state dimensions disagree")
     zs = np.atleast_2d(z)
     g_p = ((state.M @ zs.T).T + state.b) / var
     grad_m = g_p.T @ zs / zs.shape[0] - state.inverse_transpose

@@ -232,12 +232,10 @@ def test_gradcheck_command_passes(capsys):
     code, out, err = run_cli(["gradcheck", "--instances", "5", "--seed", "0"], capsys)
     assert code == 0, err
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 4
+    assert len(lines) == 3
     assert all(line.startswith("PASS") for line in lines)
     names = {line.split()[1].rstrip(":") for line in lines}
-    assert names == {
-        "basis_jacobian", "partition_term", "kl_term_gradient", "variance_gradients"
-    }
+    assert names == {"partition_term", "kl_term_gradient", "variance_gradients"}
 
 
 def test_gradcheck_failure_exits_numerical(capsys, monkeypatch):
@@ -403,11 +401,23 @@ def _boolean_index(doc):
             indices[indices.index(1)] = True
 
 
+def _state_one_short(doc):
+    # still square, finite and nonsingular, but one dimension short of the config
+    state = doc["state"]
+    state["M"] = [row[:-1] for row in state["M"][:-1]]
+    state["b"].pop()
+
+
+def _prior_one_short(doc):
+    doc["prior"]["theta_prior_variance"].pop()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range,
-        _overlapping_blocks, _fractional_index, _boolean_index,
+        _overlapping_blocks, _fractional_index, _boolean_index, _state_one_short,
+        _prior_one_short,
     ],
 )
 def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):

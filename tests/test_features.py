@@ -8,7 +8,6 @@ from specgp import (
     SpectralConfig,
     approx_kernel,
     as_frequency_matrix,
-    basis_jacobian,
     basis_vector,
     feature_matrix,
 )
@@ -147,62 +146,6 @@ def test_gram_matrix_positive_semidefinite():
         gram = Phi.T @ (cfg.lambda_diag * Phi)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         assert eigs.min() >= -1e-10 * cfg.signal_variance
-
-
-def test_jacobian_zero_input():
-    cfg = make_cfg(d=2, m=3)
-    jac = basis_jacobian(np.zeros(2), np.random.default_rng(7).normal(size=6), cfg)
-    np.testing.assert_array_equal(jac, np.zeros((6, 6)))
-
-
-def test_jacobian_block_sparsity():
-    cfg = make_cfg(d=2, m=3)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=2)
-    theta = rng.normal(size=cfg.theta_dim)
-    jac = basis_jacobian(x, theta, cfg)
-    for i in range(cfg.m):
-        rows = [2 * i, 2 * i + 1]
-        for ip in range(cfg.m):
-            if ip == i:
-                continue
-            cols = slice(ip * cfg.d, (ip + 1) * cfg.d)
-            assert np.all(jac[np.ix_(rows, range(*cols.indices(cfg.theta_dim)))] == 0.0)
-
-
-def test_jacobian_closed_form():
-    cfg = make_cfg(d=2, m=2)
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=2)
-    theta = rng.normal(size=cfg.theta_dim)
-    jac = basis_jacobian(x, theta, cfg)
-    freqs = theta.reshape(cfg.m, cfg.d)
-    for i in range(cfg.m):
-        angle = 2 * np.pi * float(freqs[i] @ x)
-        cols = slice(i * cfg.d, (i + 1) * cfg.d)
-        np.testing.assert_allclose(jac[2 * i, cols], -2 * np.pi * x * np.sin(angle), atol=1e-12)
-        np.testing.assert_allclose(jac[2 * i + 1, cols], 2 * np.pi * x * np.cos(angle), atol=1e-12)
-
-
-def test_jacobian_finite_differences():
-    # componentwise relative error <= 1e-5 at step 1e-6, 100 random draws
-    rng = np.random.default_rng(10)
-    step = 1e-6
-    for _ in range(100):
-        d = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        cfg = make_cfg(d=d, m=m)
-        x = rng.normal(size=d)
-        theta = rng.normal(size=cfg.theta_dim)
-        jac = basis_jacobian(x, theta, cfg)
-        fd = np.empty_like(jac)
-        for j in range(cfg.theta_dim):
-            up, dn = theta.copy(), theta.copy()
-            up[j] += step
-            dn[j] -= step
-            fd[:, j] = (basis_vector(x, up, cfg) - basis_vector(x, dn, cfg)) / (2 * step)
-        scale = max(1.0, np.abs(fd).max())
-        assert np.abs(jac - fd).max() / scale <= 1e-5
 
 
 def test_kernel_monte_carlo_matches_squared_exponential():

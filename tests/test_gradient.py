@@ -36,10 +36,7 @@ def random_state(rng, dim, scale=0.4):
 
 
 def random_prior(rng, cfg):
-    return PriorSpec(
-        theta_prior_variance=rng.uniform(0.3, 1.5, size=cfg.theta_dim),
-        lambda_diag=cfg.lambda_diag,
-    )
+    return PriorSpec(theta_prior_variance=rng.uniform(0.3, 1.5, size=cfg.theta_dim))
 
 
 def make_dataset(rng, cfg, sizes):
@@ -443,7 +440,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
     # the amplitudes in closed form; the bound must sit below it
     cfg = make_cfg(d=1, m=1, ss2=1.0, sn2=0.4)
     rng = np.random.default_rng(15)
-    prior = PriorSpec(theta_prior_variance=np.array([0.5]), lambda_diag=cfg.lambda_diag)
+    prior = PriorSpec(theta_prior_variance=np.array([0.5]))
     n = 8
     X = rng.normal(size=(n, 1))
     y = rng.normal(size=n)

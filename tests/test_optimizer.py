@@ -354,7 +354,7 @@ def test_variance_learning_gate():
     assert learned.spectral.noise_variance > 0
     assert learned.spectral.signal_variance > 0
     np.testing.assert_allclose(
-        learned.prior.lambda_diag,
+        learned.prior.variances(learned.spectral)[cfg.theta_dim :],
         np.full(cfg.num_features, learned.spectral.signal_variance / cfg.m),
         rtol=1e-12,
     )

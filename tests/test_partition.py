@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgp import ContractError, PartitionedDataset, assign_block, kmeans_partition
+from specgp import ContractError, PartitionedDataset, assign_blocks, kmeans_partition
 
 
 def wcss(part):
@@ -87,7 +87,7 @@ def test_converged_partition_is_fixed_point():
     part = kmeans_partition(X, y, p=3, seed=0)
     for k, (Xk, _) in enumerate(part.blocks):
         for x in Xk:
-            assert assign_block(x, part) == k
+            assert assign_blocks(x[None, :], part)[0] == k
 
 
 def test_wcss_non_increasing_in_iterations():
@@ -105,7 +105,7 @@ def test_duplicated_points_collapse_to_tie_winners():
     # 30 copies of two distinct points with p = 6: identical centroids can
     # serve no point under the ties-to-lowest-index rule, so exactly two
     # blocks end up non-empty, yet the partition stays disjoint, exhaustive
-    # and consistent with assign_block
+    # and consistent with assign_blocks
     X = np.tile(np.array([[1.0, 1.0], [2.0, 2.0]]), (15, 1))
     y = np.arange(30, dtype=float)
     part = kmeans_partition(X, y, p=6, seed=0)
@@ -116,7 +116,7 @@ def test_duplicated_points_collapse_to_tie_winners():
     assert len(np.unique(all_idx)) == 30
     for k, (Xk, _) in enumerate(part.blocks):
         for x in Xk:
-            assert assign_block(x, part) == k
+            assert assign_blocks(x[None, :], part)[0] == k
 
 
 def test_assign_block_linear_scan_oracle():
@@ -125,15 +125,15 @@ def test_assign_block_linear_scan_oracle():
         centroids = rng.normal(size=(int(rng.integers(1, 9)), 3))
         x = rng.normal(size=3)
         dist = ((centroids - x) ** 2).sum(axis=1)
-        assert assign_block(x, centroids_only(centroids)) == int(np.argmin(dist))
+        assert assign_blocks(x[None, :], centroids_only(centroids))[0] == int(np.argmin(dist))
 
 
 def test_assign_block_tie_goes_to_lowest_index():
     equidistant = centroids_only(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
-    assert assign_block(np.zeros(2), equidistant) == 0
+    assert assign_blocks(np.zeros((1, 2)), equidistant)[0] == 0
     # duplicated centroids: first copy wins
     dup = centroids_only(np.array([[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]]))
-    assert assign_block(np.array([2.0, 2.1]), dup) == 0
+    assert assign_blocks(np.array([[2.0, 2.1]]), dup)[0] == 0
 
 
 def test_balance_caps_block_sizes():

@@ -10,14 +10,13 @@ from specgp import (
     SpectralConfig,
     TrainedModel,
     VariationalState,
-    assign_block,
+    assign_blocks,
     build_local_gram,
     kmeans_partition,
     mnlp,
     mnlp_variance_floor,
     posterior_draws,
     predict_batch,
-    predict_point,
     rmse,
     transform,
 )
@@ -45,7 +44,7 @@ def loop_reference(X_star, model, pcfg):
     means = np.zeros(len(X_star))
     seconds = np.zeros(len(X_star))
     for j, x in enumerate(X_star):
-        k = assign_block(x, model.partition)
+        k = assign_blocks(x[None, :], model.partition)[0]
         X_k, y_k = model.partition.blocks[k]
         for z in z_draws:
             alpha = transform(model.state, z, cfg)
@@ -122,13 +121,18 @@ def test_predict_point_matches_batch():
     pcfg = PredictConfig(n_samples=32, gamma_mix=0.2, seed=5)
     means, variances = predict_batch(X_star, model, pcfg)
     for j, x in enumerate(X_star):
-        mom = predict_point(x, model, pcfg)
-        assert mom.mean == pytest.approx(means[j], abs=1e-12)
-        assert mom.variance == pytest.approx(variances[j], abs=1e-12)
+        mean, variance = predict_batch(x[None, :], model, pcfg)
+        assert mean[0] == pytest.approx(means[j], abs=1e-12)
+        assert variance[0] == pytest.approx(variances[j], abs=1e-12)
     with pytest.raises(ContractError):
-        predict_point(np.zeros(3), model, pcfg)
+        predict_batch(np.zeros(3), model, pcfg)
     with pytest.raises(ContractError):
         predict_batch(np.zeros((2, 5)), model, pcfg)
+    for bad in (np.nan, np.inf):
+        X_bad = X_star.copy()
+        X_bad[1, 0] = bad
+        with pytest.raises(ContractError):
+            predict_batch(X_bad, model, pcfg)
 
 
 def test_collapsed_posterior_recovers_offset_prediction():
@@ -148,7 +152,7 @@ def test_collapsed_posterior_recovers_offset_prediction():
         pcfg = PredictConfig(n_samples=r, gamma_mix=0.3, seed=r)
         means, _ = predict_batch(X_star, model, pcfg)
         for j, x in enumerate(X_star):
-            k = assign_block(x, model.partition)
+            k = assign_blocks(x[None, :], model.partition)[0]
             X_k, y_k = model.partition.blocks[k]
             local = build_local_gram(X_k, y_k, alpha_b.theta, cfg, block_id=k)
             expected = conditional(x, local, alpha_b, 0.3, cfg).mean

@@ -27,19 +27,14 @@ def random_state(rng, dim, scale=0.3):
 
 
 def random_prior(rng, cfg):
-    return PriorSpec(
-        theta_prior_variance=rng.uniform(0.2, 2.0, size=cfg.theta_dim),
-        lambda_diag=cfg.lambda_diag,
-    )
+    return PriorSpec(theta_prior_variance=rng.uniform(0.2, 2.0, size=cfg.theta_dim))
 
 
 def test_prior_spec_validation_and_layout():
     cfg = make_cfg(d=2, m=3)
     with pytest.raises(ContractError):
-        PriorSpec(theta_prior_variance=np.zeros(cfg.theta_dim), lambda_diag=1.0)
-    with pytest.raises(ContractError):
-        PriorSpec(theta_prior_variance=np.ones(cfg.theta_dim), lambda_diag=0.0)
-    prior = PriorSpec(theta_prior_variance=np.ones(cfg.theta_dim), lambda_diag=cfg.lambda_diag)
+        PriorSpec(theta_prior_variance=np.zeros(cfg.theta_dim))
+    prior = PriorSpec(theta_prior_variance=np.ones(cfg.theta_dim))
     var = prior.variances(cfg)
     assert var.shape == (cfg.alpha_dim,)
     np.testing.assert_array_equal(var[: cfg.theta_dim], 1.0)
@@ -68,7 +63,7 @@ def test_prior_for_inputs_uses_column_stds():
 
 def test_sample_theta_statistics():
     cfg = make_cfg(d=1, m=2)
-    prior = PriorSpec(theta_prior_variance=np.array([0.5, 2.0]), lambda_diag=1.0)
+    prior = PriorSpec(theta_prior_variance=np.array([0.5, 2.0]))
     rng = np.random.default_rng(1)
     draws = np.array([prior.sample_theta(rng) for _ in range(4000)])
     np.testing.assert_allclose(draws.var(axis=0), [0.5, 2.0], rtol=0.15)
