@@ -16,10 +16,10 @@ alpha and ``||v_j||^2``.  Then
     grad_M = (p / (a b)) G^T Z - mean_j kl_grad_M(z_j),
     grad_b = (p / (a b)) sum_j G_j - mean_j kl_grad_b(z_j).
 
-:func:`partition_term`, :func:`log_likelihood` and :func:`variance_gradients`
-are the same kernel for one draw on one block.  The index stream and the z
-stream are split from one master seed so that tests can share z draws
-across estimators while varying the index subsample.
+:func:`partition_term` is that kernel for one draw on one block, and
+:func:`log_likelihood` and :func:`variance_gradients` run only its residual
+step.  The index stream and the z stream are split from one master seed so
+that tests share z draws across estimators while varying the index subsample.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ class GradientSamplePlan:
             raise ContractError("n_z_samples must be >= 1")
 
 
+def _residuals(y, X, alpha: AlphaVector, cfg: SpectralConfig):
+    """Features ``Phi(X)`` and residuals ``v = y - Phi^T s`` for one draw or a
+    stack of draws.  Nothing is checked: ``X`` ``(n, d)`` and ``y`` ``(n,)``
+    are rows of a validated partition, ``alpha`` is from a validated state."""
+    phi = feature_matrix(X, alpha.theta, cfg)
+    v = y - (alpha.s[..., None, :] @ phi)[..., 0, :]
+    return phi, v
+
+
 def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     """Gradient ``g_alpha`` of ``-0.5 ||v||^2 / noise_variance`` in
     ``(theta, s)``, and ``v_sq = ||v||^2``, for one draw or a stack of draws
@@ -77,14 +86,10 @@ def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
         d(-0.5||v||^2/noise)/d r_i = (2 pi / noise) * sum_j v_j w_ij x_j,
 
     assembled for all frequencies at once as ``(W * v) @ X`` without
-    materializing any per-point Jacobian.
-
-    Nothing is checked here: ``X`` ``(n, d)`` and ``y`` ``(n,)`` are rows of
-    a validated partition and ``alpha`` comes from a validated state.
-    """
+    materializing any per-point Jacobian.  Inputs are trusted as in
+    :func:`_residuals`."""
     s = alpha.s
-    phi = feature_matrix(X, alpha.theta, cfg)
-    v = y - (s[..., None, :] @ phi)[..., 0, :]
+    phi, v = _residuals(y, X, alpha, cfg)
     inv_noise = 1.0 / cfg.noise_variance
     g_s = inv_noise * (phi @ v[..., None])[..., 0]
     rotated = s[..., 1::2, None] * phi[..., 0::2, :] - s[..., 0::2, None] * phi[..., 1::2, :]
@@ -108,8 +113,8 @@ def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     blocks of a partition reproduces the full-data value exactly, because
     both the quadratic and the ``n log`` terms are additive over rows.
     """
-    _, v_sq = _data_term(y, X, alpha, cfg)
-    return -0.5 * v_sq / cfg.noise_variance - 0.5 * len(y) * np.log(
+    _, v = _residuals(y, X, alpha, cfg)
+    return -0.5 * np.sum(v * v, axis=-1) / cfg.noise_variance - 0.5 * len(y) * np.log(
         2.0 * np.pi * cfg.noise_variance
     )
 
@@ -122,8 +127,8 @@ def variance_gradients(y_i, X_i, alpha: AlphaVector, cfg: SpectralConfig):
     weight-prior term ``log N(s | 0, Lambda)`` with respect to
     ``log signal_variance``.  Neither term depends on the other variance.
     """
-    _, v_sq = _data_term(y_i, X_i, alpha, cfg)
-    return _dlog_variances(alpha, v_sq, len(y_i), cfg)
+    _, v = _residuals(y_i, X_i, alpha, cfg)
+    return _dlog_variances(alpha, np.sum(v * v, axis=-1), len(y_i), cfg)
 
 
 def partition_term(

@@ -139,6 +139,16 @@ def _check_partition(X_all, y_all, centroids, block_indices, d) -> None:
         raise ModelFormatError("model: partition.block_indices must list each data row once")
 
 
+def _check_standardization(std: Standardization, d) -> None:
+    """Reject a standardization that does not fit ``d`` input columns or is
+    not a finite transform with positive scales."""
+    if any(a.shape != (d,) for a in (std.x_mean, std.x_scale, std.constant_columns)):
+        raise ModelFormatError(f"model: standardization vectors need {d} entries")
+    values = np.concatenate([std.x_mean, std.x_scale, [std.y_mean, std.y_scale]])
+    if not np.all(np.isfinite(values)) or np.any(std.x_scale <= 0) or std.y_scale <= 0:
+        raise ModelFormatError("model: standardization is not finite with positive scales")
+
+
 def model_from_doc(doc: dict) -> TrainedModel:
     """Rebuild a :class:`TrainedModel`, validating format and version."""
     if not isinstance(doc, dict):
@@ -184,6 +194,7 @@ def model_from_doc(doc: dict) -> TrainedModel:
             y_scale=float(std_doc["y_scale"]),
             constant_columns=np.asarray(std_doc["constant_columns"], dtype=bool),
         )
+        _check_standardization(standardization, spectral.d)
         # A ContractError from the dimension check is a ValueError, so a
         # state or prior that does not fit "spectral" is a format error here.
         return TrainedModel(

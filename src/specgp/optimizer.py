@@ -4,9 +4,9 @@ Updates follow a Robbins-Monro schedule ``rho_t = base_step / (1 + t)^q``
 with ``q`` in (0.5, 1]; the optional adaptive mode rescales each
 coordinate by the square root of its accumulated squared gradients
 (floored at 1e-8), which makes the step size insensitive to the raw
-gradient magnitude.  An update that would push the reciprocal condition
-estimate of ``M`` below 1e-13 is rejected and retried with half the step,
-up to five times, after which training aborts.
+gradient magnitude.  An update that would push the exact reciprocal
+condition number of ``M`` below 1e-13 is rejected and retried with half
+the step, up to five times, after which training aborts.
 
 Every iteration draws its Monte-Carlo sample seed deterministically from
 ``(seed, iteration)``, so a run is bit-reproducible and a checkpoint can
@@ -136,13 +136,11 @@ def _attempt_update(state, direction_m, direction_b, rho, iteration):
             candidate = VariationalState(
                 state.M + step * direction_m, state.b + step * direction_b
             )
+            if candidate.rcond >= RCOND_GUARD:
+                return candidate, step
         except NumericalError:
-            step *= 0.5
-            continue
-        if candidate.rcond < RCOND_GUARD:
-            step *= 0.5
-            continue
-        return candidate, step
+            pass
+        step *= 0.5
     raise NumericalError(
         f"iteration {iteration}: update kept M numerically singular "
         f"(rcond < {RCOND_GUARD:g}) after {MAX_STEP_RETRIES} halvings"

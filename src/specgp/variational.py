@@ -5,25 +5,23 @@ Gaussian parameterized through an affine map of a standard normal draw:
 
     z ~ N(0, I),   alpha = M z + b,   q(alpha) = N(z | 0, I) / |det M|.
 
-``M`` must stay invertible; its LU factorization (partial pivoting) is
-computed once per state and cached for log-determinant, solves and the
-inverse transpose needed by the divergence gradient
+``M`` must stay invertible.  Each state inverts it once, for the exact
+condition number that guards against singular states and for the
+divergence gradient
 
     d/dM log(q/p) = -(M^{-1})^T + g_p z^T,    d/db log(q/p) = g_p,
     g_p = Sigma_prior^{-1} (M z + b),
 
 where the prior over ``alpha`` is the diagonal Gaussian with the ``theta``
 variances first and the config's weight variance ``signal_variance / m``
-repeated ``2m`` times.
+repeated ``2m`` times.  ``log |det M|`` is computed on first use.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, NumericalError
 from .features import SpectralConfig
@@ -31,7 +29,7 @@ from .localmodel import AlphaVector
 
 FOUR_PI_SQ = 4.0 * np.pi**2
 
-# A state whose reciprocal condition estimate falls at or below this is
+# A state whose reciprocal condition number falls at or below this is
 # considered numerically singular and may not be constructed.
 RCOND_MIN = 1e-14
 
@@ -98,16 +96,13 @@ class PriorSpec:
 
 
 class VariationalState:
-    """Invertible affine map ``z -> M z + b`` with cached LU factorization.
+    """Invertible affine map ``z -> M z + b`` with its inverse, computed once.
 
-    Construction factorizes ``M`` (LU with partial pivoting — ``M`` is not
-    symmetric, so Cholesky does not apply), derives ``log |det M|`` from
-    the pivots and estimates the reciprocal condition number.  A state
-    with ``rcond <= 1e-14`` or a zero pivot is rejected with
-    :class:`NumericalError`.
-    """
+    ``rcond`` is the exact ``1 / (||M||_1 ||M^{-1}||_1)``, 0 if a norm
+    overflows; a zero pivot or ``rcond <= 1e-14`` raises
+    :class:`NumericalError`.  ``log_abs_det`` is computed on first use."""
 
-    __slots__ = ("M", "b", "log_abs_det", "rcond", "_lu", "_piv", "_inv_t")
+    __slots__ = ("M", "b", "rcond", "inverse_transpose", "_log_abs_det")
 
     def __init__(self, M, b):
         M = np.array(M, dtype=float)
@@ -120,41 +115,30 @@ class VariationalState:
             raise ContractError("M and b must be finite")
         self.M = M
         self.b = b
-        with warnings.catch_warnings():
-            # scipy warns instead of raising when a pivot is exactly zero;
-            # the explicit check below turns that into a hard error.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu, self._piv = scipy.linalg.lu_factor(M)
-        pivots = np.abs(np.diag(self._lu))
-        if not np.all(pivots > 0):
-            raise NumericalError("M is numerically singular (zero LU pivot)")
-        self.log_abs_det = float(np.sum(np.log(pivots)))
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (self._lu,))
-        rcond, info = gecon(self._lu, np.linalg.norm(M, 1), norm="1")
-        if info != 0:
-            raise NumericalError(f"condition estimate failed (LAPACK info={info})")
-        self.rcond = float(rcond)
-        if not np.isfinite(self.log_abs_det) or self.rcond <= RCOND_MIN:
+        try:
+            inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise NumericalError("M is numerically singular (zero LU pivot)") from None
+        with np.errstate(all="ignore"):
+            rcond = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(inv, 1))
+        self.rcond = float(rcond) if np.isfinite(rcond) else 0.0
+        if self.rcond <= RCOND_MIN:
             raise NumericalError(
                 f"M is numerically singular (rcond={self.rcond:.3e} <= {RCOND_MIN:g})"
             )
-        self._inv_t = None
+        self.inverse_transpose = inv.T
+        self._log_abs_det = None
 
     @property
     def dim(self) -> int:
         return self.b.size
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``M @ out = rhs`` with the cached factorization."""
-        return scipy.linalg.lu_solve((self._lu, self._piv), rhs)
-
     @property
-    def inverse_transpose(self) -> np.ndarray:
-        """``(M^{-1})^T``, computed once per state and cached."""
-        if self._inv_t is None:
-            inv = scipy.linalg.lu_solve((self._lu, self._piv), np.eye(self.dim))
-            self._inv_t = np.ascontiguousarray(inv.T)
-        return self._inv_t
+    def log_abs_det(self) -> float:
+        """``log |det M|``, computed once on first use."""
+        if self._log_abs_det is None:
+            self._log_abs_det = float(np.linalg.slogdet(self.M)[1])
+        return self._log_abs_det
 
 
 def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> VariationalState:

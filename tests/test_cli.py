@@ -412,12 +412,21 @@ def _prior_one_short(doc):
     doc["prior"]["theta_prior_variance"].pop()
 
 
+def _x_mean_one_short(doc):
+    # would broadcast the remaining mean over every input column
+    doc["standardization"]["x_mean"].pop()
+
+
+def _zero_x_scale(doc):
+    doc["standardization"]["x_scale"][0] = 0.0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range,
         _overlapping_blocks, _fractional_index, _boolean_index, _state_one_short,
-        _prior_one_short,
+        _prior_one_short, _x_mean_one_short, _zero_x_scale,
     ],
 )
 def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):

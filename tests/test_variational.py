@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -77,6 +79,25 @@ def test_state_rejects_singular_and_ill_conditioned_m():
         VariationalState(np.diag([1.0, 1e-16]), np.zeros(2))
     with pytest.raises(ContractError):
         VariationalState(np.ones((2, 3)), np.zeros(2))
+
+
+def test_state_inverse_and_exact_rcond():
+    rng = np.random.default_rng(12)
+    for D in range(2, 31):
+        M = np.eye(D) + 0.3 * rng.normal(size=(D, D)) / np.sqrt(D)
+        state = VariationalState(M, np.zeros(D))
+        assert state.rcond == pytest.approx(1.0 / np.linalg.cond(M, 1), rel=1e-10)
+        np.testing.assert_allclose(state.inverse_transpose @ M.T, np.eye(D), rtol=0, atol=1e-12)
+        assert state.log_abs_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-9, abs=1e-12)
+
+
+def test_state_with_overflowing_norm_is_rejected_without_warning():
+    M = np.array([[1e308, 1e308], [1e308, -1e308]])
+    assert np.all(np.isfinite(M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            VariationalState(M, np.zeros(2))
 
 
 def test_transform_identity_and_offset():
