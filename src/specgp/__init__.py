@@ -72,9 +72,8 @@ from .variational import (
     PriorSpec,
     VariationalState,
     initial_state,
+    kl_divergence,
     kl_term_gradient,
-    log_prior,
-    log_q,
     transform,
 )
 
@@ -112,14 +111,13 @@ __all__ = [
     "feature_matrix",
     "identity_standardization",
     "initial_state",
+    "kl_divergence",
     "kl_term_gradient",
     "kmeans_partition",
     "load_csv",
     "load_checkpoint",
     "load_model",
     "log_likelihood",
-    "log_prior",
-    "log_q",
     "mnlp",
     "mnlp_variance_floor",
     "posterior_draws",

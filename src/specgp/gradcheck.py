@@ -12,14 +12,15 @@ the ``specgp gradcheck`` CLI command and the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ContractError
 from .features import SpectralConfig, basis_vector
 from .gradient import partition_term, variance_gradients
 from .localmodel import AlphaVector
-from .variational import PriorSpec, VariationalState, kl_term_gradient, log_prior, log_q, transform
+from .variational import PriorSpec, VariationalState, kl_divergence, kl_term_gradient, transform
 
 DEFAULT_TOL = 1e-5
 DEFAULT_STEP = 1e-6
@@ -120,20 +121,17 @@ def check_partition_term(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult
 
 
 def check_kl_gradient(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult:
-    """kl_term_gradient against differences of log q - log p in (M, b)."""
+    """kl_term_gradient against differences of kl_divergence in (M, b)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     for _ in range(instances):
-        cfg, prior, state, _, _, z = _random_problem(rng)
+        cfg, prior, state, _, _, _ = _random_problem(rng)
         dim = state.dim
 
         def objective(flat):
-            M, b = _unpack(flat, dim)
-            trial = VariationalState(M, b)
-            alpha = transform(trial, z, cfg)
-            return log_q(trial, z) - log_prior(alpha, prior, cfg)
+            return kl_divergence(VariationalState(*_unpack(flat, dim)), prior, cfg)
 
-        grad_m, grad_b = kl_term_gradient(state, z, prior, cfg)
+        grad_m, grad_b = kl_term_gradient(state, prior, cfg)
         numeric = central_difference(objective, _pack(state.M, state.b), step)
         analytic = _pack(grad_m, grad_b)
         worst = max(worst, relative_error(analytic, numeric))
@@ -141,17 +139,16 @@ def check_kl_gradient(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult:
 
 
 def check_variance_gradients(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult:
-    """variance_gradients against differences in the log variances."""
+    """variance_gradients against differences in the log variances: of the
+    block log likelihood in the noise, of ``-KL(q || p)`` in the signal."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     for _ in range(instances):
-        cfg, _, state, X_i, y_i, z = _random_problem(rng)
+        cfg, prior, state, X_i, y_i, z = _random_problem(rng)
         alpha = transform(state, z, cfg)
 
         def data_term(log_noise):
-            trial = SpectralConfig(
-                cfg.d, cfg.m, cfg.signal_variance, float(np.exp(log_noise[0]))
-            )
+            trial = replace(cfg, noise_variance=float(np.exp(log_noise[0])))
             phi = np.asarray([basis_vector(x, alpha.theta, trial) for x in X_i]).T
             v = y_i - phi.T @ alpha.s
             return (
@@ -159,17 +156,13 @@ def check_variance_gradients(seed=0, instances=20, step=DEFAULT_STEP) -> CheckRe
                 - 0.5 * y_i.size * np.log(2.0 * np.pi * trial.noise_variance)
             )
 
-        def weight_prior_term(log_signal):
-            lam = float(np.exp(log_signal[0])) / cfg.m
-            return -0.5 * float(
-                np.sum(alpha.s**2 / lam + np.log(2.0 * np.pi * lam))
-            )
+        def neg_kl(log_signal):
+            trial = replace(cfg, signal_variance=float(np.exp(log_signal[0])))
+            return -kl_divergence(state, prior, trial)
 
-        d_noise, d_signal = variance_gradients(y_i, X_i, alpha, cfg)
+        d_noise, d_signal = variance_gradients(y_i, X_i, alpha, state, cfg)
         fd_noise = central_difference(data_term, np.array([np.log(cfg.noise_variance)]), step)
-        fd_signal = central_difference(
-            weight_prior_term, np.array([np.log(cfg.signal_variance)]), step
-        )
+        fd_signal = central_difference(neg_kl, np.array([np.log(cfg.signal_variance)]), step)
         worst = max(worst, relative_error(np.array([d_noise]), fd_noise))
         worst = max(worst, relative_error(np.array([d_signal]), fd_signal))
     return CheckResult("variance_gradients", instances, worst, DEFAULT_TOL)
@@ -177,6 +170,8 @@ def check_variance_gradients(seed=0, instances=20, step=DEFAULT_STEP) -> CheckRe
 
 def run_all(seed=0, instances=20):
     """Run every gradient check; returns the list of results."""
+    if instances < 1:
+        raise ContractError(f"instances must be >= 1, got {instances}")
     return [
         check_partition_term(seed, instances),
         check_kl_gradient(seed, instances),

@@ -1,11 +1,13 @@
 """Likelihood evaluation and unbiased stochastic gradients of the bound.
 
-The Gaussian likelihood of a data block factorizes through the residual
-``v = y - Phi(X)^T s``:
+The bound is ``E_q[log p(y | alpha)] - KL(q || p)``.  The divergence and
+its gradients are exact (:mod:`~specgp.variational`); only the likelihood
+is estimated by Monte Carlo.  The Gaussian likelihood of a data block
+factorizes through the residual ``v = y - Phi(X)^T s``:
 
     log p(y | alpha) = -0.5 ||v||^2 / noise_variance - 0.5 n log(2 pi noise_variance).
 
-The bound over ``p`` equally-weighted blocks is estimated doubly
+The likelihood term over ``p`` equally-weighted blocks is estimated doubly
 stochastically from block indices ``i_1..i_a``, drawn uniformly with
 replacement, and standard normal draws ``z_1..z_b``.  Both sums are linear,
 so one kernel evaluates them at once: it takes the concatenated rows of the
@@ -13,8 +15,8 @@ sampled blocks (a block drawn twice appears twice) and the ``(b, D)`` stack
 ``A = Z M^T + b``, and returns each draw's data-term gradient ``G_j`` in
 alpha and ``||v_j||^2``.  Then
 
-    grad_M = (p / (a b)) G^T Z - mean_j kl_grad_M(z_j),
-    grad_b = (p / (a b)) sum_j G_j - mean_j kl_grad_b(z_j).
+    grad_M = (p / (a b)) G^T Z - d KL/dM,
+    grad_b = (p / (a b)) sum_j G_j - d KL/db.
 
 :func:`partition_term` is that kernel for one draw on one block, and
 :func:`log_likelihood` and :func:`variance_gradients` run only its residual
@@ -31,7 +33,14 @@ import numpy as np
 from .errors import ContractError
 from .features import TWO_PI, SpectralConfig, feature_matrix
 from .localmodel import AlphaVector
-from .variational import PriorSpec, VariationalState, kl_term_gradient, log_prior, log_q, transform
+from .variational import (
+    PriorSpec,
+    VariationalState,
+    kl_divergence,
+    kl_term_gradient,
+    second_moments,
+    transform,
+)
 
 
 @dataclass
@@ -98,12 +107,13 @@ def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     return g_alpha, np.sum(v * v, axis=-1)
 
 
-def _dlog_variances(alpha: AlphaVector, v_sq, n_rows: int, cfg: SpectralConfig):
-    """Per-draw derivatives of the data term in ``log noise_variance`` and of
-    ``log N(s | 0, Lambda)`` in ``log signal_variance``."""
+def _dlog_variances(state: VariationalState, v_sq, n_rows: int, cfg: SpectralConfig):
+    """Per-draw derivative of the data term in ``log noise_variance``, and the
+    exact derivative of ``-KL(q || p)`` in ``log signal_variance``:
+    ``0.5 m sum_i E_q[s_i^2] / signal_variance - m`` over the weights."""
     d_noise = 0.5 * v_sq / cfg.noise_variance - 0.5 * n_rows
-    d_signal = 0.5 * cfg.m * np.sum(alpha.s * alpha.s, axis=-1) / cfg.signal_variance - cfg.m
-    return d_noise, d_signal
+    s_sq = second_moments(state)[cfg.theta_dim :]
+    return d_noise, 0.5 * cfg.m * float(np.sum(s_sq)) / cfg.signal_variance - cfg.m
 
 
 def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
@@ -119,16 +129,17 @@ def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     )
 
 
-def variance_gradients(y_i, X_i, alpha: AlphaVector, cfg: SpectralConfig):
-    """Derivatives of one sample's objective pieces in the log variances.
+def variance_gradients(y_i, X_i, alpha: AlphaVector, state: VariationalState, cfg: SpectralConfig):
+    """Derivatives of the bound's pieces in the log variances.
 
     Returns ``(d_log_noise, d_log_signal)``: the derivative of the block
-    log likelihood with respect to ``log noise_variance`` and of the
-    weight-prior term ``log N(s | 0, Lambda)`` with respect to
-    ``log signal_variance``.  Neither term depends on the other variance.
+    log likelihood under the draw ``alpha`` with respect to
+    ``log noise_variance``, and the exact derivative of ``-KL(q || p)``
+    under ``state`` with respect to ``log signal_variance``.  Neither term
+    depends on the other variance.
     """
     _, v = _residuals(y_i, X_i, alpha, cfg)
-    return _dlog_variances(alpha, np.sum(v * v, axis=-1), len(y_i), cfg)
+    return _dlog_variances(state, np.sum(v * v, axis=-1), len(y_i), cfg)
 
 
 def partition_term(
@@ -185,9 +196,9 @@ def stochastic_gradient(
     state, prior, cfg
         Current variational state, prior and spectral configuration.
     return_variance_grads : bool, optional
-        When true, additionally return ``(d_log_noise, d_log_signal)``,
-        the matching stochastic derivatives of the bound in the log
-        variance hyperparameters (same sample set).
+        When true, additionally return ``(d_log_noise, d_log_signal)``, the
+        bound's derivatives in the log variances: the noise one estimated
+        from the same sample set, the signal one exact.
 
     Returns
     -------
@@ -199,15 +210,15 @@ def stochastic_gradient(
     alpha = transform(state, z_draws, cfg)
     g_alpha, v_sq = _data_term(y, X, alpha, cfg)
     scale = data.p / (plan.n_partition_samples * plan.n_z_samples)
-    kl_m, kl_b = kl_term_gradient(state, z_draws, prior, cfg)
+    kl_m, kl_b = kl_term_gradient(state, prior, cfg)
     grad = EtaGradient(
         grad_m=scale * (g_alpha.T @ z_draws) - kl_m,
         grad_b=scale * g_alpha.sum(axis=0) - kl_b,
     )
     if not return_variance_grads:
         return grad
-    d_noise, d_signal = _dlog_variances(alpha, v_sq, y.size, cfg)
-    return grad, (scale * float(np.sum(d_noise)), float(np.mean(d_signal)))
+    d_noise, d_signal = _dlog_variances(state, v_sq, y.size, cfg)
+    return grad, (scale * float(np.sum(d_noise)), d_signal)
 
 
 def elbo_estimate(
@@ -219,24 +230,21 @@ def elbo_estimate(
     seed: int = 0,
     return_parts: bool = False,
 ):
-    """Monte-Carlo estimate of the evidence lower bound.
+    """Estimate of the evidence lower bound.
 
-    Averages ``log p(y | alpha) + log p(alpha) - log q(alpha)`` over
-    ``n_z`` reparameterization draws; two calls with the same seed agree
-    bit for bit.  With ``return_parts`` the per-component means are also
-    returned for monitoring.
+    The mean of ``log p(y | alpha)`` over ``n_z`` reparameterization draws,
+    minus the exact ``KL(q || p)``; two calls with the same seed agree bit
+    for bit.  With ``return_parts`` the two parts, ``"log_likelihood"`` and
+    ``"kl"``, are also returned for monitoring.
     """
     if n_z < 1:
         raise ContractError("n_z must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_draws = rng.standard_normal((n_z, state.dim))
     alpha = transform(state, z_draws, cfg)
-    parts = {
-        "log_likelihood": sum(log_likelihood(y_i, X_i, alpha, cfg) for X_i, y_i in data.blocks),
-        "log_prior": log_prior(alpha, prior, cfg),
-        "log_q": log_q(state, z_draws),
-    }
-    elbo = float(np.mean(parts["log_likelihood"] + parts["log_prior"] - parts["log_q"]))
+    ll = sum(log_likelihood(y_i, X_i, alpha, cfg) for X_i, y_i in data.blocks)
+    parts = {"log_likelihood": float(np.mean(ll)), "kl": kl_divergence(state, prior, cfg)}
+    elbo = parts["log_likelihood"] - parts["kl"]
     if return_parts:
-        return elbo, {k: float(np.mean(val)) for k, val in parts.items()}
+        return elbo, parts
     return elbo

@@ -249,15 +249,11 @@ def _trace_rows(trace):
 
 
 def _trace_from_rows(rows):
+    if any(len(row) != 5 for row in rows):
+        raise ModelFormatError("model: every checkpoint trace row needs 5 fields")
     return [
-        IterationRecord(
-            iteration=int(row[0]),
-            step_size=float(row[1]),
-            gradient_norm=float(row[2]),
-            elbo=None if row[3] is None else float(row[3]),
-            wall_clock_ms=float(row[4]),
-        )
-        for row in rows
+        IterationRecord(int(t), float(rho), float(g), None if e is None else float(e), float(ms))
+        for t, rho, g, e, ms in rows
     ]
 
 
@@ -303,6 +299,16 @@ def _tcfg_from_doc(doc: dict) -> TrainConfig:
     )
 
 
+def _accumulator_from_doc(values, size: int):
+    """A stored AdaGrad accumulator: ``None``, or ``size`` finite values >= 0."""
+    if values is None:
+        return None
+    acc = np.asarray(values, dtype=float)
+    if acc.shape != (size,) or not np.all(np.isfinite(acc)) or np.any(acc < 0):
+        raise ModelFormatError(f"model: checkpoint accumulator needs {size} finite values >= 0")
+    return acc
+
+
 def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None:
     """Write everything needed to resume training at ``opt.iteration``."""
     model = TrainedModel(state=state, prior=prior, spectral=cfg, partition=data)
@@ -326,7 +332,8 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (model, train config, optimizer state)."""
+    """Read a checkpoint into (model, train config, optimizer state), validating
+    every field that resuming reads; a fault is a :class:`ModelFormatError`."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -334,6 +341,8 @@ def load_checkpoint(path):
         raise ModelFormatError(f"model: checkpoint file not found: {path}") from None
     except json.JSONDecodeError as bad:
         raise ModelFormatError(f"model: invalid checkpoint JSON ({bad})") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model: checkpoint is not a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ModelFormatError(
             f"model: format mismatch (expected {CHECKPOINT_FORMAT!r}, got {doc.get('format')!r})"
@@ -346,22 +355,28 @@ def load_checkpoint(path):
         model = model_from_doc(doc["model"])
         tcfg = _tcfg_from_doc(doc["train_config"])
         opt_doc = doc["optimizer"]
+        dim = model.state.dim
         opt = _OptState(
-            accumulator=(
-                None
-                if opt_doc["accumulator"] is None
-                else np.asarray(opt_doc["accumulator"], dtype=float)
-            ),
-            variance_accumulator=(
-                None
-                if opt_doc["variance_accumulator"] is None
-                else np.asarray(opt_doc["variance_accumulator"], dtype=float)
-            ),
+            accumulator=_accumulator_from_doc(opt_doc["accumulator"], dim * dim + dim),
+            variance_accumulator=_accumulator_from_doc(opt_doc["variance_accumulator"], 2),
             trace=_trace_from_rows(doc["trace"]),
-            iteration=int(doc["iteration"]),
+            iteration=doc["iteration"],
         )
     except KeyError as missing:
         raise ModelFormatError(f"model: checkpoint missing field {missing}") from None
+    except ModelFormatError:
+        raise
+    except (TypeError, ValueError) as bad:  # ContractError from TrainConfig included
+        raise ModelFormatError(f"model: malformed checkpoint field ({bad})") from None
+    if type(opt.iteration) is not int or opt.iteration != len(opt.trace):
+        raise ModelFormatError(
+            f"model: checkpoint iteration {opt.iteration!r} does not match "
+            f"its {len(opt.trace)} trace rows"
+        )
+    if tcfg.schedule.adaptive and opt.trace and (
+        opt.accumulator is None or (tcfg.learn_variances and opt.variance_accumulator is None)
+    ):
+        raise ModelFormatError("model: adaptive checkpoint is missing an accumulator")
     return model, tcfg, opt
 
 

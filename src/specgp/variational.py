@@ -3,18 +3,21 @@
 The posterior over the joint vector ``alpha = (theta, s)`` is a full
 Gaussian parameterized through an affine map of a standard normal draw:
 
-    z ~ N(0, I),   alpha = M z + b,   q(alpha) = N(z | 0, I) / |det M|.
+    z ~ N(0, I),   alpha = M z + b,   q(alpha) = N(alpha | b, M M^T).
+
+The prior over ``alpha`` is the diagonal Gaussian ``N(0, diag(v))`` with
+the ``theta`` variances first and the config's weight variance
+``signal_variance / m`` repeated ``2m`` times.  The divergence between
+these two Gaussians has a closed form, so the bound samples only its
+likelihood term:
+
+    KL(q || p) = 0.5 sum_i (E_q[alpha_i^2] / v_i + log v_i) - D/2 - log |det M|,
+    E_q[alpha_i^2] = (M M^T)_ii + b_i^2,
+    d KL/dM = M / v - M^{-T},    d KL/db = b / v.
 
 ``M`` must stay invertible.  Each state inverts it once, for the exact
 condition number that guards against singular states and for the
-divergence gradient
-
-    d/dM log(q/p) = -(M^{-1})^T + g_p z^T,    d/db log(q/p) = g_p,
-    g_p = Sigma_prior^{-1} (M z + b),
-
-where the prior over ``alpha`` is the diagonal Gaussian with the ``theta``
-variances first and the config's weight variance ``signal_variance / m``
-repeated ``2m`` times.  ``log |det M|`` is computed on first use.
+gradient's ``M^{-T}``.
 """
 
 from __future__ import annotations
@@ -100,9 +103,9 @@ class VariationalState:
 
     ``rcond`` is the exact ``1 / (||M||_1 ||M^{-1}||_1)``, 0 if a norm
     overflows; a zero pivot or ``rcond <= 1e-14`` raises
-    :class:`NumericalError`.  ``log_abs_det`` is computed on first use."""
+    :class:`NumericalError`."""
 
-    __slots__ = ("M", "b", "rcond", "inverse_transpose", "_log_abs_det")
+    __slots__ = ("M", "b", "rcond", "inverse_transpose")
 
     def __init__(self, M, b):
         M = np.array(M, dtype=float)
@@ -127,7 +130,6 @@ class VariationalState:
                 f"M is numerically singular (rcond={self.rcond:.3e} <= {RCOND_MIN:g})"
             )
         self.inverse_transpose = inv.T
-        self._log_abs_det = None
 
     @property
     def dim(self) -> int:
@@ -135,10 +137,8 @@ class VariationalState:
 
     @property
     def log_abs_det(self) -> float:
-        """``log |det M|``, computed once on first use."""
-        if self._log_abs_det is None:
-            self._log_abs_det = float(np.linalg.slogdet(self.M)[1])
-        return self._log_abs_det
+        """``log |det M|``."""
+        return float(np.linalg.slogdet(self.M)[1])
 
 
 def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> VariationalState:
@@ -151,49 +151,31 @@ def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> Varia
     return VariationalState(0.1 * np.eye(cfg.alpha_dim), b)
 
 
-def _check_z(state: VariationalState, z) -> np.ndarray:
+def transform(state: VariationalState, z, cfg: SpectralConfig) -> AlphaVector:
+    """Map a standard normal draw (or a stack) to the joint vector ``alpha = M z + b``."""
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != state.dim:
         raise ContractError(f"z must have shape ([b,] {state.dim}), got {z.shape}")
-    return z
-
-
-def transform(state: VariationalState, z, cfg: SpectralConfig) -> AlphaVector:
-    """Map a standard normal draw (or a stack) to the joint vector ``alpha = M z + b``."""
-    z = _check_z(state, z)
     return AlphaVector.from_flat((state.M @ z.T).T + state.b, cfg)
 
 
-def log_q(state: VariationalState, z):
-    """Log density of ``alpha = M z + b`` under q, evaluated via ``z``.
-
-    Change of variables gives ``log N(z | 0, I) - log |det M|``; a stack of
-    draws gives one value per draw.
-    """
-    z = _check_z(state, z)
-    return -0.5 * np.sum(z * z, axis=-1) - 0.5 * state.dim * np.log(2.0 * np.pi) - state.log_abs_det
+def second_moments(state: VariationalState) -> np.ndarray:
+    """``E_q[alpha_i^2] = (M M^T)_ii + b_i^2`` for every coordinate."""
+    return np.einsum("ij,ij->i", state.M, state.M) + state.b**2
 
 
-def log_prior(alpha: AlphaVector, prior: PriorSpec, cfg: SpectralConfig):
-    """Log density of ``alpha`` (per draw of a stack) under the diagonal Gaussian prior."""
+def kl_divergence(state: VariationalState, prior: PriorSpec, cfg: SpectralConfig) -> float:
+    """Exact ``KL(q || p)`` between the posterior and the diagonal prior."""
     var = prior.variances(cfg)
-    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + alpha.flat**2 / var, axis=-1)
+    quad = float(np.sum(second_moments(state) / var + np.log(var)))
+    return 0.5 * (quad - state.dim) - state.log_abs_det
 
 
-def kl_term_gradient(state: VariationalState, z, prior: PriorSpec, cfg: SpectralConfig):
-    """Gradient of ``log q(alpha) - log p(alpha)`` with respect to (M, b) at fixed z.
+def kl_term_gradient(state: VariationalState, prior: PriorSpec, cfg: SpectralConfig):
+    """Gradient of :func:`kl_divergence` in ``(M, b)``: ``(M / v - M^{-T}, b / v)``.
 
-    Returns
-    -------
-    (grad_m, grad_b) : tuple of numpy.ndarray
-        ``grad_m = -(M^{-1})^T + g_p z^T`` and ``grad_b = g_p`` with
-        ``g_p = Sigma_prior^{-1} (M z + b)``.  For a ``(b, D)`` stack of
-        draws both are averaged over the draws.  The prior must cover the
-        state's dimension, which ``train`` and model loading check once.
+    The prior must cover the state's dimension, which ``train`` and model
+    loading check once.
     """
-    z = _check_z(state, z)
     var = prior.variances(cfg)
-    zs = np.atleast_2d(z)
-    g_p = ((state.M @ zs.T).T + state.b) / var
-    grad_m = g_p.T @ zs / zs.shape[0] - state.inverse_transpose
-    return grad_m, g_p.mean(axis=0)
+    return state.M / var[:, None] - state.inverse_transpose, state.b / var

@@ -238,6 +238,31 @@ def test_gradcheck_command_passes(capsys):
     assert names == {"partition_term", "kl_term_gradient", "variance_gradients"}
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_rejects_instance_count_below_one(capsys, instances):
+    # with no instances nothing is checked, so a PASS line would mean nothing
+    code, out, err = run_cli(["gradcheck", "--instances", instances], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("specgp: usage:")
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_rejects_non_finite_noise(tmp_path, capsys, noise):
+    path = tmp_path / "data.csv"
+    code, out, err = run_cli(
+        [
+            "synth", "--n", "20", "--d", "1", "--m-true", "1",
+            "--noise", noise, "--output", str(path),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "noise" in err
+    assert not path.exists()
+
+
 def test_gradcheck_failure_exits_numerical(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_all",

@@ -200,6 +200,63 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(str(tmp_path / "absent.json"))
 
 
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def corrupt(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]]) if callable(value) else value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set("iteration", "abc"),
+        _set("iteration", 2.0),
+        _set("iteration", -1),
+        _set("iteration", 3),
+        _set("trace", lambda rows: [rows[0][:4]] + rows[1:]),
+        _set("optimizer", "accumulator", lambda acc: acc[:-1]),
+        _set("optimizer", "accumulator", lambda acc: [float("nan")] + acc[1:]),
+        _set("optimizer", "accumulator", lambda acc: [-1.0] + acc[1:]),
+        _set("optimizer", "variance_accumulator", [0.5, 0.5, 0.5]),
+        _set("optimizer", "accumulator", None),
+        _set("optimizer", "variance_accumulator", None),
+        _set("train_config", "iterations", 0),
+        _set("train_config", "seed", "abc"),
+        _set("train_config", "plan", "abc"),
+    ],
+    ids=[
+        "iteration_not_a_number", "iteration_float", "iteration_negative",
+        "iteration_past_trace", "trace_row_short", "accumulator_short",
+        "accumulator_nan", "accumulator_negative", "variance_accumulator_long",
+        "accumulator_missing", "variance_accumulator_missing",
+        "train_config_zero_iterations", "train_config_bad_seed", "train_config_bad_plan",
+    ],
+)
+def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
+    cfg, data, prior = tiny_problem()
+    path = str(tmp_path / "checkpoint.json")
+    train(
+        data, initial_state(prior, cfg, seed=0), prior, cfg,
+        TrainConfig(
+            iterations=2, schedule=StepSchedule(adaptive=True), learn_variances=True,
+            checkpoint_every=2, checkpoint_path=path,
+        ),
+    )
+    load_checkpoint(path)  # the untouched file loads
+    with open(path) as handle:
+        doc = json.load(handle)
+    corrupt(doc)
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(ModelFormatError):
+        load_checkpoint(path)
+
+
 def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=4)
@@ -298,7 +355,8 @@ def test_variance_gradients_zero_residual():
     )
     X = rng.normal(size=(11, 2))
     y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
-    d_noise, _ = variance_gradients(y, X, alpha, cfg)
+    state = VariationalState(np.eye(cfg.alpha_dim), alpha.flat)
+    d_noise, _ = variance_gradients(y, X, alpha, state, cfg)
     assert d_noise == pytest.approx(-0.5 * 11, rel=1e-12)
 
 
@@ -316,7 +374,11 @@ def test_variance_gradients_match_finite_differences():
         )
         X = rng.normal(size=(9, 2))
         y = rng.normal(size=9)
-        d_noise, d_signal = variance_gradients(y, X, alpha, cfg)
+        D = cfg.alpha_dim
+        state = VariationalState(
+            0.5 * np.eye(D) + 0.1 * rng.normal(size=(D, D)), rng.normal(size=D)
+        )
+        d_noise, d_signal = variance_gradients(y, X, alpha, state, cfg)
 
         def loglik_at(log_sn2):
             from dataclasses import replace
@@ -327,10 +389,14 @@ def test_variance_gradients_match_finite_differences():
         fd_noise = (loglik_at(base + step) - loglik_at(base - step)) / (2 * step)
         assert d_noise == pytest.approx(fd_noise, rel=1e-5, abs=1e-5)
 
+        # E_q[log N(s | 0, lam)], the only part of -KL that moves with the
+        # signal variance, from the dense covariance of q
+        s_sq = (np.diag(state.M @ state.M.T) + state.b**2)[cfg.theta_dim :]
+
         def weight_prior_at(log_ss2):
             lam = np.exp(log_ss2) / cfg.m
             return float(
-                np.sum(stats.norm.logpdf(alpha.s, scale=np.sqrt(lam)))
+                np.sum(stats.norm.logpdf(0.0, scale=np.sqrt(lam)) - 0.5 * s_sq / lam)
             )
 
         base = np.log(cfg.signal_variance)

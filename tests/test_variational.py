@@ -5,18 +5,17 @@ import pytest
 from scipy import stats
 
 from specgp import (
-    AlphaVector,
     ContractError,
     NumericalError,
     PriorSpec,
     SpectralConfig,
     VariationalState,
     initial_state,
+    kl_divergence,
     kl_term_gradient,
-    log_prior,
-    log_q,
     transform,
 )
+from specgp.variational import second_moments
 
 
 def make_cfg(d=2, m=2, ss2=1.4, sn2=0.2):
@@ -127,27 +126,30 @@ def test_transform_matvec_oracle():
         transform(state, z[:-1], cfg)
 
 
-def test_log_q_standard_normal_origin():
-    D = 6
-    state = VariationalState(np.eye(D), np.zeros(D))
-    assert log_q(state, np.zeros(D)) == pytest.approx(-0.5 * D * np.log(2 * np.pi))
-    # doubling M subtracts D log 2
-    state2 = VariationalState(2 * np.eye(D), np.zeros(D))
-    assert log_q(state2, np.zeros(D)) == pytest.approx(
-        -0.5 * D * np.log(2 * np.pi) - D * np.log(2.0)
-    )
-
-
-def test_log_q_change_of_variables_oracle():
-    # exp(log_q) must equal the density of alpha = Mz + b, alpha ~ N(b, MM')
+def test_second_moments_match_dense_covariance():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        D = int(rng.integers(2, 7))
-        state = random_state(rng, D)
-        z = rng.normal(size=D)
-        alpha = state.M @ z + state.b
-        dense = stats.multivariate_normal(mean=state.b, cov=state.M @ state.M.T)
-        assert log_q(state, z) == pytest.approx(dense.logpdf(alpha), rel=1e-8)
+        state = random_state(rng, int(rng.integers(2, 7)))
+        expected = np.diag(state.M @ state.M.T) + state.b**2
+        np.testing.assert_allclose(second_moments(state), expected, rtol=1e-12)
+
+
+def test_kl_divergence_monte_carlo_logpdf_oracle():
+    # the exact KL is the mean of log q(alpha) - log p(alpha) over draws of q
+    rng = np.random.default_rng(3)
+    n_draws = 20_000
+    for _ in range(5):
+        cfg = make_cfg(d=int(rng.integers(1, 3)), m=int(rng.integers(1, 3)))
+        prior = random_prior(rng, cfg)
+        state = random_state(rng, cfg.alpha_dim)
+        alpha = transform(state, rng.normal(size=(n_draws, cfg.alpha_dim)), cfg).flat
+        q = stats.multivariate_normal(mean=state.b, cov=state.M @ state.M.T)
+        p = stats.multivariate_normal(
+            mean=np.zeros(cfg.alpha_dim), cov=np.diag(prior.variances(cfg))
+        )
+        diffs = q.logpdf(alpha) - p.logpdf(alpha)
+        stderr = diffs.std(ddof=1) / np.sqrt(n_draws)
+        assert abs(diffs.mean() - kl_divergence(state, prior, cfg)) <= 4.0 * stderr
 
 
 def test_log_abs_det_pivot_oracle():
@@ -169,43 +171,23 @@ def test_log_abs_det_invariant_under_row_permutation():
     assert s1.log_abs_det == pytest.approx(s2.log_abs_det, rel=1e-12)
 
 
-def test_log_prior_zero_alpha():
-    cfg = make_cfg(d=1, m=2)
-    rng = np.random.default_rng(6)
-    prior = random_prior(rng, cfg)
-    alpha = AlphaVector.from_flat(np.zeros(cfg.alpha_dim), cfg)
-    var = prior.variances(cfg)
-    assert log_prior(alpha, prior, cfg) == pytest.approx(
-        -0.5 * np.sum(np.log(2 * np.pi * var)), rel=1e-12
-    )
-
-
-def test_log_prior_single_coordinate_perturbation():
-    cfg = make_cfg(d=1, m=2)
-    rng = np.random.default_rng(7)
-    prior = random_prior(rng, cfg)
-    base = log_prior(AlphaVector.from_flat(np.zeros(cfg.alpha_dim), cfg), prior, cfg)
-    var = prior.variances(cfg)
-    for i in range(cfg.alpha_dim):
-        delta = 0.37
-        flat = np.zeros(cfg.alpha_dim)
-        flat[i] = delta
-        bumped = log_prior(AlphaVector.from_flat(flat, cfg), prior, cfg)
-        assert bumped - base == pytest.approx(-0.5 * delta**2 / var[i], rel=1e-10)
-
-
-def test_log_prior_dense_gaussian_oracle():
+def test_kl_divergence_dense_gaussian_oracle():
+    # KL(N(b, S) || N(0, V)) = 0.5 (tr(V^-1 S) + b' V^-1 b - D + log|V| - log|S|)
     rng = np.random.default_rng(8)
     for _ in range(10):
         cfg = make_cfg(d=int(rng.integers(1, 3)), m=int(rng.integers(1, 3)))
         prior = random_prior(rng, cfg)
-        alpha = AlphaVector.from_flat(rng.normal(size=cfg.alpha_dim), cfg)
-        dense = stats.multivariate_normal(
-            mean=np.zeros(cfg.alpha_dim), cov=np.diag(prior.variances(cfg))
+        state = random_state(rng, cfg.alpha_dim)
+        cov = state.M @ state.M.T
+        var = prior.variances(cfg)
+        dense = 0.5 * (
+            np.trace(cov / var[:, None])
+            + state.b @ (state.b / var)
+            - cfg.alpha_dim
+            + np.sum(np.log(var))
+            - np.linalg.slogdet(cov)[1]
         )
-        assert log_prior(alpha, prior, cfg) == pytest.approx(
-            dense.logpdf(alpha.flat), rel=1e-10
-        )
+        assert kl_divergence(state, prior, cfg) == pytest.approx(dense, rel=1e-10)
 
 
 def test_kl_gradient_trivial_cases():
@@ -213,23 +195,30 @@ def test_kl_gradient_trivial_cases():
     D = cfg.alpha_dim
     rng = np.random.default_rng(9)
     prior = random_prior(rng, cfg)
-    # z = 0, b = 0: only the entropy term survives
+    var = prior.variances(cfg)
+    # b = 0: the b part vanishes and the M part is M / v - M^{-T}
     state = random_state(rng, D)
     state = VariationalState(state.M, np.zeros(D))
-    gm, gb = kl_term_gradient(state, np.zeros(D), prior, cfg)
-    np.testing.assert_allclose(gm, -np.linalg.inv(state.M).T, rtol=1e-9, atol=1e-12)
+    gm, gb = kl_term_gradient(state, prior, cfg)
+    np.testing.assert_allclose(
+        gm, state.M / var[:, None] - np.linalg.inv(state.M).T, rtol=1e-9, atol=1e-12
+    )
     np.testing.assert_array_equal(gb, np.zeros(D))
-    # M = I, b = 0: closed form with the prior precision
-    state_i = VariationalState(np.eye(D), np.zeros(D))
-    z = rng.normal(size=D)
-    gm_i, gb_i = kl_term_gradient(state_i, z, prior, cfg)
-    g_p = z / prior.variances(cfg)
-    np.testing.assert_allclose(gm_i, -np.eye(D) + np.outer(g_p, z), atol=1e-12)
-    np.testing.assert_allclose(gb_i, g_p, atol=1e-12)
+    # M = I: closed form with the prior precision
+    b = rng.normal(size=D)
+    gm_i, gb_i = kl_term_gradient(VariationalState(np.eye(D), b), prior, cfg)
+    np.testing.assert_allclose(gm_i, np.diag(1.0 / var) - np.eye(D), atol=1e-12)
+    np.testing.assert_allclose(gb_i, b / var, atol=1e-12)
+    # q = p: the divergence and its gradient vanish
+    at_prior = VariationalState(np.diag(np.sqrt(var)), np.zeros(D))
+    assert kl_divergence(at_prior, prior, cfg) == pytest.approx(0.0, abs=1e-12)
+    gm_p, gb_p = kl_term_gradient(at_prior, prior, cfg)
+    np.testing.assert_allclose(gm_p, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(gb_p, np.zeros(D))
 
 
 def test_kl_gradient_finite_differences():
-    # all D^2 + D coordinates of d/d(M,b) of log q - log p at fixed z
+    # all D^2 + D coordinates of d/d(M,b) of the exact KL
     rng = np.random.default_rng(10)
     step = 1e-6
     for _ in range(5):
@@ -237,13 +226,10 @@ def test_kl_gradient_finite_differences():
         D = cfg.alpha_dim
         prior = random_prior(rng, cfg)
         state = random_state(rng, D)
-        z = rng.normal(size=D)
-        gm, gb = kl_term_gradient(state, z, prior, cfg)
+        gm, gb = kl_term_gradient(state, prior, cfg)
 
         def objective(M, b):
-            st = VariationalState(M, b)
-            alpha = transform(st, z, cfg)
-            return log_q(st, z) - log_prior(alpha, prior, cfg)
+            return kl_divergence(VariationalState(M, b), prior, cfg)
 
         fd_m = np.empty_like(gm)
         for i in range(D):
