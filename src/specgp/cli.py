@@ -40,9 +40,15 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
+def _config_flag(parser, flag, key, **kwargs):
+    """Add a flag whose argparse dest is the run-config key it overrides."""
+    metavar = flag[2:].replace("-", "_").upper()
+    parser.add_argument(flag, dest=key, metavar=metavar, **kwargs)
+
+
 def _add_config_overrides(parser):
     parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--seed", type=int, help="master seed override")
+    _config_flag(parser, "--seed", "seed", type=int, help="master seed override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,21 +67,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--test-output", help="write the held-out split to this CSV (raw units)"
     )
-    p_train.add_argument("--iterations", type=int)
-    p_train.add_argument("--m", type=int, help="number of spectral frequencies")
-    p_train.add_argument("--p", type=int, help="number of data blocks")
-    p_train.add_argument("--signal-variance", type=float)
-    p_train.add_argument("--noise-variance", type=float)
-    p_train.add_argument("--split", type=float, help="training fraction in (0, 1]")
-    p_train.add_argument("--base-step", type=float)
-    p_train.add_argument("--partition-samples", type=int)
-    p_train.add_argument("--z-samples", type=int)
-    p_train.add_argument("--adaptive", action=argparse.BooleanOptionalAction)
-    p_train.add_argument("--standardize", action=argparse.BooleanOptionalAction)
-    p_train.add_argument("--balance", action=argparse.BooleanOptionalAction)
-    p_train.add_argument("--learn-variances", action=argparse.BooleanOptionalAction)
-    p_train.add_argument("--checkpoint-every", type=int)
-    p_train.add_argument("--checkpoint-path")
+    boolean = argparse.BooleanOptionalAction
+    _config_flag(p_train, "--iterations", "train.iterations", type=int)
+    _config_flag(p_train, "--m", "spectral.m", type=int, help="number of spectral frequencies")
+    _config_flag(p_train, "--p", "partition.p", type=int, help="number of data blocks")
+    _config_flag(p_train, "--signal-variance", "spectral.signal_variance", type=float)
+    _config_flag(p_train, "--noise-variance", "spectral.noise_variance", type=float)
+    _config_flag(
+        p_train, "--split", "split_fraction", type=float, help="training fraction in (0, 1]"
+    )
+    _config_flag(p_train, "--base-step", "train.base_step", type=float)
+    _config_flag(p_train, "--partition-samples", "train.partition_samples", type=int)
+    _config_flag(p_train, "--z-samples", "train.z_samples", type=int)
+    _config_flag(p_train, "--adaptive", "train.adaptive", action=boolean)
+    _config_flag(p_train, "--standardize", "standardize", action=boolean)
+    _config_flag(p_train, "--balance", "partition.balance", action=boolean)
+    _config_flag(p_train, "--learn-variances", "train.learn_variances", action=boolean)
+    _config_flag(p_train, "--checkpoint-every", "train.checkpoint_every", type=int)
+    _config_flag(p_train, "--checkpoint-path", "train.checkpoint_path")
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="predict means/variances for a CSV")
@@ -83,8 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--output", required=True, help="predictions CSV path")
-    p_pred.add_argument("--samples", type=int, help="posterior draws per prediction")
-    p_pred.add_argument("--gamma", type=float, help="mixing coefficient in [-1, 1]")
+    _config_flag(
+        p_pred, "--samples", "predict.samples", type=int, help="posterior draws per prediction"
+    )
+    _config_flag(
+        p_pred, "--gamma", "predict.gamma", type=float, help="mixing coefficient in [-1, 1]"
+    )
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("evaluate", help="RMSE and MNLP on a labelled CSV")
@@ -92,11 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--output", help="also write the metrics JSON here")
-    p_eval.add_argument("--samples", type=int)
-    p_eval.add_argument("--gamma", type=float)
-    p_eval.add_argument(
+    _config_flag(p_eval, "--samples", "predict.samples", type=int)
+    _config_flag(p_eval, "--gamma", "predict.gamma", type=float)
+    _config_flag(
+        p_eval,
         "--mnlp-observed",
-        action=argparse.BooleanOptionalAction,
+        "predict.mnlp_observed",
+        action=boolean,
         help="add the noise variance to predictive variances for MNLP (default on)",
     )
     p_eval.set_defaults(func=cmd_evaluate)
@@ -131,48 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 # command implementations
 
 
-def _nested_overrides(args) -> dict:
-    """Map CLI flags onto config keys; only flags the user set are applied."""
-    top = {}
-    spectral = {}
-    partition = {}
-    training = {}
-    predicting = {}
-    mapping = [
-        (spectral, "m", "m"),
-        (spectral, "signal_variance", "signal_variance"),
-        (spectral, "noise_variance", "noise_variance"),
-        (partition, "p", "p"),
-        (partition, "balance", "balance"),
-        (training, "iterations", "iterations"),
-        (training, "base_step", "base_step"),
-        (training, "partition_samples", "partition_samples"),
-        (training, "z_samples", "z_samples"),
-        (training, "adaptive", "adaptive"),
-        (training, "learn_variances", "learn_variances"),
-        (training, "checkpoint_every", "checkpoint_every"),
-        (training, "checkpoint_path", "checkpoint_path"),
-        (predicting, "samples", "samples"),
-        (predicting, "gamma", "gamma"),
-        (predicting, "mnlp_observed", "mnlp_observed"),
-    ]
-    for bucket, attr, key in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            bucket[key] = value
-    for attr, key in [("seed", "seed"), ("split", "split_fraction"), ("standardize", "standardize")]:
-        value = getattr(args, attr, None)
-        if value is not None:
-            top[key] = value
-    if spectral:
-        top["spectral"] = spectral
-    if partition:
-        top["partition"] = partition
-    if training:
-        top["train"] = training
-    if predicting:
-        top["predict"] = predicting
-    return top
+def _config_overrides(args) -> dict:
+    """The config keys the user set by flag; a config flag's dest is its key."""
+    flags = vars(args).items()
+    return {key: value for key, value in flags if key in run_config.KEYS and value is not None}
 
 
 def _report_dropped(dataset):
@@ -184,7 +161,7 @@ def _report_dropped(dataset):
 
 
 def cmd_train(args) -> int:
-    doc = run_config.load_run_config(args.config, _nested_overrides(args))
+    doc = run_config.load_run_config(args.config, _config_overrides(args))
     dataset = load_csv(args.data, args.target)
     _report_dropped(dataset)
     train_idx, test_idx = split_indices(dataset.n, doc["split_fraction"], seed=doc["seed"])
@@ -290,7 +267,7 @@ def _load_features(path, model):
 
 
 def cmd_predict(args) -> int:
-    doc = run_config.load_run_config(args.config, _nested_overrides(args))
+    doc = run_config.load_run_config(args.config, _config_overrides(args))
     model = load_model(args.model)
     X_raw, _, names = _load_features(args.data, model)
     pcfg = run_config.predict_config_from(doc)
@@ -307,7 +284,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = run_config.load_run_config(args.config, _nested_overrides(args))
+    doc = run_config.load_run_config(args.config, _config_overrides(args))
     model = load_model(args.model)
     X_raw, y_raw, _ = _load_features(args.data, model)
     if y_raw is None:

@@ -1,17 +1,19 @@
 """Run configuration: one JSON document covering the whole pipeline.
 
-The document is validated against a strict schema (unknown keys are
-rejected), merged over defaults, and individual keys can be overridden by
-command-line flags.  Semantic checks beyond the schema (positivity and so
-on) happen in the component constructors.
+Every key is defined once, in ``KEYS``: its section, name, default, JSON
+type and bound.  The defaults, the document check and the CLI overrides
+(each config flag's argparse ``dest`` is its key) all come from that
+table.  A document is checked before any data or model file is read:
+unknown keys, non-object sections, a missing or wrong ``version``, wrong
+types (a boolean is never a number, an integer key takes JSON integers
+only) and values out of bounds are usage errors.  The component
+constructors check their own arguments as well, for Python callers.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-
-import jsonschema
+from dataclasses import dataclass
 
 from .errors import ContractError, DataError
 from .gradient import GradientSamplePlan
@@ -20,108 +22,106 @@ from .predict import PredictConfig
 
 CONFIG_VERSION = 1
 
-DEFAULTS = {
-    "version": CONFIG_VERSION,
-    "seed": 0,
-    "split_fraction": 0.95,
-    "standardize": True,
-    "spectral": {"m": 10, "signal_variance": 1.0, "noise_variance": 0.01},
-    "partition": {"p": 8, "balance": False, "max_iters": 100},
-    "train": {
-        "iterations": 300,
-        "partition_samples": 4,
-        "z_samples": 8,
-        "base_step": 0.1,
-        "decay_power": 0.51,
-        "adaptive": True,
-        "learn_variances": False,
-        "checkpoint_every": 0,
-        "checkpoint_path": None,
-        "elbo_every": 0,
-        "elbo_samples": 16,
-    },
-    "predict": {"samples": 64, "gamma": 0.0, "mnlp_observed": True},
-}
-
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version"],
-    "properties": {
-        "version": {"const": CONFIG_VERSION},
-        "seed": {"type": "integer", "minimum": 0},
-        "split_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "standardize": {"type": "boolean"},
-        "spectral": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m": {"type": "integer", "minimum": 1},
-                "signal_variance": {"type": "number", "exclusiveMinimum": 0},
-                "noise_variance": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "partition": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "p": {"type": "integer", "minimum": 1},
-                "balance": {"type": "boolean"},
-                "max_iters": {"type": "integer", "minimum": 1},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "iterations": {"type": "integer", "minimum": 1},
-                "partition_samples": {"type": "integer", "minimum": 1},
-                "z_samples": {"type": "integer", "minimum": 1},
-                "base_step": {"type": "number", "exclusiveMinimum": 0},
-                "decay_power": {"type": "number", "exclusiveMinimum": 0.5, "maximum": 1},
-                "adaptive": {"type": "boolean"},
-                "learn_variances": {"type": "boolean"},
-                "checkpoint_every": {"type": "integer", "minimum": 0},
-                "checkpoint_path": {"type": ["string", "null"]},
-                "elbo_every": {"type": "integer", "minimum": 0},
-                "elbo_samples": {"type": "integer", "minimum": 1},
-            },
-        },
-        "predict": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "samples": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "number", "minimum": -1, "maximum": 1},
-                "mnlp_observed": {"type": "boolean"},
-            },
-        },
-    },
+_IS_TYPE = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "string or null": lambda v: v is None or isinstance(v, str),
 }
 
 
-def _merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+@dataclass(frozen=True)
+class Key:
+    """One config key; ``bound`` is an interval such as ``"(0, 1]"``."""
+
+    section: str | None
+    name: str
+    default: object
+    type: str
+    bound: str | None = None
+
+    @property
+    def path(self) -> str:
+        return f"{self.section}.{self.name}" if self.section else self.name
+
+    def check(self, value):
+        if not _IS_TYPE[self.type](value):
+            raise ContractError(f"config: {self.path}: expected {self.type}, got {value!r}")
+        if self.bound is not None:
+            low, high = (float(end) for end in self.bound[1:-1].split(","))
+            above = value > low if self.bound[0] == "(" else value >= low
+            below = value < high if self.bound[-1] == ")" else value <= high
+            if not (above and below):
+                raise ContractError(
+                    f"config: {self.path}: must be in {self.bound}, got {value!r}"
+                )
+        return value
 
 
-def validate_config(doc: dict) -> None:
-    try:
-        jsonschema.validate(doc, _SCHEMA)
-    except jsonschema.ValidationError as bad:
-        path = ".".join(str(p) for p in bad.absolute_path) or "<root>"
-        raise ContractError(f"config: {path}: {bad.message}") from None
+KEYS = {
+    key.path: key
+    for key in (
+        Key(None, "seed", 0, "integer", "[0, inf)"),
+        Key(None, "split_fraction", 0.95, "number", "(0, 1]"),
+        Key(None, "standardize", True, "boolean"),
+        Key("spectral", "m", 10, "integer", "[1, inf)"),
+        Key("spectral", "signal_variance", 1.0, "number", "(0, inf)"),
+        Key("spectral", "noise_variance", 0.01, "number", "(0, inf)"),
+        Key("partition", "p", 8, "integer", "[1, inf)"),
+        Key("partition", "balance", False, "boolean"),
+        Key("partition", "max_iters", 100, "integer", "[1, inf)"),
+        Key("train", "iterations", 300, "integer", "[1, inf)"),
+        Key("train", "partition_samples", 4, "integer", "[1, inf)"),
+        Key("train", "z_samples", 8, "integer", "[1, inf)"),
+        Key("train", "base_step", 0.1, "number", "(0, inf)"),
+        Key("train", "decay_power", 0.51, "number", "(0.5, 1]"),
+        Key("train", "adaptive", True, "boolean"),
+        Key("train", "learn_variances", False, "boolean"),
+        Key("train", "checkpoint_every", 0, "integer", "[0, inf)"),
+        Key("train", "checkpoint_path", None, "string or null"),
+        Key("train", "elbo_every", 0, "integer", "[0, inf)"),
+        Key("train", "elbo_samples", 16, "integer", "[1, inf)"),
+        Key("predict", "samples", 64, "integer", "[1, inf)"),
+        Key("predict", "gamma", 0.0, "number", "[-1, 1]"),
+        Key("predict", "mnlp_observed", True, "boolean"),
+    )
+}
+_SECTIONS = {key.section for key in KEYS.values()} - {None}
+
+
+def _check(path, value):
+    if path not in KEYS:
+        raise ContractError(f"config: {path}: unknown key")
+    return KEYS[path].check(value)
+
+
+def validate_config(doc) -> dict:
+    """Check a user document; returns its values keyed by config path."""
+    if not isinstance(doc, dict):
+        raise ContractError("config: document must be a JSON object")
+    if "version" not in doc:
+        raise ContractError(f"config: version: missing, expected {CONFIG_VERSION}")
+    version = doc["version"]
+    if isinstance(version, bool) or version != CONFIG_VERSION:
+        raise ContractError(f"config: version: expected {CONFIG_VERSION}, got {version!r}")
+    values = {}
+    for name, value in doc.items():
+        if name == "version":
+            continue
+        if name not in _SECTIONS:
+            values[name] = _check(name, value)
+            continue
+        if not isinstance(value, dict):
+            raise ContractError(f"config: {name}: expected object, got {value!r}")
+        for inner, inner_value in value.items():
+            values[f"{name}.{inner}"] = _check(f"{name}.{inner}", inner_value)
+    return values
 
 
 def load_run_config(path=None, overrides=None) -> dict:
     """Defaults, overlaid with the JSON file at ``path``, overlaid with
-    ``overrides`` (a possibly-nested dict from CLI flags)."""
-    merged = copy.deepcopy(DEFAULTS)
+    ``overrides`` (config path such as ``"train.iterations"`` to value)."""
+    values = {key: spec.default for key, spec in KEYS.items()}
     if path is not None:
         try:
             with open(path) as handle:
@@ -130,14 +130,14 @@ def load_run_config(path=None, overrides=None) -> dict:
             raise DataError(f"config file not found: {path}") from None
         except json.JSONDecodeError as bad:
             raise DataError(f"config file is not valid JSON: {bad}") from None
-        if not isinstance(user, dict):
-            raise ContractError("config: document must be a JSON object")
-        validate_config(user)
-        merged = _merge(merged, user)
-    if overrides:
-        merged = _merge(merged, overrides)
-    validate_config(merged)
-    return merged
+        values.update(validate_config(user))
+    for key, value in (overrides or {}).items():
+        values[key] = _check(key, value)
+    doc = {"version": CONFIG_VERSION}
+    for key, value in values.items():
+        spec = KEYS[key]
+        (doc.setdefault(spec.section, {}) if spec.section else doc)[spec.name] = value
+    return doc
 
 
 def train_config_from(doc: dict) -> TrainConfig:

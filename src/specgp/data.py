@@ -236,6 +236,8 @@ def synth_ssgp(
         raise ContractError("n must be >= 1")
     if not (np.isfinite(noise) and noise >= 0):
         raise ContractError(f"noise must be finite and >= 0, got {noise!r}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # noise_variance is irrelevant to feature evaluation; 1.0 is a placeholder.
     cfg = SpectralConfig(d=d, m=m_true, signal_variance=signal_variance, noise_variance=1.0)

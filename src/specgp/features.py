@@ -29,6 +29,11 @@ from .errors import ContractError
 TWO_PI = 2.0 * np.pi
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; floats and booleans are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     """Dimensions and variance hyperparameters of the feature model.
@@ -52,9 +57,9 @@ class SpectralConfig:
     noise_variance: float
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
+        if not _is_integer(self.d) or self.d < 1:
             raise ContractError(f"input dimension must be an integer >= 1, got {self.d!r}")
-        if int(self.m) != self.m or self.m < 1:
+        if not _is_integer(self.m) or self.m < 1:
             raise ContractError(f"frequency count must be an integer >= 1, got {self.m!r}")
         if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
             raise ContractError(f"signal_variance must be positive, got {self.signal_variance!r}")

@@ -172,6 +172,8 @@ def run_all(seed=0, instances=20):
     """Run every gradient check; returns the list of results."""
     if instances < 1:
         raise ContractError(f"instances must be >= 1, got {instances}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     return [
         check_partition_term(seed, instances),
         check_kl_gradient(seed, instances),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specgp.cli as cli
+import specgp.config as run_config
 from specgp import load_model, save_model
 from specgp.gradcheck import CheckResult
 
@@ -309,6 +310,236 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+# The run config as the package has always defaulted it, written out so a
+# change to any default shows here.
+DEFAULT_CONFIG = {
+    "version": 1,
+    "seed": 0,
+    "split_fraction": 0.95,
+    "standardize": True,
+    "spectral": {"m": 10, "signal_variance": 1.0, "noise_variance": 0.01},
+    "partition": {"p": 8, "balance": False, "max_iters": 100},
+    "train": {
+        "iterations": 300,
+        "partition_samples": 4,
+        "z_samples": 8,
+        "base_step": 0.1,
+        "decay_power": 0.51,
+        "adaptive": True,
+        "learn_variances": False,
+        "checkpoint_every": 0,
+        "checkpoint_path": None,
+        "elbo_every": 0,
+        "elbo_samples": 16,
+    },
+    "predict": {"samples": 64, "gamma": 0.0, "mnlp_observed": True},
+}
+
+# Every config key: its JSON type and the values just outside its bound.
+CONFIG_KEYS = {
+    "seed": ("integer", [-1]),
+    "split_fraction": ("number", [0, 1.5]),
+    "standardize": ("boolean", []),
+    "spectral.m": ("integer", [0]),
+    "spectral.signal_variance": ("number", [0, -1.0]),
+    "spectral.noise_variance": ("number", [0.0]),
+    "partition.p": ("integer", [0]),
+    "partition.balance": ("boolean", []),
+    "partition.max_iters": ("integer", [0]),
+    "train.iterations": ("integer", [0]),
+    "train.partition_samples": ("integer", [0]),
+    "train.z_samples": ("integer", [0]),
+    "train.base_step": ("number", [0]),
+    "train.decay_power": ("number", [0.5, 1.01]),
+    "train.adaptive": ("boolean", []),
+    "train.learn_variances": ("boolean", []),
+    "train.checkpoint_every": ("integer", [-1]),
+    "train.checkpoint_path": ("string or null", []),
+    "train.elbo_every": ("integer", [-1]),
+    "train.elbo_samples": ("integer", [0]),
+    "predict.samples": ("integer", [0]),
+    "predict.gamma": ("number", [-1.01, 1.5]),
+    "predict.mnlp_observed": ("boolean", []),
+}
+
+WRONG_TYPE = {
+    "integer": [True, "3", 2.5, None],
+    "number": [True, "0.5", None],
+    "boolean": [1, "true", None],
+    "string or null": [5, False],
+}
+
+
+def _bad_config_cases():
+    for key, (kind, outside) in CONFIG_KEYS.items():
+        values = WRONG_TYPE[kind] + outside + ([2.0] if kind == "integer" else [])
+        for value in values:  # 2.0 is in range, but integer keys take JSON integers only
+            yield pytest.param(key, value, id=f"{key}={value!r}")
+
+
+def _config_doc(key, value):
+    section, _, name = key.rpartition(".")
+    return {"version": 1, section: {name: value}} if section else {"version": 1, key: value}
+
+
+def _run_with_config(tmp_path, capsys, doc):
+    # the data and model paths do not exist: the check must come first
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    command = "evaluate" if "predict" in doc else "train"
+    return run_cli(
+        [
+            command, "--config", str(config), "--data", str(tmp_path / "absent.csv"),
+            "--model", str(tmp_path / "absent.json"),
+        ],
+        capsys,
+    )
+
+
+def test_config_key_table_is_complete():
+    # every defaulted key has its bad-value cases in CONFIG_KEYS
+    paths = []
+    for name, value in DEFAULT_CONFIG.items():
+        if isinstance(value, dict):
+            paths += [f"{name}.{inner}" for inner in value]
+        elif name != "version":
+            paths.append(name)
+    assert paths == list(CONFIG_KEYS)
+
+
+def test_config_defaults_are_pinned():
+    assert run_config.load_run_config() == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", list(_bad_config_cases()))
+def test_config_rejects_bad_values_before_reading_files(tmp_path, capsys, key, value):
+    code, out, err = _run_with_config(tmp_path, capsys, _config_doc(key, value))
+    assert code == 2, err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"specgp: usage: config: {key}: "), err
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"version": 1, "bogus": 1}, "bogus"),
+        ({"version": 1, "train": {"bogus": 1}}, "train.bogus"),
+        ({"version": 1, "predict": {"gamma": 0.0, "samples_": 4}}, "predict.samples_"),
+        ({"version": 1, "train": [1]}, "train"),
+        ({"version": 1, "spectral": None}, "spectral"),
+        ({"seed": 1}, "version"),
+        ({"version": 2}, "version"),
+        ({"version": "1"}, "version"),
+        ({"version": True}, "version"),
+    ],
+    ids=[
+        "unknown-top-level", "unknown-in-section", "unknown-beside-known", "list-section",
+        "null-section", "missing-version", "version-2", "version-string", "version-true",
+    ],
+)
+def test_config_rejects_bad_documents(tmp_path, capsys, doc, key):
+    code, out, err = _run_with_config(tmp_path, capsys, doc)
+    assert code == 2, err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"specgp: usage: config: {key}: "), err
+
+
+def test_config_number_keys_accept_integers(tmp_path):
+    # an integer is a number, and the merged document keeps the value as given
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"version": 1, "spectral": {"signal_variance": 2}, "predict": {"gamma": -1}})
+    )
+    doc = run_config.load_run_config(str(config))
+    assert doc["spectral"]["signal_variance"] == 2 and doc["predict"]["gamma"] == -1
+    assert doc["spectral"]["noise_variance"] == 0.01
+
+
+# Each config flag and the key it overrides, per subcommand.
+CONFIG_FLAGS = {
+    "train": [
+        (["--seed", "3"], "seed", 3),
+        (["--split", "0.5"], "split_fraction", 0.5),
+        (["--no-standardize"], "standardize", False),
+        (["--m", "3"], "spectral.m", 3),
+        (["--signal-variance", "2.5"], "spectral.signal_variance", 2.5),
+        (["--noise-variance", "0.2"], "spectral.noise_variance", 0.2),
+        (["--p", "5"], "partition.p", 5),
+        (["--balance"], "partition.balance", True),
+        (["--iterations", "7"], "train.iterations", 7),
+        (["--base-step", "0.3"], "train.base_step", 0.3),
+        (["--partition-samples", "2"], "train.partition_samples", 2),
+        (["--z-samples", "6"], "train.z_samples", 6),
+        (["--no-adaptive"], "train.adaptive", False),
+        (["--learn-variances"], "train.learn_variances", True),
+        (["--checkpoint-every", "9"], "train.checkpoint_every", 9),
+        (["--checkpoint-path", "ck.json"], "train.checkpoint_path", "ck.json"),
+    ],
+    "predict": [
+        (["--seed", "3"], "seed", 3),
+        (["--samples", "12"], "predict.samples", 12),
+        (["--gamma", "0.4"], "predict.gamma", 0.4),
+    ],
+    "evaluate": [
+        (["--seed", "3"], "seed", 3),
+        (["--samples", "12"], "predict.samples", 12),
+        (["--gamma", "0.4"], "predict.gamma", 0.4),
+        (["--no-mnlp-observed"], "predict.mnlp_observed", False),
+    ],
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        pytest.param(command, *case, id=" ".join([command, *case[0]]))
+        for command, cases in CONFIG_FLAGS.items()
+        for case in cases
+    ],
+)
+def test_config_flags_override_their_keys(monkeypatch, command, flag, key, value):
+    seen = []
+
+    def capture(path=None, overrides=None):
+        seen.append(load(path, overrides))
+        raise _Stop
+
+    load = run_config.load_run_config
+    monkeypatch.setattr(run_config, "load_run_config", capture)
+    argv = [command, "--data", "d.csv", "--model", "m.json", *flag]
+    if command == "predict":
+        argv += ["--output", "o.csv"]
+    with pytest.raises(_Stop):
+        cli.main(argv)
+    expected = json.loads(json.dumps(DEFAULT_CONFIG))
+    section, _, name = key.rpartition(".")
+    (expected[section] if section else expected)[name] = value
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--seed", "-1", "--instances", "1"],
+        ["synth", "--n", "5", "--d", "1", "--m-true", "1", "--noise", "0.1", "--seed", "-1"],
+    ],
+    ids=["gradcheck", "synth"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "data.csv"
+    if argv[0] == "synth":
+        argv = argv + ["--output", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("specgp: usage:") and "seed" in err
+    assert not path.exists()
+
+
 def test_data_errors_exit_three(tmp_path, capsys):
     code, _, err = run_cli(
         ["train", "--data", str(tmp_path / "absent.csv"), "--model", "m.json"],
@@ -446,12 +677,21 @@ def _zero_x_scale(doc):
     doc["standardization"]["x_scale"][0] = 0.0
 
 
+def _m_float(doc):
+    # loads as a frequency count of 1.0, which then fails in slicing
+    doc["spectral"]["m"] = float(doc["spectral"]["m"])
+
+
+def _d_float(doc):
+    doc["spectral"]["d"] = float(doc["spectral"]["d"])
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range,
         _overlapping_blocks, _fractional_index, _boolean_index, _state_one_short,
-        _prior_one_short, _x_mean_one_short, _zero_x_scale,
+        _prior_one_short, _x_mean_one_short, _zero_x_scale, _m_float, _d_float,
     ],
 )
 def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):

@@ -26,6 +26,13 @@ def test_config_validation():
         SpectralConfig(d=1, m=1, signal_variance=0.0, noise_variance=1.0)
     with pytest.raises(ContractError):
         SpectralConfig(d=1, m=1, signal_variance=1.0, noise_variance=-1.0)
+    # integral floats and booleans are not integers: a float m would reach
+    # slicing and shape arithmetic later
+    for d, m in ((2.0, 1), (1, 3.0), (True, 1), (1, True)):
+        with pytest.raises(ContractError):
+            SpectralConfig(d=d, m=m, signal_variance=1.0, noise_variance=1.0)
+    cfg = SpectralConfig(d=np.int64(2), m=np.int32(3), signal_variance=1.0, noise_variance=1.0)
+    assert cfg.num_features == 6
     cfg = make_cfg(d=3, m=4)
     assert cfg.num_features == 8
     assert cfg.theta_dim == 12

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone: scipy is a test-only dependency.
+"""The package runs on numpy alone: scipy is a test-only dependency, and
+the CLI needs nothing beyond numpy and the standard library.
 
 The check runs in a fresh interpreter, because the test modules themselves
 import ``scipy.stats``.
@@ -14,9 +15,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(specgp.__file__)))
 
 PIPELINE = """
 import sys
+before = set(sys.modules)
+import specgp.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print("foreign modules:", sorted(added - set(sys.stdlib_module_names) - {"numpy", "specgp"}))
+
 import numpy as np
 import specgp as sg
-import specgp.cli
 
 rng = np.random.default_rng(0)
 X = rng.uniform(size=(60, 2))
@@ -39,7 +44,7 @@ sg.save_model(path, model)
 sg.load_model(path)
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 print("scipy modules:", loaded)
-sys.exit(1 if loaded else 0)
+print("jsonschema loaded:", "jsonschema" in sys.modules)
 """
 
 
@@ -52,3 +57,5 @@ def test_package_pipeline_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "scipy modules: []" in proc.stdout
+    assert "jsonschema loaded: False" in proc.stdout
+    assert "foreign modules: []" in proc.stdout
