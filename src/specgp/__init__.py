@@ -34,7 +34,6 @@ from .features import (
     feature_matrix,
 )
 from .gradient import (
-    EtaGradient,
     GradientSamplePlan,
     draw_sample_sets,
     elbo_estimate,
@@ -84,7 +83,6 @@ __all__ = [
     "ContractError",
     "DataError",
     "Dataset",
-    "EtaGradient",
     "GradientSamplePlan",
     "LocalGram",
     "ModelFormatError",

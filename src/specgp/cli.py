@@ -29,7 +29,7 @@ from .errors import ContractError, DataError, NumericalError
 from .features import SpectralConfig
 from .gradcheck import run_all
 from .model_io import load_model, save_model
-from .optimizer import train
+from .optimizer import TRACE_COLUMNS, train
 from .partition import kmeans_partition
 from .predict import mnlp, mnlp_variance_floor, predict_batch, rmse
 from .variational import PriorSpec, initial_state
@@ -223,47 +223,37 @@ def cmd_train(args) -> int:
 def _write_trace(path, trace):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["iteration", "step_size", "gradient_norm", "elbo", "wall_clock_ms"])
+        writer.writerow(TRACE_COLUMNS)
         for rec in trace:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    repr(rec.step_size),
-                    repr(rec.gradient_norm),
-                    "" if rec.elbo is None else repr(rec.elbo),
-                    repr(rec.wall_clock_ms),
-                ]
-            )
+            cells = (getattr(rec, name) for name in TRACE_COLUMNS)
+            writer.writerow(["" if cell is None else repr(cell) for cell in cells])
 
 
 def _load_features(path, model):
-    """Read a CSV for prediction, aligning columns with the trained model."""
-    target = model.target_name
-    try:
-        dataset = load_csv(path, target)
-        has_target = True
-    except DataError as err:
-        if "target column" not in str(err):
-            raise
-        dataset = load_csv(path, None)
-        has_target = False
+    """Read a CSV for prediction, aligning columns with the trained model.
+    The model's target column, when the header has it, is split out."""
+    dataset = load_csv(path, None)
+    X, names, y = dataset.X, list(dataset.feature_names), None
+    if model.target_name in names:
+        if len(names) == 1:
+            raise DataError("no feature columns besides the target")
+        target = names.index(model.target_name)
+        y = X[:, target]
+        X = np.delete(X, target, axis=1)
+        del names[target]
     _report_dropped(dataset)
     if model.feature_names:
-        missing = [c for c in model.feature_names if c not in dataset.feature_names]
+        missing = [c for c in model.feature_names if c not in names]
         if missing:
             raise DataError(f"prediction CSV lacks feature columns {missing}")
-        order = [dataset.feature_names.index(c) for c in model.feature_names]
-        X = dataset.X[:, order]
+        X = X[:, [names.index(c) for c in model.feature_names]]
         names = list(model.feature_names)
-    else:
-        if dataset.d != model.spectral.d:
-            raise DataError(
-                f"prediction CSV has {dataset.d} feature columns, model expects "
-                f"{model.spectral.d}"
-            )
-        X = dataset.X
-        names = dataset.feature_names
-    return X, (dataset.y if has_target else None), names
+    elif X.shape[1] != model.spectral.d:
+        raise DataError(
+            f"prediction CSV has {X.shape[1]} feature columns, model expects "
+            f"{model.spectral.d}"
+        )
+    return X, y, names
 
 
 def cmd_predict(args) -> int:

@@ -162,10 +162,48 @@ def train_config_from(doc: dict) -> TrainConfig:
     )
 
 
-def predict_config_from(doc: dict, seed_offset: int = 1) -> PredictConfig:
-    # Prediction uses its own substream so it never aliases training draws.
+def train_config_doc(tcfg: TrainConfig) -> dict:
+    """The run-config form ``{"seed", "train"}`` of ``tcfg``, the inverse of
+    :func:`train_config_from`; checkpoints store it."""
+    return {
+        "seed": tcfg.seed,
+        "train": {
+            "iterations": tcfg.iterations,
+            "partition_samples": tcfg.plan.n_partition_samples,
+            "z_samples": tcfg.plan.n_z_samples,
+            "base_step": tcfg.schedule.base_step,
+            "decay_power": tcfg.schedule.decay_power,
+            "adaptive": tcfg.schedule.adaptive,
+            "learn_variances": tcfg.learn_variances,
+            "checkpoint_every": tcfg.checkpoint_every,
+            "checkpoint_path": tcfg.checkpoint_path,
+            "elbo_every": tcfg.elbo_every,
+            "elbo_samples": tcfg.elbo_samples,
+        },
+    }
+
+
+_TRAIN_PATHS = {path for path, key in KEYS.items() if key.section == "train"} | {"seed"}
+
+
+def train_config_read(doc) -> TrainConfig:
+    """Read the form that :func:`train_config_doc` writes.  Each value passes
+    its ``KEYS`` check, and every key must be present."""
+    if not isinstance(doc, dict) or set(doc) != {"seed", "train"}:
+        raise ContractError("config: expected an object with exactly seed and train")
+    missing = _TRAIN_PATHS - set(validate_config({"version": CONFIG_VERSION, **doc}))
+    if missing:
+        raise ContractError(f"config: {min(missing)}: missing")
+    return train_config_from(doc)
+
+
+# Prediction uses its own substream so it never aliases training draws.
+PREDICT_SEED_OFFSET = 1
+
+
+def predict_config_from(doc: dict) -> PredictConfig:
     return PredictConfig(
         n_samples=doc["predict"]["samples"],
         gamma_mix=doc["predict"]["gamma"],
-        seed=doc["seed"] + seed_offset,
+        seed=doc["seed"] + PREDICT_SEED_OFFSET,
     )

@@ -18,10 +18,15 @@ alpha and ``||v_j||^2``.  Then
     grad_M = (p / (a b)) G^T Z - d KL/dM,
     grad_b = (p / (a b)) sum_j G_j - d KL/db.
 
-:func:`partition_term` is that kernel for one draw on one block, and
-:func:`log_likelihood` and :func:`variance_gradients` run only its residual
-step.  The index stream and the z stream are split from one master seed so
-that tests share z draws across estimators while varying the index subsample.
+:func:`stochastic_gradient` returns the bound's gradient as one flat
+vector in the layout of everything training learns, ``[vec(M) row-major,
+b, log noise_variance, log signal_variance]``; :func:`eta_views` reads its
+``(M, b)`` part.  :func:`partition_term` is the kernel for one draw on one
+block and returns that ``(M, b)`` part in the same layout;
+:func:`log_likelihood` and :func:`variance_gradients` run only its
+residual step.  The index stream and the z stream are split from one
+master seed so that tests share z draws across estimators while varying
+the index subsample.
 """
 
 from __future__ import annotations
@@ -43,16 +48,10 @@ from .variational import (
 )
 
 
-@dataclass
-class EtaGradient:
-    """Gradient with respect to the affine parameters ``(M, b)``."""
-
-    grad_m: np.ndarray  # shape (D, D)
-    grad_b: np.ndarray  # shape (D,)
-
-    def norm(self) -> float:
-        """Euclidean norm of the stacked (M, b) gradient."""
-        return float(np.sqrt(np.sum(self.grad_m**2) + np.sum(self.grad_b**2)))
+def eta_views(flat, dim: int):
+    """Views of ``M`` ``(dim, dim)`` and ``b`` ``(dim,)`` in a flat vector laid
+    out as ``[vec(M) row-major, b, ...]``."""
+    return flat[: dim * dim].reshape(dim, dim), flat[dim * dim : dim * dim + dim]
 
 
 @dataclass(frozen=True)
@@ -144,12 +143,13 @@ def variance_gradients(y_i, X_i, alpha: AlphaVector, state: VariationalState, cf
 
 def partition_term(
     y_i, X_i, alpha: AlphaVector, state: VariationalState, z, cfg: SpectralConfig
-) -> EtaGradient:
-    """Single-block contribution to the data-term gradient in ``(M, b)``.
+) -> np.ndarray:
+    """Single-block contribution to the data-term gradient in ``(M, b)``,
+    flat as ``[vec(M) row-major, b]``.
 
     The caller guarantees ``alpha = transform(state, z, cfg)``; under that
     coupling the chain rule through ``alpha = M z + b`` gives
-    ``grad_m = g_alpha z^T`` and ``grad_b = g_alpha``.
+    ``grad_M = g_alpha z^T`` and ``grad_b = g_alpha``.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (state.dim,):
@@ -157,7 +157,7 @@ def partition_term(
     if alpha.flat.size != state.dim or state.dim != cfg.alpha_dim:
         raise ContractError("alpha, state and config dimensions disagree")
     g_alpha, _ = _data_term(y_i, X_i, alpha, cfg)
-    return EtaGradient(grad_m=np.outer(g_alpha, z), grad_b=g_alpha)
+    return np.concatenate([np.outer(g_alpha, z).ravel(), g_alpha])
 
 
 def draw_sample_sets(plan: GradientSamplePlan, n_blocks: int, dim: int):
@@ -183,9 +183,8 @@ def stochastic_gradient(
     state: VariationalState,
     prior: PriorSpec,
     cfg: SpectralConfig,
-    return_variance_grads: bool = False,
-):
-    """Unbiased estimate of the bound's gradient in ``(M, b)``.
+) -> np.ndarray:
+    """Unbiased estimate of the bound's gradient in everything training learns.
 
     Parameters
     ----------
@@ -195,14 +194,13 @@ def stochastic_gradient(
         independent of the total number of points.
     state, prior, cfg
         Current variational state, prior and spectral configuration.
-    return_variance_grads : bool, optional
-        When true, additionally return ``(d_log_noise, d_log_signal)``, the
-        bound's derivatives in the log variances: the noise one estimated
-        from the same sample set, the signal one exact.
 
     Returns
     -------
-    EtaGradient or (EtaGradient, (float, float))
+    ndarray, shape (D * D + D + 2,)
+        ``[vec(grad_M) row-major, grad_b, d_log_noise, d_log_signal]``.
+        The noise derivative is estimated from the same sample set; the
+        signal derivative is exact.
     """
     indices, z_draws = draw_sample_sets(plan, data.p, state.dim)
     X = np.concatenate([data.blocks[i][0] for i in indices])
@@ -211,14 +209,14 @@ def stochastic_gradient(
     g_alpha, v_sq = _data_term(y, X, alpha, cfg)
     scale = data.p / (plan.n_partition_samples * plan.n_z_samples)
     kl_m, kl_b = kl_term_gradient(state, prior, cfg)
-    grad = EtaGradient(
-        grad_m=scale * (g_alpha.T @ z_draws) - kl_m,
-        grad_b=scale * g_alpha.sum(axis=0) - kl_b,
-    )
-    if not return_variance_grads:
-        return grad
+    n_eta = state.dim * (state.dim + 1)
+    grad = np.empty(n_eta + 2)
+    grad_m, grad_b = eta_views(grad, state.dim)
+    np.subtract(scale * (g_alpha.T @ z_draws), kl_m, out=grad_m)
+    np.subtract(scale * g_alpha.sum(axis=0), kl_b, out=grad_b)
     d_noise, d_signal = _dlog_variances(state, v_sq, y.size, cfg)
-    return grad, (scale * float(np.sum(d_noise)), d_signal)
+    grad[n_eta:] = scale * float(np.sum(d_noise)), d_signal
+    return grad
 
 
 def elbo_estimate(

@@ -1,31 +1,35 @@
 """Stochastic gradient ascent on the bound, with checkpoints.
 
-Updates follow a Robbins-Monro schedule ``rho_t = base_step / (1 + t)^q``
-with ``q`` in (0.5, 1]; the optional adaptive mode rescales each
-coordinate by the square root of its accumulated squared gradients
-(floored at 1e-8), which makes the step size insensitive to the raw
-gradient magnitude.  An update that would push the exact reciprocal
-condition number of ``M`` below 1e-13 is rejected and retried with half
-the step, up to five times, after which training aborts.
+Training moves one flat parameter vector, laid out as the gradient that
+:func:`specgp.gradient.stochastic_gradient` returns: ``[vec(M) row-major,
+b, log noise_variance, log signal_variance]``.  The two log variances move
+only under ``learn_variances``.  Updates follow a Robbins-Monro schedule
+``rho_t = base_step / (1 + t)^q`` with ``q`` in (0.5, 1]; the optional
+adaptive mode (AdaGrad) rescales each moved coordinate by the square root
+of its accumulated squared gradients (floored at 1e-8), which makes the
+step size insensitive to the raw gradient magnitude.  An update that would
+push the exact reciprocal condition number of ``M`` below 1e-13 is
+rejected and retried with half the step, up to five times, after which
+training aborts.
 
 Every iteration draws its Monte-Carlo sample seed deterministically from
 ``(seed, iteration)``, so a run is bit-reproducible and a checkpoint can
 resume mid-stream with nothing but the master seed and the iteration
-counter (plus the adaptive accumulators).
+counter (plus the AdaGrad accumulator).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, ModelFormatError, NumericalError
 from .features import SpectralConfig
-from .gradient import GradientSamplePlan, elbo_estimate, stochastic_gradient
+from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import TrainedModel, model_from_doc, model_to_doc, write_json_atomic
 from .variational import PriorSpec, VariationalState
 
@@ -34,7 +38,7 @@ MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,10 @@ class IterationRecord:
     wall_clock_ms: float
 
 
+# The --trace CSV columns and the checkpoint trace rows, in field order.
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+
+
 @dataclass
 class TrainResult:
     """Final state plus the per-iteration trace and (possibly updated)
@@ -117,8 +125,7 @@ class TrainResult:
 class _OptState:
     """Mutable optimizer internals that must survive a checkpoint."""
 
-    accumulator: Optional[np.ndarray] = None
-    variance_accumulator: Optional[np.ndarray] = None
+    accumulator: np.ndarray
     trace: list = field(default_factory=list)
     iteration: int = 0
 
@@ -126,6 +133,16 @@ class _OptState:
 def _iteration_seed(seed: int, t: int, stream: int = 0) -> int:
     parts = [seed, t] if stream == 0 else [seed, t, stream]
     return int(np.random.SeedSequence(parts).generate_state(1, dtype=np.uint64)[0])
+
+
+def _moved_size(dim: int, tcfg: TrainConfig) -> int:
+    """Leading entries of the gradient that training moves: ``(M, b)``, and
+    the two log variances under ``learn_variances``."""
+    return dim * (dim + 1) + (2 if tcfg.learn_variances else 0)
+
+
+def _accumulator_size(dim: int, tcfg: TrainConfig) -> int:
+    return _moved_size(dim, tcfg) if tcfg.schedule.adaptive else 0
 
 
 def _attempt_update(state, direction_m, direction_b, rho, iteration):
@@ -159,53 +176,37 @@ def train(
 
     ``gradient_fn`` defaults to :func:`specgp.gradient.stochastic_gradient`
     and exists as a seam for surrogate objectives in tests; it must accept
-    the same arguments and honor ``return_variance_grads``.
+    the same arguments and return the gradient as one flat vector in the
+    same layout, ``[vec(M) row-major, b, d_log_noise, d_log_signal]``.
     """
     if init.dim != cfg.alpha_dim:
         raise ContractError("initial state does not match the spectral config")
     if prior.theta_dim != cfg.theta_dim:
         raise ContractError("prior does not match the spectral config")
-    opt = _OptState()
+    opt = _OptState(accumulator=np.zeros(_accumulator_size(init.dim, tcfg)))
     return _run(data, init, prior, cfg, tcfg, opt, gradient_fn)
 
 
 def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
     grad_source = gradient_fn if gradient_fn is not None else stochastic_gradient
-    dim = state.dim
-    if tcfg.schedule.adaptive:
-        if opt.accumulator is None:
-            opt.accumulator = np.zeros(dim * dim + dim)
-        if tcfg.learn_variances and opt.variance_accumulator is None:
-            opt.variance_accumulator = np.zeros(2)
+    n_eta = state.dim * (state.dim + 1)
+    n_moved = _moved_size(state.dim, tcfg)
 
     for t in range(opt.iteration, tcfg.iterations):
         started = time.perf_counter()
         plan_t = replace(tcfg.plan, rng_seed=_iteration_seed(tcfg.seed, t))
-        if tcfg.learn_variances:
-            grad, (g_noise, g_signal) = grad_source(
-                plan_t, data, state, prior, cfg, return_variance_grads=True
-            )
-        else:
-            grad = grad_source(plan_t, data, state, prior, cfg)
+        grad = grad_source(plan_t, data, state, prior, cfg)
         rho = tcfg.schedule.step_size(t)
-        flat = np.concatenate([grad.grad_m.ravel(), grad.grad_b])
-        gradient_norm = float(np.linalg.norm(flat))
+        gradient_norm = float(np.linalg.norm(grad[:n_eta]))
+        direction = grad[:n_moved]
         if tcfg.schedule.adaptive:
-            opt.accumulator += flat**2
-            flat = flat / np.maximum(np.sqrt(opt.accumulator), _ADAPTIVE_FLOOR)
-        direction_m = flat[: dim * dim].reshape(dim, dim)
-        direction_b = flat[dim * dim :]
+            opt.accumulator += direction**2
+            direction = direction / np.maximum(np.sqrt(opt.accumulator), _ADAPTIVE_FLOOR)
+        direction_m, direction_b = eta_views(direction, state.dim)
         state, step_used = _attempt_update(state, direction_m, direction_b, rho, t)
-
         if tcfg.learn_variances:
-            var_grad = np.array([g_noise, g_signal])
-            if tcfg.schedule.adaptive:
-                opt.variance_accumulator += var_grad**2
-                var_grad = var_grad / np.maximum(
-                    np.sqrt(opt.variance_accumulator), _ADAPTIVE_FLOOR
-                )
-            log_noise = np.log(cfg.noise_variance) + step_used * var_grad[0]
-            log_signal = np.log(cfg.signal_variance) + step_used * var_grad[1]
+            log_noise = np.log(cfg.noise_variance) + step_used * direction[n_eta]
+            log_signal = np.log(cfg.signal_variance) + step_used * direction[n_eta + 1]
             cfg = replace(
                 cfg,
                 noise_variance=float(np.exp(log_noise)),
@@ -241,68 +242,29 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
 # checkpointing
 
 
+# How a checkpoint trace cell is read back, by the field's declared type.
+_TRACE_CELL = {
+    "int": int,
+    "float": float,
+    "Optional[float]": lambda value: None if value is None else float(value),
+}
+
+
 def _trace_rows(trace):
-    return [
-        [r.iteration, r.step_size, r.gradient_norm, r.elbo, r.wall_clock_ms]
-        for r in trace
-    ]
+    return [[getattr(rec, name) for name in TRACE_COLUMNS] for rec in trace]
 
 
 def _trace_from_rows(rows):
-    if any(len(row) != 5 for row in rows):
-        raise ModelFormatError("model: every checkpoint trace row needs 5 fields")
-    return [
-        IterationRecord(int(t), float(rho), float(g), None if e is None else float(e), float(ms))
-        for t, rho, g, e, ms in rows
-    ]
-
-
-def _tcfg_to_doc(tcfg: TrainConfig) -> dict:
-    return {
-        "iterations": tcfg.iterations,
-        "plan": {
-            "n_partition_samples": tcfg.plan.n_partition_samples,
-            "n_z_samples": tcfg.plan.n_z_samples,
-        },
-        "schedule": {
-            "base_step": tcfg.schedule.base_step,
-            "decay_power": tcfg.schedule.decay_power,
-            "adaptive": tcfg.schedule.adaptive,
-        },
-        "learn_variances": tcfg.learn_variances,
-        "checkpoint_every": tcfg.checkpoint_every,
-        "checkpoint_path": tcfg.checkpoint_path,
-        "seed": tcfg.seed,
-        "elbo_every": tcfg.elbo_every,
-        "elbo_samples": tcfg.elbo_samples,
-    }
-
-
-def _tcfg_from_doc(doc: dict) -> TrainConfig:
-    return TrainConfig(
-        iterations=int(doc["iterations"]),
-        plan=GradientSamplePlan(
-            n_partition_samples=int(doc["plan"]["n_partition_samples"]),
-            n_z_samples=int(doc["plan"]["n_z_samples"]),
-        ),
-        schedule=StepSchedule(
-            base_step=float(doc["schedule"]["base_step"]),
-            decay_power=float(doc["schedule"]["decay_power"]),
-            adaptive=bool(doc["schedule"]["adaptive"]),
-        ),
-        learn_variances=bool(doc["learn_variances"]),
-        checkpoint_every=int(doc["checkpoint_every"]),
-        checkpoint_path=doc["checkpoint_path"],
-        seed=int(doc["seed"]),
-        elbo_every=int(doc["elbo_every"]),
-        elbo_samples=int(doc["elbo_samples"]),
-    )
+    if any(len(row) != len(TRACE_COLUMNS) for row in rows):
+        raise ModelFormatError(
+            f"model: every checkpoint trace row needs {len(TRACE_COLUMNS)} fields"
+        )
+    cells = [_TRACE_CELL[f.type] for f in fields(IterationRecord)]
+    return [IterationRecord(*(cell(v) for cell, v in zip(cells, row))) for row in rows]
 
 
 def _accumulator_from_doc(values, size: int):
-    """A stored AdaGrad accumulator: ``None``, or ``size`` finite values >= 0."""
-    if values is None:
-        return None
+    """A stored AdaGrad accumulator: ``size`` finite values >= 0."""
     acc = np.asarray(values, dtype=float)
     if acc.shape != (size,) or not np.all(np.isfinite(acc)) or np.any(acc < 0):
         raise ModelFormatError(f"model: checkpoint accumulator needs {size} finite values >= 0")
@@ -310,22 +272,20 @@ def _accumulator_from_doc(values, size: int):
 
 
 def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None:
-    """Write everything needed to resume training at ``opt.iteration``."""
+    """Write everything needed to resume training at ``opt.iteration``.
+
+    The train config is stored in its run-config form, ``{"seed", "train"}``.
+    """
+    from .config import train_config_doc  # config imports this module
+
     model = TrainedModel(state=state, prior=prior, spectral=cfg, partition=data)
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "iteration": opt.iteration,
         "model": model_to_doc(model),
-        "train_config": _tcfg_to_doc(tcfg),
-        "optimizer": {
-            "accumulator": None if opt.accumulator is None else opt.accumulator.tolist(),
-            "variance_accumulator": (
-                None
-                if opt.variance_accumulator is None
-                else opt.variance_accumulator.tolist()
-            ),
-        },
+        "train_config": train_config_doc(tcfg),
+        "optimizer": {"accumulator": opt.accumulator.tolist()},
         "trace": _trace_rows(opt.trace),
     }
     write_json_atomic(path, doc)
@@ -333,7 +293,11 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
 
 def load_checkpoint(path):
     """Read a checkpoint into (model, train config, optimizer state), validating
-    every field that resuming reads; a fault is a :class:`ModelFormatError`."""
+    every field that resuming reads; a fault is a :class:`ModelFormatError`.
+    The train config passes the same key checks as a run-config file, and
+    every one of its keys must be present."""
+    from .config import train_config_read  # config imports this module
+
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -353,12 +317,11 @@ def load_checkpoint(path):
         )
     try:
         model = model_from_doc(doc["model"])
-        tcfg = _tcfg_from_doc(doc["train_config"])
-        opt_doc = doc["optimizer"]
-        dim = model.state.dim
+        tcfg = train_config_read(doc["train_config"])
         opt = _OptState(
-            accumulator=_accumulator_from_doc(opt_doc["accumulator"], dim * dim + dim),
-            variance_accumulator=_accumulator_from_doc(opt_doc["variance_accumulator"], 2),
+            accumulator=_accumulator_from_doc(
+                doc["optimizer"]["accumulator"], _accumulator_size(model.state.dim, tcfg)
+            ),
             trace=_trace_from_rows(doc["trace"]),
             iteration=doc["iteration"],
         )
@@ -366,17 +329,13 @@ def load_checkpoint(path):
         raise ModelFormatError(f"model: checkpoint missing field {missing}") from None
     except ModelFormatError:
         raise
-    except (TypeError, ValueError) as bad:  # ContractError from TrainConfig included
+    except (TypeError, ValueError) as bad:  # ContractError from the config checks included
         raise ModelFormatError(f"model: malformed checkpoint field ({bad})") from None
     if type(opt.iteration) is not int or opt.iteration != len(opt.trace):
         raise ModelFormatError(
             f"model: checkpoint iteration {opt.iteration!r} does not match "
             f"its {len(opt.trace)} trace rows"
         )
-    if tcfg.schedule.adaptive and opt.trace and (
-        opt.accumulator is None or (tcfg.learn_variances and opt.variance_accumulator is None)
-    ):
-        raise ModelFormatError("model: adaptive checkpoint is missing an accumulator")
     return model, tcfg, opt
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import specgp.cli as cli
 import specgp.config as run_config
-from specgp import load_model, save_model
+from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
 
 
@@ -407,6 +407,21 @@ def test_config_key_table_is_complete():
     assert paths == list(CONFIG_KEYS)
 
 
+def test_checkpoint_train_config_round_trips():
+    # checkpoints store the train config in its run-config form
+    tcfg = TrainConfig(
+        iterations=7, plan=GradientSamplePlan(3, 5),
+        schedule=StepSchedule(0.2, 0.9, adaptive=True), learn_variances=True,
+        checkpoint_every=7, checkpoint_path="ck.json", seed=11, elbo_every=2, elbo_samples=3,
+    )
+    doc = json.loads(json.dumps(run_config.train_config_doc(tcfg)))
+    assert set(doc) == {"seed", "train"}
+    assert {f"train.{name}" for name in doc["train"]} == {
+        path for path, key in run_config.KEYS.items() if key.section == "train"
+    }
+    assert run_config.train_config_read(doc) == tcfg
+
+
 def test_config_defaults_are_pinned():
     assert run_config.load_run_config() == DEFAULT_CONFIG
 
@@ -585,6 +600,49 @@ def test_predict_rejects_mismatched_columns(tmp_path, capsys):
     )
     assert code == 3
     assert "lacks feature columns" in err
+
+
+def test_prediction_csv_target_column_is_optional(trained_model_doc, tmp_path, capsys):
+    # the model's target column may sit anywhere in the header or be absent:
+    # predict ignores it, evaluate needs it, and it cannot be the only column
+    doc, data = trained_model_doc
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    header, *rows = read_csv_rows(data)
+    assert header == ["x1", "x2", "y"]
+
+    def write(name, order, extra=()):
+        path = tmp_path / name
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([header[i] for i in order])
+            writer.writerows([[row[i] for i in order] for row in rows] + list(extra))
+        return str(path)
+
+    def predict(path):
+        out = str(tmp_path / "predictions.csv")
+        code, _, err = run_cli(
+            ["predict", "--model", str(model_path), "--data", path, "--output", out], capsys
+        )
+        return code, err, read_csv_rows(out) if code == 0 else None
+
+    code, _, as_trained = predict(data)
+    assert code == 0
+    code, err, moved = predict(write("moved.csv", [2, 1, 0], extra=[["", "0.1", "0.2"]]))
+    assert (code, moved) == (0, as_trained)
+    assert "dropped 1 rows" in err
+    code, _, features_only = predict(write("features.csv", [0, 1]))
+    assert (code, features_only) == (0, as_trained)
+
+    code, _, err = run_cli(
+        ["evaluate", "--model", str(model_path), "--data", str(tmp_path / "features.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "needs the target column 'y'" in err
+    code, err, _ = predict(write("target.csv", [2]))
+    assert code == 3
+    assert "no feature columns besides the target" in err
 
 
 def test_dropped_row_warning_reaches_stderr(tmp_path, capsys):

@@ -5,7 +5,6 @@ from scipy import stats
 from specgp import (
     AlphaVector,
     ContractError,
-    EtaGradient,
     GradientSamplePlan,
     PartitionedDataset,
     PriorSpec,
@@ -23,6 +22,7 @@ from specgp import (
     transform,
     variance_gradients,
 )
+from specgp.gradient import eta_views
 
 
 def make_cfg(d=2, m=2, ss2=1.3, sn2=0.4):
@@ -138,8 +138,7 @@ def test_partition_term_zero_residual():
     X = rng.normal(size=(6, cfg.d))
     y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
     grad = partition_term(y, X, alpha, state, z, cfg)
-    np.testing.assert_allclose(grad.grad_m, 0.0, atol=1e-10)
-    np.testing.assert_allclose(grad.grad_b, 0.0, atol=1e-10)
+    np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
 
 def test_partition_term_s_block_closed_form():
@@ -152,14 +151,14 @@ def test_partition_term_s_block_closed_form():
     alpha = transform(state, z, cfg)
     X = rng.normal(size=(7, cfg.d))
     y = rng.normal(size=7)
-    grad = partition_term(y, X, alpha, state, z, cfg)
+    grad_m, grad_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
     Phi = feature_matrix(X, alpha.theta, cfg)
     v = y - Phi.T @ alpha.s
     np.testing.assert_allclose(
-        grad.grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
+        grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
     )
     # z = 0 kills the M part entirely
-    np.testing.assert_allclose(grad.grad_m, 0.0, atol=1e-12)
+    np.testing.assert_allclose(grad_m, 0.0, atol=1e-12)
 
 
 def test_partition_term_finite_differences():
@@ -171,7 +170,7 @@ def test_partition_term_finite_differences():
         X = rng.normal(size=(8, cfg.d))
         y = rng.normal(size=8)
         alpha = transform(state, z, cfg)
-        grad = partition_term(y, X, alpha, state, z, cfg)
+        grad_m, grad_b = eta_views(partition_term(y, X, alpha, state, z, cfg), state.dim)
 
         def objective(M, b):
             a = transform(VariationalState(M, b), z, cfg)
@@ -180,8 +179,8 @@ def test_partition_term_finite_differences():
 
         fd_m, fd_b = eta_finite_difference(objective, state)
         scale = max(1.0, np.abs(fd_m).max(), np.abs(fd_b).max())
-        assert np.abs(grad.grad_m - fd_m).max() / scale <= 1e-5
-        assert np.abs(grad.grad_b - fd_b).max() / scale <= 1e-5
+        assert np.abs(grad_m - fd_m).max() / scale <= 1e-5
+        assert np.abs(grad_b - fd_b).max() / scale <= 1e-5
 
 
 def test_blockwise_terms_sum_to_whole():
@@ -196,15 +195,11 @@ def test_blockwise_terms_sum_to_whole():
     y = rng.normal(size=20)
     whole = partition_term(y, X, alpha, state, z, cfg)
     cuts = [0, 5, 9, 16, 20]
-    sum_m = np.zeros_like(whole.grad_m)
-    sum_b = np.zeros_like(whole.grad_b)
-    for a, b in zip(cuts, cuts[1:]):
-        g = partition_term(y[a:b], X[a:b], alpha, state, z, cfg)
-        sum_m += g.grad_m
-        sum_b += g.grad_b
-    scale = max(1.0, np.abs(whole.grad_m).max(), np.abs(whole.grad_b).max())
-    assert np.abs(sum_m - whole.grad_m).max() / scale <= 1e-10
-    assert np.abs(sum_b - whole.grad_b).max() / scale <= 1e-10
+    total = sum(
+        partition_term(y[a:b], X[a:b], alpha, state, z, cfg) for a, b in zip(cuts, cuts[1:])
+    )
+    scale = max(1.0, np.abs(whole).max())
+    assert np.abs(total - whole).max() / scale <= 1e-10
 
 
 def test_draw_sample_sets_shapes_and_determinism():
@@ -240,10 +235,11 @@ def test_stochastic_gradient_single_partition_exact():
     z = z_draws[0]
     alpha = transform(state, z, cfg)
     X, y = data.blocks[0]
-    f = partition_term(y, X, alpha, state, z, cfg)
+    f_m, f_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
     km, kb = kl_term_gradient(state, prior, cfg)
-    np.testing.assert_allclose(est.grad_m, f.grad_m - km, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(est.grad_b, f.grad_b - kb, rtol=1e-12, atol=1e-12)
+    est_m, est_b = eta_views(est, cfg.alpha_dim)
+    np.testing.assert_allclose(est_m, f_m - km, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(est_b, f_b - kb, rtol=1e-12, atol=1e-12)
 
 
 def test_stochastic_gradient_exhaustive_enumeration():
@@ -257,20 +253,15 @@ def test_stochastic_gradient_exhaustive_enumeration():
         data = make_dataset(rng, cfg, [int(rng.integers(2, 8)) for _ in range(p)])
         z = rng.normal(size=cfg.alpha_dim)
         alpha = transform(state, z, cfg)
-        mean_m = np.zeros((cfg.alpha_dim, cfg.alpha_dim))
-        mean_b = np.zeros(cfg.alpha_dim)
-        sum_m = np.zeros_like(mean_m)
-        sum_b = np.zeros_like(mean_b)
+        mean = np.zeros(cfg.alpha_dim * (cfg.alpha_dim + 1))
+        total = np.zeros_like(mean)
         for i in range(p):
             X, y = data.blocks[i]
             f = partition_term(y, X, alpha, state, z, cfg)
-            mean_m += p * f.grad_m / p
-            mean_b += p * f.grad_b / p
-            sum_m += f.grad_m
-            sum_b += f.grad_b
-        scale = max(1.0, np.abs(sum_m).max(), np.abs(sum_b).max())
-        assert np.abs(mean_m - sum_m).max() / scale <= 1e-10
-        assert np.abs(mean_b - sum_b).max() / scale <= 1e-10
+            mean += p * f / p
+            total += f
+        scale = max(1.0, np.abs(total).max())
+        assert np.abs(mean - total).max() / scale <= 1e-10
 
 
 def test_stochastic_gradient_determinism_and_finiteness():
@@ -282,10 +273,10 @@ def test_stochastic_gradient_determinism_and_finiteness():
     plan = GradientSamplePlan(4, 4, rng_seed=77)
     g1 = stochastic_gradient(plan, data, state, prior, cfg)
     g2 = stochastic_gradient(plan, data, state, prior, cfg)
-    np.testing.assert_array_equal(g1.grad_m, g2.grad_m)
-    np.testing.assert_array_equal(g1.grad_b, g2.grad_b)
-    assert np.isfinite(g1.grad_m).all() and np.isfinite(g1.grad_b).all()
-    assert g1.norm() > 0
+    np.testing.assert_array_equal(g1, g2)
+    assert g1.shape == (cfg.alpha_dim * (cfg.alpha_dim + 1) + 2,)
+    assert np.isfinite(g1).all()
+    assert np.linalg.norm(g1[:-2]) > 0
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -303,9 +294,9 @@ def test_batched_gradient_matches_explicit_draw_block_sum():
     data = make_dataset(rng, cfg, [5, 7])
     a, b_count = 4, 8
     plan = GradientSamplePlan(a, b_count, rng_seed=21)
-    grad, (d_noise, d_signal) = stochastic_gradient(
-        plan, data, state, prior, cfg, return_variance_grads=True
-    )
+    grad = stochastic_gradient(plan, data, state, prior, cfg)
+    grad_m, grad_b = eta_views(grad, cfg.alpha_dim)
+    d_noise, d_signal = grad[-2:]
     indices, z_draws = draw_sample_sets(plan, data.p, cfg.alpha_dim)
     assert len(set(indices.tolist())) < a
 
@@ -318,14 +309,14 @@ def test_batched_gradient_matches_explicit_draw_block_sum():
         alpha = transform(state, z, cfg)
         for i in indices:
             X, y = data.blocks[i]
-            f = partition_term(y, X, alpha, state, z, cfg)
-            ref_m += scale * f.grad_m
-            ref_b += scale * f.grad_b
+            f_m, f_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
+            ref_m += scale * f_m
+            ref_b += scale * f_b
             ref_noise += scale * variance_gradients(y, X, alpha, state, cfg)[0]
     X, y = data.blocks[0]
     ref_signal = variance_gradients(y, X, alpha, state, cfg)[1]
-    assert_rel_close(grad.grad_m, ref_m)
-    assert_rel_close(grad.grad_b, ref_b)
+    assert_rel_close(grad_m, ref_m)
+    assert_rel_close(grad_b, ref_b)
     assert_rel_close(d_noise, ref_noise)
     assert_rel_close(d_signal, ref_signal)
 
@@ -355,7 +346,7 @@ def test_stochastic_gradient_variance_shrinks_with_samples():
         for r in range(reps):
             plan = GradientSamplePlan(a, b_count, rng_seed=1000 + r)
             g = stochastic_gradient(plan, data, state, prior, cfg)
-            draws.append(np.concatenate([g.grad_m.ravel(), g.grad_b]))
+            draws.append(g[:-2])
         return np.var(np.array(draws), axis=0).mean()
 
     assert empirical_variance(4, 4) < empirical_variance(1, 1)
@@ -379,16 +370,11 @@ def test_stochastic_gradient_unbiased_small():
         alpha = transform(state, z, cfg)
         X, y = data.blocks[indices[0]]
         est = partition_term(y, X, alpha, state, z, cfg)
-        ref_m = np.zeros_like(est.grad_m)
-        ref_b = np.zeros_like(est.grad_b)
+        ref = np.zeros_like(est)
         for i in range(p):
             Xi, yi = data.blocks[i]
-            f = partition_term(yi, Xi, alpha, state, z, cfg)
-            ref_m += f.grad_m
-            ref_b += f.grad_b
-        diffs.append(
-            np.concatenate([(p * est.grad_m - ref_m).ravel(), p * est.grad_b - ref_b])
-        )
+            ref += partition_term(yi, Xi, alpha, state, z, cfg)
+        diffs.append(p * est - ref)
     diffs = np.array(diffs)
     mean = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(T)
@@ -470,6 +456,13 @@ def test_elbo_below_quadrature_marginal_likelihood():
         assert vals.mean() - kl_divergence(state, prior, cfg) <= log_evidence + 3 * mc_se
 
 
-def test_eta_gradient_norm():
-    g = EtaGradient(grad_m=np.array([[3.0, 0.0], [0.0, 0.0]]), grad_b=np.array([0.0, 4.0]))
-    assert g.norm() == pytest.approx(5.0)
+def test_eta_views_read_the_flat_layout():
+    # [vec(M) row-major, b, log noise, log signal]: writes through the
+    # views land in the flat vector
+    flat = np.arange(2 * 2 + 2 + 2, dtype=float)
+    M, b = eta_views(flat, 2)
+    np.testing.assert_array_equal(M, [[0.0, 1.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(b, [4.0, 5.0])
+    M[1, 0] = -1.0
+    b[1] = -2.0
+    np.testing.assert_array_equal(flat, [0.0, 1.0, -1.0, 3.0, 4.0, -2.0, 6.0, 7.0])

@@ -7,7 +7,6 @@ from scipy import stats
 
 from specgp import (
     ContractError,
-    EtaGradient,
     GradientSamplePlan,
     ModelFormatError,
     NumericalError,
@@ -39,10 +38,14 @@ def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
     return cfg, data, prior
 
 
+def flat_gradient(grad_m, grad_b):
+    """A surrogate gradient in the layout of stochastic_gradient, with zero
+    log-variance entries."""
+    return np.concatenate([grad_m.ravel(), grad_b, [0.0, 0.0]])
+
+
 def zero_gradient(plan, data, state, prior, cfg):
-    return EtaGradient(
-        grad_m=np.zeros((state.dim, state.dim)), grad_b=np.zeros(state.dim)
-    )
+    return np.zeros(state.dim * (state.dim + 1) + 2)
 
 
 def test_step_schedule_values_and_validation():
@@ -90,9 +93,7 @@ def test_quadratic_surrogate_converges_to_target():
     target_b = rng.uniform(-2, 2, size=D)
 
     def quadratic(plan, data, state, prior, cfg):
-        return EtaGradient(
-            grad_m=2 * (target_m - state.M), grad_b=2 * (target_b - state.b)
-        )
+        return flat_gradient(2 * (target_m - state.M), 2 * (target_b - state.b))
 
     init = VariationalState(0.1 * np.eye(D), np.zeros(D))
     result = train(
@@ -153,7 +154,10 @@ def test_elbo_recorded_on_requested_cadence():
     assert all(np.isfinite(r.elbo) for r in result.trace if r.elbo is not None)
 
 
-def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize(
+    "learn_variances", [False, True], ids=["fixed_variances", "learned_variances"]
+)
+def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path, learn_variances):
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=4)
     path = str(tmp_path / "checkpoint.json")
@@ -161,12 +165,12 @@ def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path):
 
     straight = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=40, schedule=sched, seed=5),
+        TrainConfig(iterations=40, schedule=sched, seed=5, learn_variances=learn_variances),
     )
     _ = train(
         data, init, prior, cfg,
         TrainConfig(
-            iterations=20, schedule=sched, seed=5,
+            iterations=20, schedule=sched, seed=5, learn_variances=learn_variances,
             checkpoint_every=20, checkpoint_path=path,
         ),
     )
@@ -174,6 +178,9 @@ def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path):
 
     np.testing.assert_array_equal(resumed.state.M, straight.state.M)
     np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert resumed.spectral.noise_variance == straight.spectral.noise_variance
+    assert resumed.spectral.signal_variance == straight.spectral.signal_variance
+    assert (resumed.spectral.noise_variance != cfg.noise_variance) == learn_variances
     assert len(resumed.trace) == len(straight.trace) == 40
     for ra, rb in zip(resumed.trace, straight.trace):
         assert (ra.iteration, ra.step_size, ra.gradient_norm, ra.elbo) == (
@@ -211,6 +218,15 @@ def _set(*keys_and_value):
     return corrupt
 
 
+def _drop(*keys):
+    def corrupt(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -222,12 +238,23 @@ def _set(*keys_and_value):
         _set("optimizer", "accumulator", lambda acc: acc[:-1]),
         _set("optimizer", "accumulator", lambda acc: [float("nan")] + acc[1:]),
         _set("optimizer", "accumulator", lambda acc: [-1.0] + acc[1:]),
-        _set("optimizer", "variance_accumulator", [0.5, 0.5, 0.5]),
+        # the log-variance entries sit at the end of the one accumulator
+        _set("optimizer", "accumulator", lambda acc: acc + [0.5]),
         _set("optimizer", "accumulator", None),
-        _set("optimizer", "variance_accumulator", None),
-        _set("train_config", "iterations", 0),
+        _set("optimizer", "accumulator", lambda acc: acc[:-2]),
+        _set("train_config", "train", "iterations", 0),
         _set("train_config", "seed", "abc"),
         _set("train_config", "plan", "abc"),
+        _set("train_config", "train", "abc"),
+        _set("train_config", "train", "iterations", 40.7),
+        _set("train_config", "seed", True),
+        _set("train_config", "train", "decay_power", True),
+        _set("train_config", "train", "elbo_samples", 2.9),
+        _set("train_config", "train", "checkpoint_path", 5),
+        _set("train_config", "seed", -3),
+        _set("train_config", "train", "learn_variances", "false"),
+        _drop("train_config", "train", "elbo_every"),
+        _drop("train_config", "seed"),
     ],
     ids=[
         "iteration_not_a_number", "iteration_float", "iteration_negative",
@@ -235,6 +262,11 @@ def _set(*keys_and_value):
         "accumulator_nan", "accumulator_negative", "variance_accumulator_long",
         "accumulator_missing", "variance_accumulator_missing",
         "train_config_zero_iterations", "train_config_bad_seed", "train_config_bad_plan",
+        "train_config_train_not_object", "train_config_float_iterations",
+        "train_config_bool_seed", "train_config_bool_decay_power",
+        "train_config_float_elbo_samples", "train_config_int_checkpoint_path",
+        "train_config_negative_seed", "train_config_string_boolean",
+        "train_config_missing_key", "train_config_missing_seed",
     ],
 )
 def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
@@ -290,24 +322,36 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
     assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
 
 
-def test_checkpoint_with_plan_seed_still_resumes(tmp_path):
-    # checkpoints once stored the per-iteration plan seed, which training ignores
+def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
+    # version 1 kept a second accumulator for the log variances and its own
+    # train-config layout (with the ignored plan.rng_seed); version 2 keeps
+    # one accumulator and the run-config form, so a version-1 file is refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
     train(
         data, init, prior, cfg,
-        TrainConfig(iterations=2, checkpoint_every=2, checkpoint_path=path),
+        TrainConfig(
+            iterations=2, schedule=StepSchedule(adaptive=True), learn_variances=True,
+            checkpoint_every=2, checkpoint_path=path,
+        ),
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert "rng_seed" not in doc["train_config"]["plan"]
-    doc["train_config"]["plan"]["rng_seed"] = 7
+    assert doc["version"] == 2
+    assert set(doc["train_config"]) == {"seed", "train"}
+    assert set(doc["optimizer"]) == {"accumulator"}
+    assert len(doc["optimizer"]["accumulator"]) == init.dim * (init.dim + 1) + 2
+    accumulator = doc["optimizer"]["accumulator"]
+    doc["version"] = 1
+    doc["optimizer"] = {
+        "accumulator": accumulator[:-2], "variance_accumulator": accumulator[-2:],
+    }
+    doc["train_config"]["plan"] = {"n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7}
     with open(path, "w") as handle:
         json.dump(doc, handle)
-    straight = train(data, init, prior, cfg, TrainConfig(iterations=4))
-    resumed = resume_training(path, iterations=4)
-    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    with pytest.raises(ModelFormatError, match="version mismatch"):
+        load_checkpoint(path)
 
 
 def test_singular_update_halves_step():
@@ -316,7 +360,7 @@ def test_singular_update_halves_step():
 
     def annihilating(plan, data, state, prior, cfg):
         # a full step of 1.0 would zero out M entirely
-        return EtaGradient(grad_m=-state.M.copy(), grad_b=np.zeros(D))
+        return flat_gradient(-state.M, np.zeros(D))
 
     init = VariationalState(np.eye(D), np.zeros(D))
     result = train(
@@ -336,7 +380,7 @@ def test_unrecoverable_singularity_aborts():
 
     def exploding(plan, data, state, prior, cfg):
         # even after five halvings M stays catastrophically ill-conditioned
-        return EtaGradient(grad_m=spike, grad_b=np.zeros(D))
+        return flat_gradient(spike, np.zeros(D))
 
     init = VariationalState(np.eye(D), np.zeros(D))
     with pytest.raises(NumericalError, match="halvings"):
