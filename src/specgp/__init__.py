@@ -38,16 +38,12 @@ from .gradient import (
     draw_sample_sets,
     elbo_estimate,
     log_likelihood,
-    partition_term,
     stochastic_gradient,
-    variance_gradients,
 )
 from .localmodel import (
     AlphaVector,
     LocalGram,
-    PredictiveMoments,
     build_local_gram,
-    test_conditional,
 )
 from .model_io import TrainedModel, load_model, save_model
 from .optimizer import (
@@ -89,7 +85,6 @@ __all__ = [
     "NumericalError",
     "PartitionedDataset",
     "PredictConfig",
-    "PredictiveMoments",
     "PriorSpec",
     "SpecGPError",
     "SpectralConfig",
@@ -119,7 +114,6 @@ __all__ = [
     "mnlp",
     "mnlp_variance_floor",
     "posterior_draws",
-    "partition_term",
     "predict_batch",
     "resume_training",
     "rmse",
@@ -128,8 +122,6 @@ __all__ = [
     "split_indices",
     "stochastic_gradient",
     "synth_ssgp",
-    "test_conditional",
     "train",
     "transform",
-    "variance_gradients",
 ]

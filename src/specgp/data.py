@@ -9,7 +9,7 @@ hard error.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,18 @@ class Standardization:
     """Per-column affine normalization fitted on the training portion only.
 
     Constant columns keep scale 1 so the transform stays invertible; they
-    are recorded in ``constant_columns``.
+    are recorded in ``constant_columns`` (none by default).
     """
 
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
-    constant_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    constant_columns: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.constant_columns is None:
+            self.constant_columns = np.zeros(len(self.x_mean), dtype=bool)
 
     @classmethod
     def fit(cls, X, y) -> "Standardization":
@@ -90,13 +94,7 @@ class Standardization:
 
 def identity_standardization(d: int) -> Standardization:
     """No-op transform used when standardization is disabled."""
-    return Standardization(
-        x_mean=np.zeros(d),
-        x_scale=np.ones(d),
-        y_mean=0.0,
-        y_scale=1.0,
-        constant_columns=np.zeros(d, dtype=bool),
-    )
+    return Standardization(x_mean=np.zeros(d), x_scale=np.ones(d), y_mean=0.0, y_scale=1.0)
 
 
 def load_csv(path, target_column) -> Dataset:

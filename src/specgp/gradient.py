@@ -21,12 +21,13 @@ alpha and ``||v_j||^2``.  Then
 :func:`stochastic_gradient` returns the bound's gradient as one flat
 vector in the layout of everything training learns, ``[vec(M) row-major,
 b, log noise_variance, log signal_variance]``; :func:`eta_views` reads its
-``(M, b)`` part.  :func:`partition_term` is the kernel for one draw on one
-block and returns that ``(M, b)`` part in the same layout;
-:func:`log_likelihood` and :func:`variance_gradients` run only its
-residual step.  The index stream and the z stream are split from one
-master seed so that tests share z draws across estimators while varying
-the index subsample.
+``(M, b)`` part.  It is the only gradient estimator: a block's own term is
+the estimate on a one-block dataset plus the KL gradient, and
+:mod:`~specgp.gradcheck` differentiates the whole vector against the
+sampled bound.  :func:`log_likelihood` runs only the kernel's residual
+step.  The index stream and the z stream are split from one master seed,
+so the z draws do not depend on how many blocks there are or how many
+indices are drawn.
 """
 
 from __future__ import annotations
@@ -126,38 +127,6 @@ def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     return -0.5 * np.sum(v * v, axis=-1) / cfg.noise_variance - 0.5 * len(y) * np.log(
         2.0 * np.pi * cfg.noise_variance
     )
-
-
-def variance_gradients(y_i, X_i, alpha: AlphaVector, state: VariationalState, cfg: SpectralConfig):
-    """Derivatives of the bound's pieces in the log variances.
-
-    Returns ``(d_log_noise, d_log_signal)``: the derivative of the block
-    log likelihood under the draw ``alpha`` with respect to
-    ``log noise_variance``, and the exact derivative of ``-KL(q || p)``
-    under ``state`` with respect to ``log signal_variance``.  Neither term
-    depends on the other variance.
-    """
-    _, v = _residuals(y_i, X_i, alpha, cfg)
-    return _dlog_variances(state, np.sum(v * v, axis=-1), len(y_i), cfg)
-
-
-def partition_term(
-    y_i, X_i, alpha: AlphaVector, state: VariationalState, z, cfg: SpectralConfig
-) -> np.ndarray:
-    """Single-block contribution to the data-term gradient in ``(M, b)``,
-    flat as ``[vec(M) row-major, b]``.
-
-    The caller guarantees ``alpha = transform(state, z, cfg)``; under that
-    coupling the chain rule through ``alpha = M z + b`` gives
-    ``grad_M = g_alpha z^T`` and ``grad_b = g_alpha``.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (state.dim,):
-        raise ContractError(f"z must have shape ({state.dim},), got {z.shape}")
-    if alpha.flat.size != state.dim or state.dim != cfg.alpha_dim:
-        raise ContractError("alpha, state and config dimensions disagree")
-    g_alpha, _ = _data_term(y_i, X_i, alpha, cfg)
-    return np.concatenate([np.outer(g_alpha, z).ravel(), g_alpha])
 
 
 def draw_sample_sets(plan: GradientSamplePlan, n_blocks: int, dim: int):

@@ -1,4 +1,4 @@
-"""Per-block Gaussian linear algebra and the mixed test conditional.
+"""Per-block Gaussian linear algebra and the mixed predictive conditional.
 
 For a data block ``(X_k, y_k)`` and frequencies ``theta`` the regularized
 local Gram matrix is
@@ -19,7 +19,9 @@ predictive conditional at a test point blends the explicit-weight mean
 
 ``gamma_mix = 0`` recovers the standard low-rank GP posterior restricted
 to the block; ``|gamma_mix| = 1`` collapses the variance to zero because
-the conditional then degenerates onto the sampled weights.
+the conditional then degenerates onto the sampled weights.  One draw at
+one point is the same call with a single ``theta`` and a ``(2m, 1)``
+feature column, so there is no separate scalar view.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .features import SpectralConfig, basis_vector, feature_matrix
+from .features import SpectralConfig, feature_matrix
 
 # Jitter escalation for the rare case where accumulated roundoff makes the
 # Cholesky of Gamma fail: start at 1e-10 * trace/(2m) and multiply by 10
@@ -61,14 +63,6 @@ class AlphaVector:
         return np.concatenate([self.theta, self.s], axis=-1)
 
 
-@dataclass(frozen=True)
-class PredictiveMoments:
-    """Mean and non-negative variance of a univariate predictive law."""
-
-    mean: float
-    variance: float
-
-
 class LocalGram:
     """Cholesky-backed view of one block's regularized Gram matrix, for one
     ``theta`` or a stack of ``b`` of them.
@@ -96,15 +90,6 @@ class LocalGram:
         self.phi_y = phi_y
         self.block_id = block_id
         self.n_points = n_points
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``gamma @ out = rhs`` for a single-``theta`` view."""
-        return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
-
-    def quad_form(self, vec: np.ndarray) -> float:
-        """``vec^T gamma^{-1} vec`` as a sum of squares (always >= 0), single ``theta``."""
-        half = np.linalg.solve(self.chol, vec)
-        return float(np.dot(half, half))
 
 
 def _jittered_cholesky(gamma: np.ndarray, block_id: int):
@@ -213,26 +198,3 @@ def conditional_moments(local: LocalGram, phi_star, s, gamma_mix: float, noise_v
     mean = gamma_mix * basis_mean + (1.0 - gamma_mix) * np.sum(h * w, axis=-2)
     variance = (1.0 - gamma_mix**2) * noise_variance * np.sum(h * h, axis=-2)
     return mean, variance
-
-
-def test_conditional(
-    x_star, local: LocalGram, alpha: AlphaVector, gamma_mix: float, cfg: SpectralConfig
-) -> PredictiveMoments:
-    """Predictive mean and variance at ``x_star`` for one latent sample: the
-    one-draw, one-point view of :func:`conditional_moments`.
-
-    The caller must pass the same ``theta`` (inside ``alpha``) that was
-    used to build ``local``; the function cannot verify that.
-
-    Raises
-    ------
-    ContractError
-        If ``|gamma_mix| > 1``, which would produce a negative variance.
-    """
-    if not np.isfinite(gamma_mix) or abs(gamma_mix) > 1.0:
-        raise ContractError(f"gamma_mix must lie in [-1, 1], got {gamma_mix!r}")
-    phi = basis_vector(x_star, alpha.theta, cfg)
-    mean, variance = conditional_moments(
-        local, phi[:, None], alpha.s, gamma_mix, cfg.noise_variance
-    )
-    return PredictiveMoments(mean=float(mean[0]), variance=float(variance[0]))

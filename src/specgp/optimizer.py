@@ -8,9 +8,12 @@ only under ``learn_variances``.  Updates follow a Robbins-Monro schedule
 adaptive mode (AdaGrad) rescales each moved coordinate by the square root
 of its accumulated squared gradients (floored at 1e-8), which makes the
 step size insensitive to the raw gradient magnitude.  An update that would
-push the exact reciprocal condition number of ``M`` below 1e-13 is
-rejected and retried with half the step, up to five times, after which
-training aborts.
+leave ``(M, b)`` non-finite or push the exact reciprocal condition number
+of ``M`` below 1e-13 is rejected and retried with half the step, up to
+five times, after which training aborts.  A non-finite gradient, or a
+log-variance update that does not give a positive finite variance, aborts
+at once; every abort is a :class:`~specgp.errors.NumericalError` naming
+the iteration.
 
 Every iteration draws its Monte-Carlo sample seed deterministically from
 ``(seed, iteration)``, so a run is bit-reproducible and a checkpoint can
@@ -146,21 +149,23 @@ def _accumulator_size(dim: int, tcfg: TrainConfig) -> int:
 
 
 def _attempt_update(state, direction_m, direction_b, rho, iteration):
-    """Apply the step, halving it while the new M looks singular."""
+    """Apply the step, halving it while the new (M, b) is not finite or M
+    looks singular."""
     step = rho
     for _ in range(MAX_STEP_RETRIES + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = state.M + step * direction_m
+            b = state.b + step * direction_b
         try:
-            candidate = VariationalState(
-                state.M + step * direction_m, state.b + step * direction_b
-            )
+            candidate = VariationalState(M, b)
             if candidate.rcond >= RCOND_GUARD:
                 return candidate, step
-        except NumericalError:
+        except (ContractError, NumericalError):  # non-finite (M, b), or M singular
             pass
         step *= 0.5
     raise NumericalError(
-        f"iteration {iteration}: update kept M numerically singular "
-        f"(rcond < {RCOND_GUARD:g}) after {MAX_STEP_RETRIES} halvings"
+        f"iteration {iteration}: update kept (M, b) non-finite or M numerically "
+        f"singular (rcond < {RCOND_GUARD:g}) after {MAX_STEP_RETRIES} halvings"
     )
 
 
@@ -196,6 +201,8 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
         started = time.perf_counter()
         plan_t = replace(tcfg.plan, rng_seed=_iteration_seed(tcfg.seed, t))
         grad = grad_source(plan_t, data, state, prior, cfg)
+        if not np.all(np.isfinite(grad[:n_moved])):
+            raise NumericalError(f"iteration {t}: the stochastic gradient is not finite")
         rho = tcfg.schedule.step_size(t)
         gradient_norm = float(np.linalg.norm(grad[:n_eta]))
         direction = grad[:n_moved]
@@ -207,11 +214,14 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
         if tcfg.learn_variances:
             log_noise = np.log(cfg.noise_variance) + step_used * direction[n_eta]
             log_signal = np.log(cfg.signal_variance) + step_used * direction[n_eta + 1]
-            cfg = replace(
-                cfg,
-                noise_variance=float(np.exp(log_noise)),
-                signal_variance=float(np.exp(log_signal)),
-            )
+            with np.errstate(over="ignore"):
+                noise, signal = float(np.exp(log_noise)), float(np.exp(log_signal))
+            if not (0.0 < noise < np.inf and 0.0 < signal < np.inf):
+                raise NumericalError(
+                    f"iteration {t}: the log-variance update gave noise_variance={noise!r}, "
+                    f"signal_variance={signal!r}"
+                )
+            cfg = replace(cfg, noise_variance=noise, signal_variance=signal)
 
         elbo = None
         if tcfg.elbo_every > 0 and (t + 1) % tcfg.elbo_every == 0:

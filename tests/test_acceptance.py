@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import specgp as sg
-from specgp.gradcheck import check_kl_gradient, check_partition_term
+from specgp.gradcheck import check_kl_gradient, check_stochastic_gradient
 from specgp.gradient import draw_sample_sets, eta_views
+from specgp.localmodel import conditional_moments
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,26 +65,42 @@ def test_ac1_monte_carlo_kernel_matches_squared_exponential():
 
 
 def test_ac2_analytic_gradients_match_finite_differences():
-    """Both gradient paths pass central-difference checks at 1e-5 relative
-    error on 100 random instances in under 60 s: the data term against the
-    block log likelihood, the KL term against the exact KL divergence."""
+    """Both gradient checks pass at 1e-5 relative error on 100 random
+    instances in under 60 s: the whole stochastic gradient, in all D^2+D+2
+    entries, against central differences of the sampled bound it estimates
+    (its plan's block log likelihoods minus the exact KL), and the KL term
+    against the exact KL divergence."""
     started = time.perf_counter()
-    data_term = check_partition_term(seed=0, instances=100)
+    whole = check_stochastic_gradient(seed=0, instances=100)
     kl_term = check_kl_gradient(seed=0, instances=100)
-    assert data_term.tol <= 1e-5 and kl_term.tol <= 1e-5
-    assert data_term.passed, f"data term max rel err {data_term.max_rel_err:.3e}"
+    assert whole.tol <= 1e-5 and kl_term.tol <= 1e-5
+    assert whole.passed, f"stochastic gradient max rel err {whole.max_rel_err:.3e}"
     assert kl_term.passed, f"KL term max rel err {kl_term.max_rel_err:.3e}"
     assert time.perf_counter() - started < 60.0
 
 
+def _partition(X, y, rows):
+    """The rows ``X[r], y[r]`` of each ``r`` in ``rows`` as one block each."""
+    return sg.PartitionedDataset(
+        blocks=[(X[r], y[r]) for r in rows],
+        centroids=np.array([X[r].mean(axis=0) for r in rows]),
+        block_indices=list(rows),
+    )
+
+
 def test_ac3_block_gradients_sum_to_full_data_gradient():
     """Summing per-block data-term gradients reproduces the whole-dataset
-    gradient to 1e-10, the enumerated single-index estimator averages to the
-    same value, and the whole-dataset gradient matches finite differences of
-    the log likelihood."""
+    gradient to 1e-10, the single-index estimator on the blocked data is p
+    times its drawn block's term and, enumerated over every index, averages
+    to the same value, and the whole-dataset gradient matches finite
+    differences of the log likelihood.  A block's term is the stochastic
+    gradient on that block alone plus the KL gradient: under one plan every
+    dataset shares the plan's z, which does not depend on the block count."""
     rng = np.random.default_rng(3)
     cfg = sg.SpectralConfig(d=2, m=2, signal_variance=1.1, noise_variance=0.07)
     dim = cfg.alpha_dim
+    n_eta = dim * (dim + 1)
+    prior = sg.PriorSpec.from_lengthscales(np.array([0.5, 0.8]), cfg)
 
     for p in (1, 2, 3, 4):
         n = 4 * p + 1
@@ -93,22 +110,28 @@ def test_ac3_block_gradients_sum_to_full_data_gradient():
             np.eye(dim) + 0.05 * rng.standard_normal((dim, dim)),
             0.2 * rng.standard_normal(dim),
         )
-        z = rng.standard_normal(dim)
-        alpha = sg.transform(state, z, cfg)
-        whole = sg.partition_term(y, X, alpha, state, z, cfg)
+        plan = sg.GradientSamplePlan(1, 1, rng_seed=p)
+        kl = np.concatenate([g.ravel() for g in sg.kl_term_gradient(state, prior, cfg)])
 
+        def estimate(data):
+            return sg.stochastic_gradient(plan, data, state, prior, cfg)[:n_eta] + kl
+
+        whole = estimate(_partition(X, y, [np.arange(n)]))
         cuts = np.sort(rng.choice(np.arange(1, n), size=p - 1, replace=False))
         rows = np.split(np.arange(n), cuts)
-        terms = [sg.partition_term(y[r], X[r], alpha, state, z, cfg) for r in rows]
+        terms = [estimate(_partition(X, y, [r])) for r in rows]
 
         assert _max_rel_err(sum(terms), whole) <= 1e-10
 
-        # Exhaustive index enumeration: the single-index estimator p * F_i,
-        # averaged over every index, is the block sum again.
+        # The estimator on the p blocks draws one index and scales its term
+        # by p; averaged over every index, that estimator is the block sum.
+        index = int(draw_sample_sets(plan, p, dim)[0][0])
+        assert _max_rel_err(estimate(_partition(X, y, rows)), p * terms[index]) <= 1e-10
         enum = np.mean([p * t for t in terms], axis=0)
         assert _max_rel_err(enum, whole) <= 1e-10
 
         if p == 3:
+            z = draw_sample_sets(plan, 1, dim)[1][0]
             step = 1e-6
             fd = np.empty_like(whole)
             fd_m, fd_b = eta_views(fd, dim)
@@ -136,9 +159,10 @@ def test_ac3_block_gradients_sum_to_full_data_gradient():
 
 def test_ac4_single_sample_gradient_estimates_are_unbiased():
     """Over 2e4 single-sample draws, each coordinate of the stochastic
-    data-term gradient stays within 4 standard errors of the exhaustive
-    block-enumeration reference computed at the same z, in under 5 minutes.
-    The KL term is identical in both and cancels from the comparison."""
+    gradient on p blocks stays within 4 standard errors of the gradient on
+    one block of all rows under the same plan (so the same z), in under 5
+    minutes.  The KL term is identical in both and cancels from the
+    comparison."""
     started = time.perf_counter()
     rng = np.random.default_rng(4)
     cfg = sg.SpectralConfig(d=2, m=2, signal_variance=1.3, noise_variance=0.05)
@@ -147,20 +171,20 @@ def test_ac4_single_sample_gradient_estimates_are_unbiased():
 
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
     y = rng.standard_normal(n)
-    rows = np.split(rng.permutation(n), p)
+    blocked = _partition(X, y, np.split(rng.permutation(n), p))
+    whole = _partition(X, y, [np.arange(n)])
     state = sg.VariationalState(
         np.eye(dim) + 0.1 * rng.standard_normal((dim, dim)),
         0.3 * rng.standard_normal(dim),
     )
+    prior = sg.PriorSpec.from_lengthscales(np.array([0.6, 1.2]), cfg)
 
-    diffs = np.empty((draws, dim * dim + dim))
+    diffs = np.empty((draws, dim * dim + dim + 2))
     for t in range(draws):
         plan = sg.GradientSamplePlan(1, 1, rng_seed=t)
-        indices, z_draws = draw_sample_sets(plan, p, dim)
-        z = z_draws[0]
-        alpha = sg.transform(state, z, cfg)
-        terms = [sg.partition_term(y[r], X[r], alpha, state, z, cfg) for r in rows]
-        diffs[t] = p * terms[int(indices[0])] - sum(terms)
+        diffs[t] = sg.stochastic_gradient(plan, blocked, state, prior, cfg) - sg.stochastic_gradient(
+            plan, whole, state, prior, cfg
+        )
 
     mean = diffs.mean(axis=0)
     stderr = diffs.std(axis=0, ddof=1) / np.sqrt(draws)
@@ -253,16 +277,19 @@ def test_ac8_mixing_identities_hold_in_closed_form():
         x_star = rng.uniform(-1.0, 1.0, size=d)
         phi = sg.basis_vector(x_star, theta, cfg)
 
-        mu_bar = local.solve(local.phi_y)
+        half_mu = np.linalg.solve(local.chol, local.phi_y)
+        mu_bar = np.linalg.solve(local.chol.T, half_mu)
         local_mean = float(phi @ mu_bar)
-        quad = local.quad_form(phi)
+        half_phi = np.linalg.solve(local.chol, phi)
+        quad = float(half_phi @ half_phi)
         base_variance = cfg.noise_variance * quad
-        alpha = sg.AlphaVector.from_flat(np.concatenate([theta, mu_bar]), cfg)
 
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            mom = sg.test_conditional(x_star, local, alpha, gamma, cfg)
-            assert abs(mom.mean - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
-            recovered = mom.variance + gamma**2 * cfg.noise_variance * quad
+            mean, variance = conditional_moments(
+                local, phi[:, None], mu_bar, gamma, cfg.noise_variance
+            )
+            assert abs(mean[0] - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
+            recovered = variance[0] + gamma**2 * cfg.noise_variance * quad
             assert abs(recovered - base_variance) <= 1e-8 * max(
                 1.0, abs(base_variance)
             )

@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specgp
 import specgp.cli as cli
 import specgp.config as run_config
 from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(specgp.__file__)))
 
 
 def run_cli(argv, capsys):
@@ -233,10 +239,10 @@ def test_gradcheck_command_passes(capsys):
     code, out, err = run_cli(["gradcheck", "--instances", "5", "--seed", "0"], capsys)
     assert code == 0, err
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert all(line.startswith("PASS") for line in lines)
     names = {line.split()[1].rstrip(":") for line in lines}
-    assert names == {"partition_term", "kl_term_gradient", "variance_gradients"}
+    assert names == {"stochastic_gradient", "kl_term_gradient"}
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])
@@ -273,6 +279,48 @@ def test_gradcheck_failure_exits_numerical(capsys, monkeypatch):
     assert code == 4
     assert out.startswith("FAIL")
     assert err.strip() == "specgp: numerical: gradient check failed"
+
+
+def test_learned_variance_overflow_exits_numerical(tmp_path, capsys):
+    # raw-gradient steps on log noise_variance overflow its exp at once
+    data = make_synth_csv(tmp_path, capsys, n=2000, d=2, m_true=5, seed=10)
+    model_path = tmp_path / "model.json"
+    code, out, err = run_cli(
+        [
+            "train", "--data", data, "--model", str(model_path),
+            "--no-adaptive", "--learn-variances",
+            "--m", "5", "--p", "20", "--iterations", "200",
+        ],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("specgp: numerical: iteration 0:")
+    assert "noise_variance=inf" in err
+    assert not model_path.exists()
+
+
+def test_overflowing_step_exits_numerical(tmp_path, capsys):
+    # the first step leaves a huge but finite M, whose next gradient
+    # overflows; a fresh interpreter runs the command because the suite
+    # turns the gradient's overflow warnings into errors
+    data = make_synth_csv(tmp_path, capsys, n=2000, d=2, m_true=5, seed=10)
+    model_path = tmp_path / "model.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "specgp.cli", "train", "--data", data,
+            "--model", str(model_path), "--no-adaptive", "--base-step", "1e300",
+            "--iterations", "50", "--m", "5", "--p", "20",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("specgp: numerical: iteration ")
+    assert not model_path.exists()
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -5,12 +5,18 @@ from specgp import (
     ContractError,
     DataError,
     Dataset,
+    PriorSpec,
     SpectralConfig,
     Standardization,
+    TrainedModel,
     feature_matrix,
     identity_standardization,
+    initial_state,
+    kmeans_partition,
     load_csv,
+    load_model,
     save_csv,
+    save_model,
     split_indices,
     synth_ssgp,
 )
@@ -175,6 +181,33 @@ def test_standardization_constant_column():
     np.testing.assert_allclose(std.apply_x(X)[:, 0], 0.0, atol=1e-15)
     with pytest.raises(DataError):
         Standardization.fit(np.zeros((0, 2)), np.zeros(0))
+
+
+def test_standardization_without_constant_columns_round_trips(tmp_path):
+    # constant_columns defaults to none, one flag per input column, so a
+    # model built without it saves and loads
+    rng = np.random.default_rng(3)
+    cfg = SpectralConfig(d=2, m=2, signal_variance=1.0, noise_variance=0.2)
+    X = rng.normal(size=(12, 2))
+    y = rng.normal(size=12)
+    prior = PriorSpec.for_inputs(X, cfg)
+    std = Standardization(
+        x_mean=np.array([0.5, -1.0]), x_scale=np.array([2.0, 0.25]), y_mean=3.0, y_scale=1.5
+    )
+    np.testing.assert_array_equal(std.constant_columns, [False, False])
+    model = TrainedModel(
+        state=initial_state(prior, cfg, seed=0),
+        prior=prior,
+        spectral=cfg,
+        partition=kmeans_partition(X, y, p=2, seed=0),
+        standardization=std,
+    )
+    path = str(tmp_path / "model.json")
+    save_model(path, model)
+    loaded = load_model(path).standardization
+    for name in ("x_mean", "x_scale", "constant_columns"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(std, name))
+    assert (loaded.y_mean, loaded.y_scale) == (std.y_mean, std.y_scale)
 
 
 def test_identity_standardization_is_noop():

@@ -1,0 +1,25 @@
+"""The gradient check can fail: a relative 1e-4 error in any one part of
+the stochastic gradient is caught."""
+
+import pytest
+
+import specgp.gradient as gradient
+from specgp.gradcheck import check_stochastic_gradient
+
+REL = 1e-4
+
+# part -> (kernel in specgp.gradient, how to perturb its output)
+PERTURBATIONS = {
+    "eta_data_part": ("_data_term", lambda g_alpha, v_sq: (g_alpha * (1.0 + REL), v_sq)),
+    "d_log_noise": ("_dlog_variances", lambda noise, signal: (noise * (1.0 + REL), signal)),
+    "d_log_signal": ("_dlog_variances", lambda noise, signal: (noise, signal * (1.0 + REL))),
+}
+
+
+@pytest.mark.parametrize("part", sorted(PERTURBATIONS))
+def test_gradcheck_fails_a_perturbed_gradient(monkeypatch, part):
+    name, perturb = PERTURBATIONS[part]
+    original = getattr(gradient, name)
+    monkeypatch.setattr(gradient, name, lambda *args: perturb(*original(*args)))
+    result = check_stochastic_gradient(seed=0, instances=5)
+    assert not result.passed, f"{part}: max rel err {result.max_rel_err:.3e}"

@@ -17,12 +17,10 @@ from specgp import (
     kl_divergence,
     kl_term_gradient,
     log_likelihood,
-    partition_term,
     stochastic_gradient,
     transform,
-    variance_gradients,
 )
-from specgp.gradient import eta_views
+from specgp.gradient import _data_term, eta_views
 
 
 def make_cfg(d=2, m=2, ss2=1.3, sn2=0.4):
@@ -52,6 +50,26 @@ def make_dataset(rng, cfg, sizes):
         [X.mean(axis=0) if len(X) else np.zeros(cfg.d) for X, _ in blocks]
     )
     return PartitionedDataset(blocks=blocks, centroids=centroids, block_indices=indices)
+
+
+def one_block(X, y):
+    return PartitionedDataset(
+        blocks=[(X, y)], centroids=X.mean(axis=0)[None, :], block_indices=[np.arange(len(y))]
+    )
+
+
+def plan_z(plan, dim):
+    """The z draw of a one-draw plan, the same for any dataset."""
+    return draw_sample_sets(plan, 1, dim)[1][0]
+
+
+def partition_term(plan, X, y, state, prior, cfg):
+    """One block's data-term gradient in ``(M, b)`` at the plan's z, flat as
+    ``[vec(M) row-major, b]``: the estimate on that block alone plus the KL
+    gradient it subtracts."""
+    n_eta = state.dim * (state.dim + 1)
+    kl = np.concatenate([g.ravel() for g in kl_term_gradient(state, prior, cfg)])
+    return stochastic_gradient(plan, one_block(X, y), state, prior, cfg)[:n_eta] + kl
 
 
 def eta_finite_difference(objective, state, step=1e-6):
@@ -132,45 +150,48 @@ def test_log_likelihood_perfect_fit():
 def test_partition_term_zero_residual():
     cfg = make_cfg()
     rng = np.random.default_rng(4)
+    prior = random_prior(rng, cfg)
     state = random_state(rng, cfg.alpha_dim)
-    z = rng.normal(size=cfg.alpha_dim)
-    alpha = transform(state, z, cfg)
+    plan = GradientSamplePlan(1, 1, rng_seed=4)
+    alpha = transform(state, plan_z(plan, cfg.alpha_dim), cfg)
     X = rng.normal(size=(6, cfg.d))
     y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
-    grad = partition_term(y, X, alpha, state, z, cfg)
+    grad = partition_term(plan, X, y, state, prior, cfg)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
 
 def test_partition_term_s_block_closed_form():
-    # with z = 0 the offset gradient is the alpha gradient; its amplitude
-    # block is Phi v / sigma_n^2
+    # the offset gradient is the alpha gradient, whose amplitude block is
+    # Phi v / sigma_n^2, and the M gradient is its outer product with z
     cfg = make_cfg()
     rng = np.random.default_rng(5)
+    prior = random_prior(rng, cfg)
     state = random_state(rng, cfg.alpha_dim)
-    z = np.zeros(cfg.alpha_dim)
+    plan = GradientSamplePlan(1, 1, rng_seed=5)
+    z = plan_z(plan, cfg.alpha_dim)
     alpha = transform(state, z, cfg)
     X = rng.normal(size=(7, cfg.d))
     y = rng.normal(size=7)
-    grad_m, grad_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
+    grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), cfg.alpha_dim)
     Phi = feature_matrix(X, alpha.theta, cfg)
     v = y - Phi.T @ alpha.s
     np.testing.assert_allclose(
         grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
     )
-    # z = 0 kills the M part entirely
-    np.testing.assert_allclose(grad_m, 0.0, atol=1e-12)
+    np.testing.assert_allclose(grad_m, np.outer(grad_b, z), rtol=1e-10, atol=1e-12)
 
 
 def test_partition_term_finite_differences():
     rng = np.random.default_rng(6)
-    for _ in range(5):
+    for trial in range(5):
         cfg = make_cfg(d=int(rng.integers(1, 3)), m=int(rng.integers(1, 3)))
+        prior = random_prior(rng, cfg)
         state = random_state(rng, cfg.alpha_dim)
-        z = rng.normal(size=cfg.alpha_dim)
+        plan = GradientSamplePlan(1, 1, rng_seed=trial)
+        z = plan_z(plan, cfg.alpha_dim)
         X = rng.normal(size=(8, cfg.d))
         y = rng.normal(size=8)
-        alpha = transform(state, z, cfg)
-        grad_m, grad_b = eta_views(partition_term(y, X, alpha, state, z, cfg), state.dim)
+        grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), state.dim)
 
         def objective(M, b):
             a = transform(VariationalState(M, b), z, cfg)
@@ -188,15 +209,15 @@ def test_blockwise_terms_sum_to_whole():
     # the concatenated data
     cfg = make_cfg()
     rng = np.random.default_rng(7)
+    prior = random_prior(rng, cfg)
     state = random_state(rng, cfg.alpha_dim)
-    z = rng.normal(size=cfg.alpha_dim)
-    alpha = transform(state, z, cfg)
+    plan = GradientSamplePlan(1, 1, rng_seed=7)
     X = rng.normal(size=(20, cfg.d))
     y = rng.normal(size=20)
-    whole = partition_term(y, X, alpha, state, z, cfg)
+    whole = partition_term(plan, X, y, state, prior, cfg)
     cuts = [0, 5, 9, 16, 20]
     total = sum(
-        partition_term(y[a:b], X[a:b], alpha, state, z, cfg) for a, b in zip(cuts, cuts[1:])
+        partition_term(plan, X[a:b], y[a:b], state, prior, cfg) for a, b in zip(cuts, cuts[1:])
     )
     scale = max(1.0, np.abs(whole).max())
     assert np.abs(total - whole).max() / scale <= 1e-10
@@ -223,7 +244,8 @@ def test_plan_validation():
 
 
 def test_stochastic_gradient_single_partition_exact():
-    # p = 1, a = b = 1: the estimate equals p*F_0(z) - klgrad exactly
+    # p = 1, a = b = 1: the estimate is the one-draw data-term gradient
+    # g_alpha pushed through alpha = M z + b, minus the KL gradient
     cfg = make_cfg()
     rng = np.random.default_rng(8)
     prior = random_prior(rng, cfg)
@@ -231,37 +253,13 @@ def test_stochastic_gradient_single_partition_exact():
     data = make_dataset(rng, cfg, [9])
     plan = GradientSamplePlan(1, 1, rng_seed=5)
     est = stochastic_gradient(plan, data, state, prior, cfg)
-    _, z_draws = draw_sample_sets(plan, 1, cfg.alpha_dim)
-    z = z_draws[0]
-    alpha = transform(state, z, cfg)
+    z = plan_z(plan, cfg.alpha_dim)
     X, y = data.blocks[0]
-    f_m, f_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
+    g_alpha, _ = _data_term(y, X, transform(state, z, cfg), cfg)
     km, kb = kl_term_gradient(state, prior, cfg)
     est_m, est_b = eta_views(est, cfg.alpha_dim)
-    np.testing.assert_allclose(est_m, f_m - km, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(est_b, f_b - kb, rtol=1e-12, atol=1e-12)
-
-
-def test_stochastic_gradient_exhaustive_enumeration():
-    # averaging p*F_i over every index with a fixed z equals the sum of the
-    # per-block terms
-    cfg = make_cfg()
-    rng = np.random.default_rng(9)
-    prior = random_prior(rng, cfg)
-    state = random_state(rng, cfg.alpha_dim)
-    for p in (2, 3, 4):
-        data = make_dataset(rng, cfg, [int(rng.integers(2, 8)) for _ in range(p)])
-        z = rng.normal(size=cfg.alpha_dim)
-        alpha = transform(state, z, cfg)
-        mean = np.zeros(cfg.alpha_dim * (cfg.alpha_dim + 1))
-        total = np.zeros_like(mean)
-        for i in range(p):
-            X, y = data.blocks[i]
-            f = partition_term(y, X, alpha, state, z, cfg)
-            mean += p * f / p
-            total += f
-        scale = max(1.0, np.abs(total).max())
-        assert np.abs(mean - total).max() / scale <= 1e-10
+    np.testing.assert_allclose(est_m, np.outer(g_alpha, z) - km, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(est_b, g_alpha - kb, rtol=1e-12, atol=1e-12)
 
 
 def test_stochastic_gradient_determinism_and_finiteness():
@@ -309,12 +307,13 @@ def test_batched_gradient_matches_explicit_draw_block_sum():
         alpha = transform(state, z, cfg)
         for i in indices:
             X, y = data.blocks[i]
-            f_m, f_b = eta_views(partition_term(y, X, alpha, state, z, cfg), cfg.alpha_dim)
-            ref_m += scale * f_m
-            ref_b += scale * f_b
-            ref_noise += scale * variance_gradients(y, X, alpha, state, cfg)[0]
-    X, y = data.blocks[0]
-    ref_signal = variance_gradients(y, X, alpha, state, cfg)[1]
+            g_alpha, v_sq = _data_term(y, X, alpha, cfg)
+            ref_m += scale * np.outer(g_alpha, z)
+            ref_b += scale * g_alpha
+            ref_noise += scale * (0.5 * v_sq / cfg.noise_variance - 0.5 * y.size)
+    # 0.5 m sum_i E_q[s_i^2] / signal_variance - m over the weights
+    s_sq = (np.diag(state.M @ state.M.T) + state.b**2)[cfg.theta_dim :]
+    ref_signal = 0.5 * cfg.m * np.sum(s_sq) / cfg.signal_variance - cfg.m
     assert_rel_close(grad_m, ref_m)
     assert_rel_close(grad_b, ref_b)
     assert_rel_close(d_noise, ref_noise)
@@ -353,28 +352,24 @@ def test_stochastic_gradient_variance_shrinks_with_samples():
 
 
 def test_stochastic_gradient_unbiased_small():
-    # sample mean over many single-sample estimates approaches the
-    # exhaustive reference that shares the same z draws
+    # the sample mean of single-sample estimates on p blocks approaches the
+    # estimate on one block of all rows under the same plans (same z draws)
     cfg = make_cfg(d=1, m=1, sn2=0.5)
     rng = np.random.default_rng(12)
     prior = random_prior(rng, cfg)
     state = random_state(rng, cfg.alpha_dim)
-    p = 3
     data = make_dataset(rng, cfg, [4, 6, 5])
+    whole = one_block(
+        np.concatenate([X for X, _ in data.blocks]), np.concatenate([y for _, y in data.blocks])
+    )
     T = 3000
     diffs = []
     for t in range(T):
         plan = GradientSamplePlan(1, 1, rng_seed=t)
-        indices, z_draws = draw_sample_sets(plan, p, cfg.alpha_dim)
-        z = z_draws[0]
-        alpha = transform(state, z, cfg)
-        X, y = data.blocks[indices[0]]
-        est = partition_term(y, X, alpha, state, z, cfg)
-        ref = np.zeros_like(est)
-        for i in range(p):
-            Xi, yi = data.blocks[i]
-            ref += partition_term(yi, Xi, alpha, state, z, cfg)
-        diffs.append(p * est - ref)
+        diffs.append(
+            stochastic_gradient(plan, data, state, prior, cfg)
+            - stochastic_gradient(plan, whole, state, prior, cfg)
+        )
     diffs = np.array(diffs)
     mean = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(T)

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,27 @@ from specgp import (
     build_local_gram,
     feature_matrix,
 )
-from specgp import test_conditional as conditional
 from specgp.localmodel import _jittered_cholesky, _stacked_cholesky, conditional_moments
 
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
     return SpectralConfig(d=d, m=m, signal_variance=ss2, noise_variance=sn2)
+
+
+Moments = namedtuple("Moments", "mean variance")
+
+
+def conditional(x_star, local, alpha, gamma_mix, cfg):
+    """Mean and variance for one draw at one point: the batched conditional
+    on a single ``basis_vector`` column."""
+    phi = basis_vector(x_star, alpha.theta, cfg)[:, None]
+    mean, variance = conditional_moments(local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    return Moments(float(mean[0]), float(variance[0]))
+
+
+def gram_solve(local, rhs):
+    """``Gamma^{-1} rhs`` through the block's Cholesky factor."""
+    return np.linalg.solve(local.chol.T, np.linalg.solve(local.chol, rhs))
 
 
 def random_block(rng, cfg, n_k):
@@ -78,20 +95,6 @@ def test_gram_symmetry_and_cholesky_reconstruction():
         assert np.linalg.eigvalsh(local.gamma).min() > 0
 
 
-def test_gram_solve_matches_dense_solve():
-    rng = np.random.default_rng(3)
-    cfg = make_cfg(m=4)
-    X, y, theta = random_block(rng, cfg, 20)
-    local = build_local_gram(X, y, theta, cfg)
-    rhs = rng.normal(size=cfg.num_features)
-    np.testing.assert_allclose(
-        local.solve(rhs), np.linalg.solve(local.gamma, rhs), rtol=1e-9, atol=1e-12
-    )
-    quad = local.quad_form(rhs)
-    assert quad == pytest.approx(rhs @ np.linalg.solve(local.gamma, rhs), rel=1e-9)
-    assert quad >= 0.0
-
-
 def test_matrix_inversion_lemma_identity():
     # sigma_n^-2 (I - Phi' Gamma^-1 Phi) equals (Phi' Lambda Phi + sigma_n^2 I)^-1
     rng = np.random.default_rng(4)
@@ -101,23 +104,12 @@ def test_matrix_inversion_lemma_identity():
         X, y, theta = random_block(rng, cfg, n_k)
         local = build_local_gram(X, y, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
-        left = (np.eye(n_k) - Phi.T @ local.solve(Phi)) / cfg.noise_variance
+        left = (np.eye(n_k) - Phi.T @ gram_solve(local, Phi)) / cfg.noise_variance
         right = np.linalg.inv(
             Phi.T @ (cfg.lambda_diag * Phi) + cfg.noise_variance * np.eye(n_k)
         )
         rel = np.linalg.norm(left - right) / np.linalg.norm(right)
         assert rel <= 1e-8
-
-
-def test_conditional_rejects_bad_gamma():
-    cfg = make_cfg()
-    rng = np.random.default_rng(5)
-    X, y, theta = random_block(rng, cfg, 8)
-    local = build_local_gram(X, y, theta, cfg)
-    alpha = AlphaVector.from_flat(rng.normal(size=cfg.alpha_dim), cfg)
-    for bad in (1.0001, -1.5, np.inf, np.nan):
-        with pytest.raises(ContractError):
-            conditional(X[0], local, alpha, bad, cfg)
 
 
 def test_conditional_gamma_one_degenerate():
@@ -192,9 +184,9 @@ def test_marginalization_identities():
         local = build_local_gram(X, y, theta, cfg)
         x_star = rng.normal(size=cfg.d)
         phi = basis_vector(x_star, theta, cfg)
-        mu_bar = local.solve(local.phi_y)
+        mu_bar = gram_solve(local, local.phi_y)
         base = float(phi @ mu_bar)
-        quad = cfg.noise_variance * local.quad_form(phi)
+        quad = cfg.noise_variance * float(phi @ gram_solve(local, phi))
         for gm in (-1.0, -0.5, 0.0, 0.5, 1.0):
             mom = conditional(x_star, local, AlphaVector(theta=theta, s=mu_bar), gm, cfg)
             # mean at s = E[s] equals the closed-form expectation of the mean

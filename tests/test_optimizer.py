@@ -21,11 +21,11 @@ from specgp import (
     load_checkpoint,
     log_likelihood,
     resume_training,
+    stochastic_gradient,
     train,
     transform,
-    variance_gradients,
 )
-from specgp.localmodel import AlphaVector
+from specgp.gradient import draw_sample_sets
 
 
 def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
@@ -391,30 +391,78 @@ def test_unrecoverable_singularity_aborts():
         )
 
 
+def test_overflowing_update_is_a_rejected_step():
+    # a finite step that overflows (M, b) halves like a singular one
+    cfg, data, prior = tiny_problem()
+    D = cfg.alpha_dim
+
+    def huge(plan, data, state, prior, cfg):
+        return flat_gradient(np.zeros((D, D)), np.full(D, 1e150))
+
+    init = VariationalState(np.eye(D), np.zeros(D))
+    with pytest.raises(NumericalError, match="iteration 0: .*non-finite.*halvings"):
+        train(
+            data, init, prior, cfg,
+            TrainConfig(iterations=1, schedule=StepSchedule(base_step=1e170)),
+            gradient_fn=huge,
+        )
+    # one halving brings it back into range
+    result = train(
+        data, init, prior, cfg,
+        TrainConfig(iterations=1, schedule=StepSchedule(base_step=2e158)),
+        gradient_fn=huge,
+    )
+    assert result.trace[0].step_size == 1e158
+    assert np.all(np.isfinite(result.state.b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_aborts(bad):
+    cfg, data, prior = tiny_problem()
+    D = cfg.alpha_dim
+
+    def broken(plan, data, state, prior, cfg):
+        grad = flat_gradient(np.zeros((D, D)), np.zeros(D))
+        grad[1] = bad
+        return grad
+
+    with pytest.raises(NumericalError, match="iteration 0: the stochastic gradient is not finite"):
+        train(
+            data, initial_state(prior, cfg, seed=0), prior, cfg,
+            TrainConfig(iterations=3), gradient_fn=broken,
+        )
+
+
+def one_block_variance_gradients(X, y, state, prior, cfg, plan):
+    """``(d_log_noise, d_log_signal)`` of the estimate on one block with one
+    draw, and that draw's alpha."""
+    data = kmeans_partition(X, y, p=1, seed=0)
+    d_noise, d_signal = stochastic_gradient(plan, data, state, prior, cfg)[-2:]
+    alpha = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
+    return d_noise, d_signal, alpha
+
+
 def test_variance_gradients_zero_residual():
     cfg = SpectralConfig(d=2, m=3, signal_variance=1.5, noise_variance=0.3)
     rng = np.random.default_rng(6)
-    alpha = AlphaVector(
-        theta=rng.normal(size=cfg.theta_dim), s=rng.normal(size=cfg.num_features)
-    )
+    state = VariationalState(np.eye(cfg.alpha_dim), rng.normal(size=cfg.alpha_dim))
     X = rng.normal(size=(11, 2))
+    prior = PriorSpec.for_inputs(X, cfg)
+    plan = GradientSamplePlan(1, 1, rng_seed=6)
+    alpha = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
     y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
-    state = VariationalState(np.eye(cfg.alpha_dim), alpha.flat)
-    d_noise, _ = variance_gradients(y, X, alpha, state, cfg)
+    d_noise, _, _ = one_block_variance_gradients(X, y, state, prior, cfg, plan)
     assert d_noise == pytest.approx(-0.5 * 11, rel=1e-12)
 
 
 def test_variance_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     step = 1e-6
-    for _ in range(5):
+    for trial in range(5):
         cfg = SpectralConfig(
             d=2, m=2,
             signal_variance=float(rng.uniform(0.5, 2.0)),
             noise_variance=float(rng.uniform(0.1, 0.8)),
-        )
-        alpha = AlphaVector(
-            theta=rng.normal(size=cfg.theta_dim), s=rng.normal(size=cfg.num_features)
         )
         X = rng.normal(size=(9, 2))
         y = rng.normal(size=9)
@@ -422,7 +470,10 @@ def test_variance_gradients_match_finite_differences():
         state = VariationalState(
             0.5 * np.eye(D) + 0.1 * rng.normal(size=(D, D)), rng.normal(size=D)
         )
-        d_noise, d_signal = variance_gradients(y, X, alpha, state, cfg)
+        plan = GradientSamplePlan(1, 1, rng_seed=trial)
+        d_noise, d_signal, alpha = one_block_variance_gradients(
+            X, y, state, PriorSpec.for_inputs(X, cfg), cfg, plan
+        )
 
         def loglik_at(log_sn2):
             from dataclasses import replace

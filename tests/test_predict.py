@@ -20,7 +20,8 @@ from specgp import (
     rmse,
     transform,
 )
-from specgp import test_conditional as conditional
+from specgp.features import basis_vector
+from specgp.localmodel import conditional_moments
 
 
 def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
@@ -37,6 +38,14 @@ def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
     return TrainedModel(state=state, prior=prior, spectral=cfg, partition=partition)
 
 
+def one_point_moments(x, local, alpha, gamma_mix, cfg):
+    """Predictive mean and variance for one draw at one point, from the
+    scalar ``basis_vector`` features."""
+    phi = basis_vector(x, alpha.theta, cfg)[:, None]
+    mean, variance = conditional_moments(local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    return float(mean[0]), float(variance[0])
+
+
 def loop_reference(X_star, model, pcfg):
     """Re-derive the batch output one sample and one point at a time."""
     cfg = model.spectral
@@ -49,9 +58,9 @@ def loop_reference(X_star, model, pcfg):
         for z in z_draws:
             alpha = transform(model.state, z, cfg)
             local = build_local_gram(X_k, y_k, alpha.theta, cfg, block_id=k)
-            mom = conditional(x, local, alpha, pcfg.gamma_mix, cfg)
-            means[j] += mom.mean
-            seconds[j] += mom.variance + mom.mean**2
+            mean, variance = one_point_moments(x, local, alpha, pcfg.gamma_mix, cfg)
+            means[j] += mean
+            seconds[j] += variance + mean**2
     means /= pcfg.n_samples
     variances = np.maximum(seconds / pcfg.n_samples - means**2, 0.0)
     return means, variances
@@ -155,7 +164,7 @@ def test_collapsed_posterior_recovers_offset_prediction():
             k = assign_blocks(x[None, :], model.partition)[0]
             X_k, y_k = model.partition.blocks[k]
             local = build_local_gram(X_k, y_k, alpha_b.theta, cfg, block_id=k)
-            expected = conditional(x, local, alpha_b, 0.3, cfg).mean
+            expected, _ = one_point_moments(x, local, alpha_b, 0.3, cfg)
             assert abs(means[j] - expected) <= 1e-4
 
 
