@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flag(p_train, "--base-step", "train.base_step", type=float)
     _config_flag(p_train, "--partition-samples", "train.partition_samples", type=int)
     _config_flag(p_train, "--z-samples", "train.z_samples", type=int)
-    _config_flag(p_train, "--adaptive", "train.adaptive", action=boolean)
     _config_flag(p_train, "--standardize", "standardize", action=boolean)
     _config_flag(p_train, "--balance", "partition.balance", action=boolean)
     _config_flag(p_train, "--learn-variances", "train.learn_variances", action=boolean)

@@ -75,7 +75,6 @@ KEYS = {
         Key("train", "z_samples", 8, "integer", "[1, inf)"),
         Key("train", "base_step", 0.1, "number", "(0, inf)"),
         Key("train", "decay_power", 0.51, "number", "(0.5, 1]"),
-        Key("train", "adaptive", True, "boolean"),
         Key("train", "learn_variances", False, "boolean"),
         Key("train", "checkpoint_every", 0, "integer", "[0, inf)"),
         Key("train", "checkpoint_path", None, "string or null"),
@@ -151,7 +150,6 @@ def train_config_from(doc: dict) -> TrainConfig:
         schedule=StepSchedule(
             base_step=train["base_step"],
             decay_power=train["decay_power"],
-            adaptive=train["adaptive"],
         ),
         learn_variances=train["learn_variances"],
         checkpoint_every=train["checkpoint_every"],
@@ -173,7 +171,6 @@ def train_config_doc(tcfg: TrainConfig) -> dict:
             "z_samples": tcfg.plan.n_z_samples,
             "base_step": tcfg.schedule.base_step,
             "decay_power": tcfg.schedule.decay_power,
-            "adaptive": tcfg.schedule.adaptive,
             "learn_variances": tcfg.learn_variances,
             "checkpoint_every": tcfg.checkpoint_every,
             "checkpoint_path": tcfg.checkpoint_path,

@@ -64,8 +64,8 @@ class GradientSamplePlan:
     across them.
     """
 
-    n_partition_samples: int = 4
-    n_z_samples: int = 4
+    n_partition_samples: int
+    n_z_samples: int
     rng_seed: int = 0
 
     def __post_init__(self):

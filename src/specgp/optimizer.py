@@ -3,22 +3,20 @@
 Training moves one flat parameter vector, laid out as the gradient that
 :func:`specgp.gradient.stochastic_gradient` returns: ``[vec(M) row-major,
 b, log noise_variance, log signal_variance]``.  The two log variances move
-only under ``learn_variances``.  Updates follow a Robbins-Monro schedule
-``rho_t = base_step / (1 + t)^q`` with ``q`` in (0.5, 1]; the optional
-adaptive mode (AdaGrad) rescales each moved coordinate by the square root
-of its accumulated squared gradients (floored at 1e-8), which makes the
-step size insensitive to the raw gradient magnitude.  An update that would
-leave ``(M, b)`` non-finite or push the exact reciprocal condition number
-of ``M`` below 1e-13 is rejected and retried with half the step, up to
-five times, after which training aborts.  A non-finite gradient, or a
-log-variance update that does not give a positive finite variance, aborts
-at once; every abort is a :class:`~specgp.errors.NumericalError` naming
-the iteration.
+only under ``learn_variances``.  The update is AdaGrad: the Robbins-Monro
+base step ``rho_t = base_step / (1 + t)^q``, ``q`` in (0.5, 1], divided per
+coordinate by the root of its accumulated squared gradients (floored at
+1e-8).  A step whose ``(M, b)`` is non-finite or has ``rcond(M) <=
+RCOND_MIN``, the one singularity threshold, is retried at half size up to
+five times, then training aborts.  So does, at once, a non-finite gradient
+or accumulator, or a log-variance update that does not give a positive
+finite variance; every abort is a :class:`~specgp.errors.NumericalError`
+naming the iteration.
 
 Every iteration draws its Monte-Carlo sample seed deterministically from
 ``(seed, iteration)``, so a run is bit-reproducible and a checkpoint can
-resume mid-stream with nothing but the master seed and the iteration
-counter (plus the AdaGrad accumulator).
+resume mid-stream with nothing but the master seed, the iteration counter
+and the AdaGrad accumulator.
 """
 
 from __future__ import annotations
@@ -34,25 +32,26 @@ from .errors import ContractError, ModelFormatError, NumericalError
 from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import TrainedModel, model_from_doc, model_to_doc, write_json_atomic
-from .variational import PriorSpec, VariationalState
+from .variational import RCOND_MIN, PriorSpec, VariationalState
 
-RCOND_GUARD = 1e-13
 MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Robbins-Monro step schedule, optionally with per-coordinate scaling."""
+    """Robbins-Monro base step, which training rescales per coordinate (AdaGrad)."""
 
-    base_step: float = 0.25
-    decay_power: float = 0.7
-    adaptive: bool = False
+    base_step: float
+    decay_power: float
+    adaptive: bool = True  # read by nothing; only True, kept for existing callers
 
     def __post_init__(self):
+        if self.adaptive is not True:
+            raise ContractError("adaptive must be True: AdaGrad is the only step rule")
         if not (np.isfinite(self.base_step) and self.base_step > 0):
             raise ContractError(f"base_step must be positive, got {self.base_step!r}")
         if not 0.5 < self.decay_power <= 1.0:
@@ -67,8 +66,8 @@ class StepSchedule:
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int
-    plan: GradientSamplePlan = GradientSamplePlan()
-    schedule: StepSchedule = StepSchedule()
+    plan: GradientSamplePlan
+    schedule: StepSchedule
     learn_variances: bool = False
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
@@ -144,28 +143,32 @@ def _moved_size(dim: int, tcfg: TrainConfig) -> int:
     return dim * (dim + 1) + (2 if tcfg.learn_variances else 0)
 
 
-def _accumulator_size(dim: int, tcfg: TrainConfig) -> int:
-    return _moved_size(dim, tcfg) if tcfg.schedule.adaptive else 0
+def _gradient_norm(grad) -> float:
+    """``np.linalg.norm(grad)``, rescaled by the max-abs entry only when the
+    plain sum of squares overflows, so it is finite wherever the norm is."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+        if norm == np.inf:
+            scale = np.max(np.abs(grad))
+            norm = float(scale * np.linalg.norm(grad / scale))
+    return norm
 
 
 def _attempt_update(state, direction_m, direction_b, rho, iteration):
-    """Apply the step, halving it while the new (M, b) is not finite or M
-    looks singular."""
+    """Apply the step, halving it while the state constructor refuses the
+    new (M, b)."""
     step = rho
     for _ in range(MAX_STEP_RETRIES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             M = state.M + step * direction_m
             b = state.b + step * direction_b
         try:
-            candidate = VariationalState(M, b)
-            if candidate.rcond >= RCOND_GUARD:
-                return candidate, step
+            return VariationalState(M, b), step
         except (ContractError, NumericalError):  # non-finite (M, b), or M singular
-            pass
-        step *= 0.5
+            step *= 0.5
     raise NumericalError(
         f"iteration {iteration}: update kept (M, b) non-finite or M numerically "
-        f"singular (rcond < {RCOND_GUARD:g}) after {MAX_STEP_RETRIES} halvings"
+        f"singular (rcond <= {RCOND_MIN:g}) after {MAX_STEP_RETRIES} halvings"
     )
 
 
@@ -188,7 +191,7 @@ def train(
         raise ContractError("initial state does not match the spectral config")
     if prior.theta_dim != cfg.theta_dim:
         raise ContractError("prior does not match the spectral config")
-    opt = _OptState(accumulator=np.zeros(_accumulator_size(init.dim, tcfg)))
+    opt = _OptState(accumulator=np.zeros(_moved_size(init.dim, tcfg)))
     return _run(data, init, prior, cfg, tcfg, opt, gradient_fn)
 
 
@@ -201,14 +204,15 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
         started = time.perf_counter()
         plan_t = replace(tcfg.plan, rng_seed=_iteration_seed(tcfg.seed, t))
         grad = grad_source(plan_t, data, state, prior, cfg)
-        if not np.all(np.isfinite(grad[:n_moved])):
-            raise NumericalError(f"iteration {t}: the stochastic gradient is not finite")
+        with np.errstate(over="ignore"):
+            opt.accumulator += grad[:n_moved] ** 2
+        if not np.all(np.isfinite(opt.accumulator)):
+            raise NumericalError(
+                f"iteration {t}: the stochastic gradient is not finite, or its squares overflow"
+            )
         rho = tcfg.schedule.step_size(t)
-        gradient_norm = float(np.linalg.norm(grad[:n_eta]))
-        direction = grad[:n_moved]
-        if tcfg.schedule.adaptive:
-            opt.accumulator += direction**2
-            direction = direction / np.maximum(np.sqrt(opt.accumulator), _ADAPTIVE_FLOOR)
+        gradient_norm = _gradient_norm(grad[:n_eta])
+        direction = grad[:n_moved] / np.maximum(np.sqrt(opt.accumulator), _ADAPTIVE_FLOOR)
         direction_m, direction_b = eta_views(direction, state.dim)
         state, step_used = _attempt_update(state, direction_m, direction_b, rho, t)
         if tcfg.learn_variances:
@@ -239,11 +243,7 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
             )
         )
         opt.iteration = t + 1
-        if (
-            tcfg.checkpoint_every > 0
-            and tcfg.checkpoint_path
-            and (t + 1) % tcfg.checkpoint_every == 0
-        ):
+        if tcfg.checkpoint_every > 0 and (t + 1) % tcfg.checkpoint_every == 0:
             save_checkpoint(tcfg.checkpoint_path, data, state, prior, cfg, tcfg, opt)
     return TrainResult(state=state, trace=opt.trace, spectral=cfg, prior=prior)
 
@@ -330,7 +330,7 @@ def load_checkpoint(path):
         tcfg = train_config_read(doc["train_config"])
         opt = _OptState(
             accumulator=_accumulator_from_doc(
-                doc["optimizer"]["accumulator"], _accumulator_size(model.state.dim, tcfg)
+                doc["optimizer"]["accumulator"], _moved_size(model.state.dim, tcfg)
             ),
             trace=_trace_from_rows(doc["trace"]),
             iteration=doc["iteration"],

@@ -34,7 +34,7 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 
 # A state whose reciprocal condition number falls at or below this is
 # considered numerically singular and may not be constructed.
-RCOND_MIN = 1e-14
+RCOND_MIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class VariationalState:
     """Invertible affine map ``z -> M z + b`` with its inverse, computed once.
 
     ``rcond`` is the exact ``1 / (||M||_1 ||M^{-1}||_1)``, 0 if a norm
-    overflows; a zero pivot or ``rcond <= 1e-14`` raises
-    :class:`NumericalError`."""
+    overflows; a zero pivot or ``rcond <= 1e-13`` (``RCOND_MIN``, the one
+    singularity threshold) raises :class:`NumericalError`.  Training halves
+    any step that would build such a state."""
 
     __slots__ = ("M", "b", "rcond", "inverse_transpose")
 

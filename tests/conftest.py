@@ -45,9 +45,7 @@ class SyntheticProblem:
             tcfg = sg.TrainConfig(
                 iterations=iterations,
                 plan=sg.GradientSamplePlan(4, 8, train_seed),
-                schedule=sg.StepSchedule(
-                    base_step=0.1, decay_power=0.51, adaptive=True
-                ),
+                schedule=sg.StepSchedule(base_step=0.1, decay_power=0.51),
                 seed=train_seed,
             )
             self._trained[key] = sg.train(

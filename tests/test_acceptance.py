@@ -231,7 +231,7 @@ def test_ac7_iteration_cost_stays_flat_as_data_grows():
     tcfg = sg.TrainConfig(
         iterations=60,
         plan=sg.GradientSamplePlan(4, 8, 0),
-        schedule=sg.StepSchedule(base_step=0.1, decay_power=0.51, adaptive=True),
+        schedule=sg.StepSchedule(base_step=0.1, decay_power=0.51),
         seed=0,
     )
     problems = {}

@@ -1,19 +1,13 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import specgp
 import specgp.cli as cli
 import specgp.config as run_config
 from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(specgp.__file__)))
 
 
 def run_cli(argv, capsys):
@@ -282,13 +276,14 @@ def test_gradcheck_failure_exits_numerical(capsys, monkeypatch):
 
 
 def test_learned_variance_overflow_exits_numerical(tmp_path, capsys):
-    # raw-gradient steps on log noise_variance overflow its exp at once
+    # the first AdaGrad step moves log noise_variance by the whole base step,
+    # and a base step of 1000 overflows its exp at once
     data = make_synth_csv(tmp_path, capsys, n=2000, d=2, m_true=5, seed=10)
     model_path = tmp_path / "model.json"
     code, out, err = run_cli(
         [
             "train", "--data", data, "--model", str(model_path),
-            "--no-adaptive", "--learn-variances",
+            "--learn-variances", "--base-step", "1000",
             "--m", "5", "--p", "20", "--iterations", "200",
         ],
         capsys,
@@ -302,24 +297,22 @@ def test_learned_variance_overflow_exits_numerical(tmp_path, capsys):
 
 
 def test_overflowing_step_exits_numerical(tmp_path, capsys):
-    # the first step leaves a huge but finite M, whose next gradient
-    # overflows; a fresh interpreter runs the command because the suite
-    # turns the gradient's overflow warnings into errors
+    # a base step of 1e300 leaves M numerically singular however often the
+    # first step is halved
     data = make_synth_csv(tmp_path, capsys, n=2000, d=2, m_true=5, seed=10)
     model_path = tmp_path / "model.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    code, out, err = run_cli(
         [
-            sys.executable, "-m", "specgp.cli", "train", "--data", data,
-            "--model", str(model_path), "--no-adaptive", "--base-step", "1e300",
+            "train", "--data", data, "--model", str(model_path), "--base-step", "1e300",
             "--iterations", "50", "--m", "5", "--p", "20",
         ],
-        env=env, capture_output=True, text=True, timeout=120,
+        capsys,
     )
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].startswith("specgp: numerical: iteration ")
+    assert code == 4, err
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("specgp: numerical: iteration ")
+    assert lines[0].endswith("after 5 halvings")
     assert not model_path.exists()
 
 
@@ -357,6 +350,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     )
     assert code == 2
 
+    # AdaGrad is the only step rule: the key and flag that chose it are gone
+    adaptive_config = tmp_path / "adaptive.json"
+    adaptive_config.write_text(json.dumps({"version": 1, "train": {"adaptive": True}}))
+    code, _, err = run_cli(
+        ["train", "--config", str(adaptive_config), "--data", "d.csv", "--model", "m.json"],
+        capsys,
+    )
+    assert code == 2
+    assert err == "specgp: usage: config: train.adaptive: unknown key\n"
+    code, _, err = run_cli(
+        ["train", "--data", "d.csv", "--model", "m.json", "--no-adaptive"], capsys
+    )
+    assert code == 2
+    assert "unrecognized arguments: --no-adaptive" in err
+
 
 # The run config as the package has always defaulted it, written out so a
 # change to any default shows here.
@@ -373,7 +381,6 @@ DEFAULT_CONFIG = {
         "z_samples": 8,
         "base_step": 0.1,
         "decay_power": 0.51,
-        "adaptive": True,
         "learn_variances": False,
         "checkpoint_every": 0,
         "checkpoint_path": None,
@@ -399,7 +406,6 @@ CONFIG_KEYS = {
     "train.z_samples": ("integer", [0]),
     "train.base_step": ("number", [0]),
     "train.decay_power": ("number", [0.5, 1.01]),
-    "train.adaptive": ("boolean", []),
     "train.learn_variances": ("boolean", []),
     "train.checkpoint_every": ("integer", [-1]),
     "train.checkpoint_path": ("string or null", []),
@@ -459,7 +465,7 @@ def test_checkpoint_train_config_round_trips():
     # checkpoints store the train config in its run-config form
     tcfg = TrainConfig(
         iterations=7, plan=GradientSamplePlan(3, 5),
-        schedule=StepSchedule(0.2, 0.9, adaptive=True), learn_variances=True,
+        schedule=StepSchedule(0.2, 0.9), learn_variances=True,
         checkpoint_every=7, checkpoint_path="ck.json", seed=11, elbo_every=2, elbo_samples=3,
     )
     doc = json.loads(json.dumps(run_config.train_config_doc(tcfg)))
@@ -533,7 +539,6 @@ CONFIG_FLAGS = {
         (["--base-step", "0.3"], "train.base_step", 0.3),
         (["--partition-samples", "2"], "train.partition_samples", 2),
         (["--z-samples", "6"], "train.z_samples", 6),
-        (["--no-adaptive"], "train.adaptive", False),
         (["--learn-variances"], "train.learn_variances", True),
         (["--checkpoint-every", "9"], "train.checkpoint_every", 9),
         (["--checkpoint-path", "ck.json"], "train.checkpoint_path", "ck.json"),

@@ -25,6 +25,7 @@ from specgp import (
     train,
     transform,
 )
+from specgp.config import KEYS
 from specgp.gradient import draw_sample_sets
 
 
@@ -48,36 +49,61 @@ def zero_gradient(plan, data, state, prior, cfg):
     return np.zeros(state.dim * (state.dim + 1) + 2)
 
 
+def train_config(iterations, base_step=None, **options):
+    """A TrainConfig with the run config's defaults (``config.KEYS``) for the
+    sample plan and the step schedule, unless given."""
+    default = {path.removeprefix("train."): key.default for path, key in KEYS.items()}
+    options.setdefault(
+        "plan", GradientSamplePlan(default["partition_samples"], default["z_samples"])
+    )
+    options.setdefault(
+        "schedule", StepSchedule(base_step or default["base_step"], default["decay_power"])
+    )
+    return TrainConfig(iterations=iterations, **options)
+
+
 def test_step_schedule_values_and_validation():
     sched = StepSchedule(base_step=0.5, decay_power=0.8)
     for t in (0, 1, 7, 100):
         assert sched.step_size(t) == pytest.approx(0.5 / (1 + t) ** 0.8, rel=1e-15)
-    assert StepSchedule() == StepSchedule(base_step=0.25, decay_power=0.7, adaptive=False)
+    assert sched.adaptive is True
+    with pytest.raises(ContractError, match="AdaGrad is the only step rule"):
+        StepSchedule(base_step=0.5, decay_power=0.8, adaptive=False)
     with pytest.raises(ContractError):
-        StepSchedule(base_step=0.0)
+        StepSchedule(base_step=0.0, decay_power=0.8)
     with pytest.raises(ContractError):
-        StepSchedule(decay_power=0.5)
+        StepSchedule(base_step=0.5, decay_power=0.5)
     with pytest.raises(ContractError):
-        StepSchedule(decay_power=1.2)
-    StepSchedule(decay_power=1.0)  # boundary is allowed
+        StepSchedule(base_step=0.5, decay_power=1.2)
+    StepSchedule(base_step=0.5, decay_power=1.0)  # boundary is allowed
+
+
+def test_sample_plan_and_step_schedule_have_no_defaults():
+    # config.KEYS is the one definition of the training defaults
+    with pytest.raises(TypeError):
+        StepSchedule()
+    with pytest.raises(TypeError):
+        GradientSamplePlan()
+    with pytest.raises(TypeError):
+        TrainConfig(iterations=5)
 
 
 def test_train_config_validation():
     with pytest.raises(ContractError):
-        TrainConfig(iterations=0)
+        train_config(0)
     with pytest.raises(ContractError):
-        TrainConfig(iterations=5, checkpoint_every=2)  # no path
+        train_config(5, checkpoint_every=2)  # no path
     with pytest.raises(ContractError):
-        TrainConfig(iterations=5, elbo_every=-1)
+        train_config(5, elbo_every=-1)
     with pytest.raises(ContractError):
-        TrainConfig(iterations=5, elbo_samples=0)
+        train_config(5, elbo_samples=0)
 
 
 def test_zero_gradient_is_fixed_point():
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=1)
     result = train(
-        data, init, prior, cfg, TrainConfig(iterations=25), gradient_fn=zero_gradient
+        data, init, prior, cfg, train_config(25), gradient_fn=zero_gradient
     )
     np.testing.assert_array_equal(result.state.M, init.M)
     np.testing.assert_array_equal(result.state.b, init.b)
@@ -98,7 +124,9 @@ def test_quadratic_surrogate_converges_to_target():
     init = VariationalState(0.1 * np.eye(D), np.zeros(D))
     result = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=1000),  # default schedule
+        # AdaGrad divides by the root of the accumulated squares, so the
+        # run config's base step of 0.1 stalls short of the target
+        train_config(1000, base_step=1.0),
         gradient_fn=quadratic,
     )
     assert np.abs(result.state.M - target_m).max() <= 1e-3
@@ -118,7 +146,7 @@ def test_training_is_deterministic():
     init = initial_state(prior, cfg, seed=3)
     tcfg = TrainConfig(
         iterations=12, plan=GradientSamplePlan(2, 3, 0),
-        schedule=StepSchedule(0.1, 0.6, adaptive=True), seed=9, elbo_every=4,
+        schedule=StepSchedule(0.1, 0.6), seed=9, elbo_every=4,
     )
     a = train(data, init, prior, cfg, tcfg)
     b = train(data, init, prior, cfg, tcfg)
@@ -134,9 +162,11 @@ def test_training_is_deterministic():
 def test_step_sizes_follow_schedule():
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
-    sched = StepSchedule(base_step=0.05, decay_power=0.9)
+    # at base_step 0.05 AdaGrad's first, sign-sized step turns M = 0.1 I
+    # into an exactly singular 0.1 I + 0.05 sign(G) and is halved
+    sched = StepSchedule(base_step=0.1, decay_power=0.9)
     result = train(
-        data, init, prior, cfg, TrainConfig(iterations=8, schedule=sched)
+        data, init, prior, cfg, train_config(8, schedule=sched)
     )
     for record in result.trace:
         assert record.step_size == sched.step_size(record.iteration)
@@ -147,7 +177,7 @@ def test_elbo_recorded_on_requested_cadence():
     init = initial_state(prior, cfg, seed=0)
     result = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=7, elbo_every=3, elbo_samples=4),
+        train_config(7, elbo_every=3, elbo_samples=4),
     )
     recorded = [r.iteration for r in result.trace if r.elbo is not None]
     assert recorded == [2, 5]
@@ -161,16 +191,16 @@ def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path, learn_variance
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=4)
     path = str(tmp_path / "checkpoint.json")
-    sched = StepSchedule(0.1, 0.6, adaptive=True)
+    sched = StepSchedule(0.1, 0.6)
 
     straight = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=40, schedule=sched, seed=5, learn_variances=learn_variances),
+        train_config(40, schedule=sched, seed=5, learn_variances=learn_variances),
     )
     _ = train(
         data, init, prior, cfg,
-        TrainConfig(
-            iterations=20, schedule=sched, seed=5, learn_variances=learn_variances,
+        train_config(
+            20, schedule=sched, seed=5, learn_variances=learn_variances,
             checkpoint_every=20, checkpoint_path=path,
         ),
     )
@@ -194,7 +224,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     path = str(tmp_path / "checkpoint.json")
     train(
         data, init, prior, cfg,
-        TrainConfig(iterations=2, checkpoint_every=2, checkpoint_path=path),
+        train_config(2, checkpoint_every=2, checkpoint_path=path),
     )
     with open(path) as handle:
         doc = json.load(handle)
@@ -274,10 +304,7 @@ def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
     path = str(tmp_path / "checkpoint.json")
     train(
         data, initial_state(prior, cfg, seed=0), prior, cfg,
-        TrainConfig(
-            iterations=2, schedule=StepSchedule(adaptive=True), learn_variances=True,
-            checkpoint_every=2, checkpoint_path=path,
-        ),
+        train_config(2, learn_variances=True, checkpoint_every=2, checkpoint_path=path),
     )
     load_checkpoint(path)  # the untouched file loads
     with open(path) as handle:
@@ -293,8 +320,8 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=4)
     path = str(tmp_path / "checkpoint.json")
-    sched = StepSchedule(0.1, 0.6, adaptive=True)
-    straight = train(data, init, prior, cfg, TrainConfig(iterations=40, schedule=sched, seed=5))
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
 
     real_dump = json.dump
 
@@ -309,9 +336,8 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
         with pytest.raises(OSError, match="disk full"):
             train(
                 data, init, prior, cfg,
-                TrainConfig(
-                    iterations=40, schedule=sched, seed=5,
-                    checkpoint_every=10, checkpoint_path=path,
+                train_config(
+                    40, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path,
                 ),
             )
     assert os.listdir(tmp_path) == ["checkpoint.json"]
@@ -324,34 +350,41 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
 
 def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     # version 1 kept a second accumulator for the log variances and its own
-    # train-config layout (with the ignored plan.rng_seed); version 2 keeps
-    # one accumulator and the run-config form, so a version-1 file is refused
+    # train-config layout (with the ignored plan.rng_seed); version 2 kept a
+    # train.adaptive key and an empty accumulator for plain Robbins-Monro
+    # runs; version 3 keeps one full accumulator and no adaptive key, so
+    # files of both older versions are refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
     train(
         data, init, prior, cfg,
-        TrainConfig(
-            iterations=2, schedule=StepSchedule(adaptive=True), learn_variances=True,
-            checkpoint_every=2, checkpoint_path=path,
-        ),
+        train_config(2, learn_variances=True, checkpoint_every=2, checkpoint_path=path),
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert set(doc["train_config"]) == {"seed", "train"}
+    assert "adaptive" not in doc["train_config"]["train"]
     assert set(doc["optimizer"]) == {"accumulator"}
     assert len(doc["optimizer"]["accumulator"]) == init.dim * (init.dim + 1) + 2
     accumulator = doc["optimizer"]["accumulator"]
-    doc["version"] = 1
-    doc["optimizer"] = {
+    version_two = json.loads(json.dumps(doc))
+    version_two["version"] = 2
+    version_two["train_config"]["train"]["adaptive"] = True
+    version_one = doc
+    version_one["version"] = 1
+    version_one["optimizer"] = {
         "accumulator": accumulator[:-2], "variance_accumulator": accumulator[-2:],
     }
-    doc["train_config"]["plan"] = {"n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7}
-    with open(path, "w") as handle:
-        json.dump(doc, handle)
-    with pytest.raises(ModelFormatError, match="version mismatch"):
-        load_checkpoint(path)
+    version_one["train_config"]["plan"] = {
+        "n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7,
+    }
+    for old in (version_two, version_one):
+        with open(path, "w") as handle:
+            json.dump(old, handle)
+        with pytest.raises(ModelFormatError, match="version mismatch"):
+            load_checkpoint(path)
 
 
 def test_singular_update_halves_step():
@@ -365,7 +398,7 @@ def test_singular_update_halves_step():
     init = VariationalState(np.eye(D), np.zeros(D))
     result = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=1, schedule=StepSchedule(base_step=1.0)),
+        train_config(1, base_step=1.0),
         gradient_fn=annihilating,
     )
     assert result.trace[0].step_size == 0.5
@@ -379,41 +412,67 @@ def test_unrecoverable_singularity_aborts():
     spike[0, 0] = 1e30
 
     def exploding(plan, data, state, prior, cfg):
-        # even after five halvings M stays catastrophically ill-conditioned
+        # AdaGrad's first step moves M[0, 0] by the whole base step; even
+        # after five halvings M stays catastrophically ill-conditioned
         return flat_gradient(spike, np.zeros(D))
 
     init = VariationalState(np.eye(D), np.zeros(D))
     with pytest.raises(NumericalError, match="halvings"):
         train(
-            data, init, prior, cfg,
-            TrainConfig(iterations=1, schedule=StepSchedule(base_step=1.0)),
-            gradient_fn=exploding,
+            data, init, prior, cfg, train_config(1, base_step=1e30), gradient_fn=exploding,
         )
 
 
 def test_overflowing_update_is_a_rejected_step():
-    # a finite step that overflows (M, b) halves like a singular one
+    # a finite step that overflows (M, b) halves like a singular one; the
+    # first AdaGrad step moves each b entry by the base step, so b starts
+    # near the largest float
     cfg, data, prior = tiny_problem()
     D = cfg.alpha_dim
 
     def huge(plan, data, state, prior, cfg):
         return flat_gradient(np.zeros((D, D)), np.full(D, 1e150))
 
-    init = VariationalState(np.eye(D), np.zeros(D))
+    init = VariationalState(np.eye(D), np.full(D, 1.79e308))
     with pytest.raises(NumericalError, match="iteration 0: .*non-finite.*halvings"):
-        train(
-            data, init, prior, cfg,
-            TrainConfig(iterations=1, schedule=StepSchedule(base_step=1e170)),
-            gradient_fn=huge,
-        )
+        train(data, init, prior, cfg, train_config(1, base_step=1e308), gradient_fn=huge)
     # one halving brings it back into range
-    result = train(
-        data, init, prior, cfg,
-        TrainConfig(iterations=1, schedule=StepSchedule(base_step=2e158)),
-        gradient_fn=huge,
-    )
-    assert result.trace[0].step_size == 1e158
+    result = train(data, init, prior, cfg, train_config(1, base_step=1e306), gradient_fn=huge)
+    assert result.trace[0].step_size == 5e305
     assert np.all(np.isfinite(result.state.b))
+
+
+def test_accumulator_overflow_aborts():
+    # the square of a finite 1e160 entry overflows the AdaGrad accumulator;
+    # unchecked, that entry's step would be 0 and b would never move
+    cfg, data, prior = tiny_problem()
+    D = cfg.alpha_dim
+
+    def huge(plan, data, state, prior, cfg):
+        return flat_gradient(np.zeros((D, D)), np.full(D, 1e160))
+
+    with pytest.raises(NumericalError, match="iteration 0: .*squares overflow"):
+        train(
+            data, initial_state(prior, cfg, seed=0), prior, cfg,
+            train_config(3), gradient_fn=huge,
+        )
+
+
+def test_gradient_norm_is_finite_when_its_sum_of_squares_overflows():
+    # each square of 1e154 is finite, but their sum over the D^2 + D entries is not
+    cfg, data, prior = tiny_problem()
+    D = cfg.alpha_dim
+    n_eta = D * (D + 1)
+    init = VariationalState(np.eye(D), np.zeros(D))
+    grad = flat_gradient(np.full((D, D), 1e154), np.full(D, 1e154))
+    result = train(data, init, prior, cfg, train_config(1), gradient_fn=lambda *_: grad)
+    norm = result.trace[0].gradient_norm
+    assert np.isfinite(norm)
+    assert norm == 1e154 * np.linalg.norm(grad[:n_eta] / 1e154)
+    # where the plain norm is finite, the trace holds it bit for bit
+    grad = grad / 1e150
+    result = train(data, init, prior, cfg, train_config(1), gradient_fn=lambda *_: grad)
+    assert result.trace[0].gradient_norm == np.linalg.norm(grad[:n_eta])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -429,7 +488,7 @@ def test_non_finite_gradient_aborts(bad):
     with pytest.raises(NumericalError, match="iteration 0: the stochastic gradient is not finite"):
         train(
             data, initial_state(prior, cfg, seed=0), prior, cfg,
-            TrainConfig(iterations=3), gradient_fn=broken,
+            train_config(3), gradient_fn=broken,
         )
 
 
@@ -504,12 +563,12 @@ def test_variance_gradients_match_finite_differences():
 def test_variance_learning_gate():
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=8)
-    frozen = train(data, init, prior, cfg, TrainConfig(iterations=10, seed=2))
+    frozen = train(data, init, prior, cfg, train_config(10, seed=2))
     assert frozen.spectral.noise_variance == cfg.noise_variance
     assert frozen.spectral.signal_variance == cfg.signal_variance
     learned = train(
         data, init, prior, cfg,
-        TrainConfig(iterations=10, seed=2, learn_variances=True),
+        train_config(10, seed=2, learn_variances=True),
     )
     assert learned.spectral.noise_variance != cfg.noise_variance
     assert learned.spectral.noise_variance > 0

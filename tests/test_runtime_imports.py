@@ -32,6 +32,7 @@ prior = sg.PriorSpec.for_inputs(X, cfg)
 tcfg = sg.TrainConfig(
     iterations=3,
     plan=sg.GradientSamplePlan(n_partition_samples=2, n_z_samples=2),
+    schedule=sg.StepSchedule(base_step=0.1, decay_power=0.51),
     elbo_every=1,
     elbo_samples=2,
 )

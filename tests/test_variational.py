@@ -76,6 +76,10 @@ def test_state_rejects_singular_and_ill_conditioned_m():
         VariationalState(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
     with pytest.raises(NumericalError):
         VariationalState(np.diag([1.0, 1e-16]), np.zeros(2))
+    # rcond in (1e-14, 1e-13]: the one threshold, 1e-13, also guards training
+    with pytest.raises(NumericalError, match="rcond=5.000e-14"):
+        VariationalState(np.diag([1.0, 5e-14]), np.zeros(2))
+    assert VariationalState(np.diag([1.0, 2e-13]), np.zeros(2)).rcond == 2e-13
     with pytest.raises(ContractError):
         VariationalState(np.ones((2, 3)), np.zeros(2))
 
