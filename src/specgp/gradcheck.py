@@ -9,10 +9,12 @@ objective.  The error metric is
 over the coordinates of one part of the gradient, aggregated over parts
 and instances.  :func:`check_stochastic_gradient` differentiates the
 estimator that trains, :func:`~specgp.gradient.stochastic_gradient`, in
-every flat entry: its oracle is the sampled bound, rebuilt from the scalar
-:func:`~specgp.features.basis_vector` for the plan's own (block, z) draws.
-The same routines back the ``specgp gradcheck`` CLI command and the test
-suite.
+every flat entry: its oracle is the sampled bound for the plan's own
+(block, z) draws, with features from libm ``cos`` and ``sin`` of each row's
+angles.  That shares no code with :func:`~specgp.features.feature_matrix`
+(a half-angle tangent), so the oracle stays an independent reference for
+the feature map that trains.  The same routines back the ``specgp
+gradcheck`` CLI command and the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError
-from .features import SpectralConfig, basis_vector
+from .features import SpectralConfig
 from .gradient import GradientSamplePlan, draw_sample_sets, eta_views, stochastic_gradient
 from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState, kl_divergence, kl_term_gradient
@@ -100,10 +102,11 @@ def _random_blocks(rng, d, max_blocks=3, max_points=15):
 
 
 def _block_log_likelihood(X_k, y_k, alpha, cfg: SpectralConfig) -> float:
-    """Gaussian log likelihood of one block under one flat ``alpha``, one
-    scalar feature vector per row."""
+    """Gaussian log likelihood of one block under one flat ``alpha``, with
+    ``cos`` and ``sin`` of the ``(n_k, m)`` angles ``2 pi X_k r^T``."""
     theta, s = alpha[: cfg.theta_dim], alpha[cfg.theta_dim :]
-    v = y_k - np.array([basis_vector(x, theta, cfg) @ s for x in X_k])
+    angles = 2.0 * np.pi * (X_k @ theta.reshape(cfg.m, cfg.d).T)
+    v = y_k - np.cos(angles) @ s[0::2] - np.sin(angles) @ s[1::2]
     return -0.5 * float(v @ v) / cfg.noise_variance - 0.5 * y_k.size * np.log(
         2.0 * np.pi * cfg.noise_variance
     )

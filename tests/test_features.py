@@ -11,6 +11,7 @@ from specgp import (
     basis_vector,
     feature_matrix,
 )
+from specgp.features import TWO_PI
 
 
 def make_cfg(d=2, m=3, ss2=1.5, sn2=0.1):
@@ -100,6 +101,28 @@ def test_feature_matrix_columns_match_basis_vector():
     assert Phi.shape == (cfg.num_features, 7)
     for j in range(7):
         np.testing.assert_allclose(Phi[:, j], basis_vector(X[j], theta, cfg), atol=1e-14)
+
+
+def test_feature_matrix_matches_long_double_trig():
+    # against cos/sin of the same float64 angle taken in long double, over
+    # angle scales 1e-3 to 1e4 and at the half-angle tangent's poles
+    # (r.x = k + 1/2 and its two neighbouring doubles), with every
+    # floating-point exception raised
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** np.arange(-3, 5)
+    spread = (rng.uniform(-1.0, 1.0, (scales.size, 64)) * scales[:, None]).ravel()
+    centres = np.array([0.5, 1.5, 7.5, 1000.5])
+    poles = np.concatenate(
+        [np.nextafter(centres, -np.inf), centres, np.nextafter(centres, np.inf)]
+    )
+    theta = np.concatenate([spread, poles, -poles])
+    cfg = make_cfg(d=1, m=theta.size)
+    with np.errstate(all="raise"):
+        Phi = feature_matrix(np.ones((1, 1)), theta, cfg)[:, 0]
+    assert Phi.dtype == np.float64
+    angles = np.longdouble(TWO_PI * theta)
+    assert np.max(np.abs(Phi[0::2] - np.cos(angles))) <= 1e-15
+    assert np.max(np.abs(Phi[1::2] - np.sin(angles))) <= 1e-15
 
 
 def test_feature_matrix_empty_input():

@@ -1,5 +1,5 @@
 """The gradient check can fail: a relative 1e-4 error in any one part of
-the stochastic gradient is caught."""
+the stochastic gradient, or in the feature map it is built on, is caught."""
 
 import pytest
 
@@ -23,3 +23,14 @@ def test_gradcheck_fails_a_perturbed_gradient(monkeypatch, part):
     monkeypatch.setattr(gradient, name, lambda *args: perturb(*original(*args)))
     result = check_stochastic_gradient(seed=0, instances=5)
     assert not result.passed, f"{part}: max rel err {result.max_rel_err:.3e}"
+
+
+def test_gradcheck_fails_a_perturbed_feature_map(monkeypatch):
+    # the oracle featurizes on its own, so an error in the production map
+    # reaches the analytic side only
+    original = gradient.feature_matrix
+    monkeypatch.setattr(
+        gradient, "feature_matrix", lambda *args: original(*args) * (1.0 + REL)
+    )
+    result = check_stochastic_gradient(seed=0, instances=5)
+    assert not result.passed, f"max rel err {result.max_rel_err:.3e}"
