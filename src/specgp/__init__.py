@@ -40,11 +40,7 @@ from .gradient import (
     log_likelihood,
     stochastic_gradient,
 )
-from .localmodel import (
-    AlphaVector,
-    LocalGram,
-    build_local_gram,
-)
+from .localmodel import build_local_gram
 from .model_io import TrainedModel, load_model, save_model
 from .optimizer import (
     StepSchedule,
@@ -64,6 +60,7 @@ from .predict import (
     rmse,
 )
 from .variational import (
+    AlphaVector,
     PriorSpec,
     VariationalState,
     initial_state,
@@ -80,7 +77,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "GradientSamplePlan",
-    "LocalGram",
     "ModelFormatError",
     "NumericalError",
     "PartitionedDataset",

@@ -2,7 +2,8 @@
 
 Subcommands: ``train``, ``predict``, ``evaluate``, ``gradcheck``,
 ``synth`` and ``partition-info``.  Exit codes: 0 on success, 2 for usage
-or configuration errors, 3 for data errors, 4 for numerical failures.
+or configuration errors, 3 for data or file-system errors (an ``OSError``
+such as a missing output directory), 4 for numerical failures.
 Every failure prints a single machine-parseable line to stderr.
 """
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     except ContractError as err:
         print(f"specgp: usage: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as err:
+    except (DataError, OSError) as err:
         print(f"specgp: data: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as err:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The command line maps these onto process exit codes: contract/usage
-problems exit 2, data ingestion problems exit 3 and numerical failures
-exit 4.
+problems exit 2, data or file-system errors (these plus any ``OSError``,
+such as an output path in a missing directory) exit 3 and numerical
+failures exit 4.
 """
 
 

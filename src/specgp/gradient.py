@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ContractError
 from .features import TWO_PI, SpectralConfig, feature_matrix
-from .localmodel import AlphaVector
 from .variational import (
+    AlphaVector,
     PriorSpec,
     VariationalState,
     kl_divergence,

@@ -149,18 +149,41 @@ def _check_standardization(std: Standardization, d) -> None:
         raise ModelFormatError("model: standardization is not finite with positive scales")
 
 
+def _check_header(doc, fmt, version, noun) -> None:
+    """Reject a document that is not a JSON object of format ``fmt`` at ``version``."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"model: {noun} is not a JSON object")
+    if doc.get("format") != fmt:
+        raise ModelFormatError(
+            f"model: format mismatch (expected {fmt!r}, got {doc.get('format')!r})"
+        )
+    if doc.get("version") != version:
+        raise ModelFormatError(
+            f"model: version mismatch (expected {version}, got {doc.get('version')!r})"
+        )
+
+
+def read_document(path, fmt, version, kind=None) -> dict:
+    """The JSON object in the file at ``path``, checked to be of format ``fmt``
+    at ``version``.  A missing file, invalid JSON or a wrong header is a
+    :class:`ModelFormatError` whose message names the file's ``kind``
+    (``"checkpoint"``) when one is given; any other ``OSError``, such as a
+    directory at ``path``, propagates."""
+    label = f"{kind} " if kind else ""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except FileNotFoundError:
+        raise ModelFormatError(f"model: {label}file not found: {path}") from None
+    except json.JSONDecodeError as bad:
+        raise ModelFormatError(f"model: invalid {label}JSON ({bad})") from None
+    _check_header(doc, fmt, version, kind or "document")
+    return doc
+
+
 def model_from_doc(doc: dict) -> TrainedModel:
     """Rebuild a :class:`TrainedModel`, validating format and version."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model: document is not a JSON object")
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError(
-            f"model: format mismatch (expected {MODEL_FORMAT!r}, got {doc.get('format')!r})"
-        )
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelFormatError(
-            f"model: version mismatch (expected {MODEL_VERSION}, got {doc.get('version')!r})"
-        )
+    _check_header(doc, MODEL_FORMAT, MODEL_VERSION, "document")
     try:
         spectral = SpectralConfig(
             d=doc["spectral"]["d"],
@@ -233,11 +256,4 @@ def save_model(path, model: TrainedModel) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ModelFormatError(f"model: file not found: {path}") from None
-    except json.JSONDecodeError as bad:
-        raise ModelFormatError(f"model: invalid JSON ({bad})") from None
-    return model_from_doc(doc)
+    return model_from_doc(read_document(path, MODEL_FORMAT, MODEL_VERSION))

@@ -21,7 +21,6 @@ and the AdaGrad accumulator.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import ContractError, ModelFormatError, NumericalError
 from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
-from .model_io import TrainedModel, model_from_doc, model_to_doc, write_json_atomic
+from .model_io import TrainedModel, model_from_doc, model_to_doc, read_document, write_json_atomic
 from .variational import RCOND_MIN, PriorSpec, VariationalState
 
 MAX_STEP_RETRIES = 5
@@ -308,23 +307,7 @@ def load_checkpoint(path):
     every one of its keys must be present."""
     from .config import train_config_read  # config imports this module
 
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ModelFormatError(f"model: checkpoint file not found: {path}") from None
-    except json.JSONDecodeError as bad:
-        raise ModelFormatError(f"model: invalid checkpoint JSON ({bad})") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model: checkpoint is not a JSON object")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ModelFormatError(
-            f"model: format mismatch (expected {CHECKPOINT_FORMAT!r}, got {doc.get('format')!r})"
-        )
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ModelFormatError(
-            f"model: version mismatch (expected {CHECKPOINT_VERSION}, got {doc.get('version')!r})"
-        )
+    doc = read_document(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, kind="checkpoint")
     try:
         model = model_from_doc(doc["model"])
         tcfg = train_config_read(doc["train_config"])
@@ -346,6 +329,11 @@ def load_checkpoint(path):
             f"model: checkpoint iteration {opt.iteration!r} does not match "
             f"its {len(opt.trace)} trace rows"
         )
+    if opt.iteration > tcfg.iterations:
+        raise ModelFormatError(
+            f"model: checkpoint iteration {opt.iteration} is past its "
+            f"train.iterations {tcfg.iterations}"
+        )
     return model, tcfg, opt
 
 
@@ -353,9 +341,15 @@ def resume_training(path, iterations: Optional[int] = None, gradient_fn=None) ->
     """Continue a checkpointed run to ``iterations`` (default: original target).
 
     The checkpoint is self-contained (it embeds the partitioned data), so
-    resuming reproduces the uninterrupted trajectory bit for bit.
+    resuming reproduces the uninterrupted trajectory bit for bit.  A target
+    below the checkpoint's iteration is a :class:`ContractError`.
     """
     model, tcfg, opt = load_checkpoint(path)
     if iterations is not None:
         tcfg = replace(tcfg, iterations=iterations)
+    if tcfg.iterations < opt.iteration:
+        raise ContractError(
+            f"cannot resume to {tcfg.iterations} iterations: the checkpoint is "
+            f"already at iteration {opt.iteration}"
+        )
     return _run(model.partition, model.state, model.prior, model.spectral, tcfg, opt, gradient_fn)

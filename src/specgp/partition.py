@@ -164,11 +164,13 @@ def kmeans_partition(
     labels = _nearest_centroid(X, centroids)
     labels, centroids = _repair_empty(labels, centroids, X)
     for _ in range(max_iters):
-        # means step: every cluster is non-empty after repair
-        for k in range(p):
-            members = labels == k
-            if members.any():
-                centroids[k] = X[members].mean(axis=0)
+        # means step: per-dimension sums over each cluster's members, in row
+        # order; every cluster is non-empty after repair, and an empty one
+        # would keep its centroid
+        counts = np.bincount(labels, minlength=p)
+        sums = np.stack([np.bincount(labels, X[:, j], p) for j in range(X.shape[1])], axis=1)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
         new_labels = _nearest_centroid(X, centroids)
         new_labels, centroids = _repair_empty(new_labels, centroids, X)
         if np.array_equal(new_labels, labels):

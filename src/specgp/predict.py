@@ -43,8 +43,8 @@ _CHUNK_ELEMENTS = 2**16
 class PredictConfig:
     """Sampling and mixing choices for prediction."""
 
-    n_samples: int = 64
-    gamma_mix: float = 0.0
+    n_samples: int
+    gamma_mix: float
     seed: int = 0
 
     def __post_init__(self):
@@ -96,10 +96,11 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
         chunk = max(1, _CHUNK_ELEMENTS // (cfg.num_features * (X_k.shape[0] + rows.size)))
         for start in range(0, r, chunk):
             theta = alpha.theta[start : start + chunk]
-            local = build_local_gram(X_k, y_k, theta, cfg, block_id=k)
+            chol, phi_y = build_local_gram(X_k, y_k, theta, cfg, block_id=k)
             phi_star = feature_matrix(X_rows, theta, cfg)
             mean, variance = conditional_moments(
-                local, phi_star, alpha.s[start : start + chunk], gamma_mix, cfg.noise_variance
+                chol, phi_y, phi_star, alpha.s[start : start + chunk], gamma_mix,
+                cfg.noise_variance,
             )
             sum_mean[rows] += mean.sum(axis=0)
             sum_second[rows] += (variance + mean**2).sum(axis=0)

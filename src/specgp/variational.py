@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .features import SpectralConfig
-from .localmodel import AlphaVector
 
 FOUR_PI_SQ = 4.0 * np.pi**2
 
@@ -150,6 +149,29 @@ def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> Varia
     if b.size != cfg.alpha_dim:
         raise ContractError("prior dimensions do not match the spectral config")
     return VariationalState(0.1 * np.eye(cfg.alpha_dim), b)
+
+
+@dataclass(frozen=True)
+class AlphaVector:
+    """Joint latent vector: frequencies ``theta`` followed by weights ``s``."""
+
+    theta: np.ndarray  # shape (m * d,) or (b, m * d)
+    s: np.ndarray  # shape (2 m,) or (b, 2 m)
+
+    @classmethod
+    def from_flat(cls, flat, cfg: SpectralConfig) -> "AlphaVector":
+        """Split a flat length ``m d + 2 m`` vector (or a stack of rows) into (theta, s)."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.ndim not in (1, 2) or flat.shape[-1] != cfg.alpha_dim:
+            raise ContractError(
+                f"alpha must have shape ([b,] {cfg.alpha_dim}), got {flat.shape}"
+            )
+        return cls(theta=flat[..., : cfg.theta_dim].copy(), s=flat[..., cfg.theta_dim :].copy())
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Concatenated (theta, s) vector, one row per draw for a stack."""
+        return np.concatenate([self.theta, self.s], axis=-1)
 
 
 def transform(state: VariationalState, z, cfg: SpectralConfig) -> AlphaVector:

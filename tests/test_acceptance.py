@@ -273,20 +273,20 @@ def test_ac8_mixing_identities_hold_in_closed_form():
         X = rng.uniform(-1.0, 1.0, size=(n_k, d))
         y = rng.standard_normal(n_k)
         theta = rng.standard_normal(cfg.theta_dim)
-        local = sg.build_local_gram(X, y, theta, cfg)
+        chol, phi_y = sg.build_local_gram(X, y, theta, cfg)
         x_star = rng.uniform(-1.0, 1.0, size=d)
         phi = sg.basis_vector(x_star, theta, cfg)
 
-        half_mu = np.linalg.solve(local.chol, local.phi_y)
-        mu_bar = np.linalg.solve(local.chol.T, half_mu)
+        half_mu = np.linalg.solve(chol, phi_y)
+        mu_bar = np.linalg.solve(chol.T, half_mu)
         local_mean = float(phi @ mu_bar)
-        half_phi = np.linalg.solve(local.chol, phi)
+        half_phi = np.linalg.solve(chol, phi)
         quad = float(half_phi @ half_phi)
         base_variance = cfg.noise_variance * quad
 
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
             mean, variance = conditional_moments(
-                local, phi[:, None], mu_bar, gamma, cfg.noise_variance
+                chol, phi_y, phi[:, None], mu_bar, gamma, cfg.noise_variance
             )
             assert abs(mean[0] - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
             recovered = variance[0] + gamma**2 * cfg.noise_variance * quad

@@ -817,6 +817,31 @@ def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, c
     assert err.count("\n") == 1
 
 
+def test_missing_output_directory_exits_three(trained_model_doc, tmp_path, capsys):
+    doc, data = trained_model_doc
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "absent" / "predictions.csv"
+    code, stdout, err = run_cli(
+        ["predict", "--model", str(model_path), "--data", data, "--output", str(out)], capsys
+    )
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("specgp: data: ") and str(out) in err
+    assert err.count("\n") == 1
+
+
+def test_data_naming_a_directory_exits_three(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        ["train", "--data", str(tmp_path), "--model", str(tmp_path / "model.json")], capsys
+    )
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("specgp: data: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_interrupted_model_save_keeps_previous_file(trained_model_doc, tmp_path, monkeypatch):
     doc, _ = trained_model_doc
     path = tmp_path / "model.json"

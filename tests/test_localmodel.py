@@ -5,7 +5,6 @@ import pytest
 
 from specgp import (
     AlphaVector,
-    ContractError,
     NumericalError,
     SpectralConfig,
     approx_kernel,
@@ -13,7 +12,7 @@ from specgp import (
     build_local_gram,
     feature_matrix,
 )
-from specgp.localmodel import _jittered_cholesky, _stacked_cholesky, conditional_moments
+from specgp.localmodel import _cholesky, conditional_moments
 
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
@@ -25,15 +24,28 @@ Moments = namedtuple("Moments", "mean variance")
 
 def conditional(x_star, local, alpha, gamma_mix, cfg):
     """Mean and variance for one draw at one point: the batched conditional
-    on a single ``basis_vector`` column."""
+    on a single ``basis_vector`` column; ``local`` is a ``(chol, phi_y)`` pair."""
     phi = basis_vector(x_star, alpha.theta, cfg)[:, None]
-    mean, variance = conditional_moments(local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    mean, variance = conditional_moments(*local, phi, alpha.s, gamma_mix, cfg.noise_variance)
     return Moments(float(mean[0]), float(variance[0]))
 
 
-def gram_solve(local, rhs):
+def gram_solve(chol, rhs):
     """``Gamma^{-1} rhs`` through the block's Cholesky factor."""
-    return np.linalg.solve(local.chol.T, np.linalg.solve(local.chol, rhs))
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def dense_gram(Phi, cfg):
+    """``Phi Phi^T + noise_variance * Lambda^{-1}`` formed directly."""
+    ridge = cfg.noise_variance * cfg.m / cfg.signal_variance
+    return Phi @ Phi.T + ridge * np.eye(cfg.num_features)
+
+
+def with_low_eigenvalue(low):
+    """A symmetric 3x3 matrix with eigenvalues 2, 1 and ``low``."""
+    Q, _ = np.linalg.qr(np.random.default_rng(15).normal(size=(3, 3)))
+    gamma = Q @ np.diag([2.0, 1.0, low]) @ Q.T
+    return 0.5 * (gamma + gamma.T)
 
 
 def random_block(rng, cfg, n_k):
@@ -43,27 +55,13 @@ def random_block(rng, cfg, n_k):
     return X, y, theta
 
 
-def test_alpha_vector_round_trip():
-    cfg = make_cfg(d=2, m=2)
-    rng = np.random.default_rng(0)
-    flat = rng.normal(size=cfg.alpha_dim)
-    alpha = AlphaVector.from_flat(flat, cfg)
-    assert alpha.theta.shape == (cfg.theta_dim,)
-    assert alpha.s.shape == (cfg.num_features,)
-    np.testing.assert_array_equal(alpha.flat, flat)
-    with pytest.raises(ContractError):
-        AlphaVector.from_flat(flat[:-1], cfg)
-
-
 def test_empty_block_gram_is_scaled_identity():
     cfg = make_cfg(d=2, m=3, ss2=1.5, sn2=0.25)
-    local = build_local_gram(np.zeros((0, 2)), np.zeros(0), np.zeros(cfg.theta_dim), cfg)
+    chol, phi_y = build_local_gram(np.zeros((0, 2)), np.zeros(0), np.zeros(cfg.theta_dim), cfg)
     ridge = cfg.noise_variance * cfg.m / cfg.signal_variance
-    np.testing.assert_allclose(local.gamma, ridge * np.eye(cfg.num_features), atol=1e-15)
-    np.testing.assert_array_equal(local.phi_y, np.zeros(cfg.num_features))
-    np.testing.assert_allclose(
-        local.chol, np.sqrt(ridge) * np.eye(cfg.num_features), atol=1e-12
-    )
+    np.testing.assert_allclose(chol @ chol.T, ridge * np.eye(cfg.num_features), atol=1e-15)
+    np.testing.assert_array_equal(phi_y, np.zeros(cfg.num_features))
+    np.testing.assert_allclose(chol, np.sqrt(ridge) * np.eye(cfg.num_features), atol=1e-12)
 
 
 def test_gram_dense_product_oracle():
@@ -71,15 +69,12 @@ def test_gram_dense_product_oracle():
     for _ in range(20):
         cfg = make_cfg(m=int(rng.integers(1, 5)))
         X, y, theta = random_block(rng, cfg, int(rng.integers(1, 25)))
-        local = build_local_gram(X, y, theta, cfg, block_id=3)
+        chol, phi_y = build_local_gram(X, y, theta, cfg, block_id=3)
         Phi = feature_matrix(X, theta, cfg)
-        ridge = cfg.noise_variance * cfg.m / cfg.signal_variance
-        expected = Phi @ Phi.T + ridge * np.eye(cfg.num_features)
-        rel = np.linalg.norm(local.gamma - expected) / np.linalg.norm(expected)
+        expected = dense_gram(Phi, cfg)
+        rel = np.linalg.norm(chol @ chol.T - expected) / np.linalg.norm(expected)
         assert rel <= 1e-12
-        np.testing.assert_allclose(local.phi_y, Phi @ y, rtol=1e-12, atol=1e-12)
-        assert local.block_id == 3
-        assert local.n_points == X.shape[0]
+        np.testing.assert_allclose(phi_y, Phi @ y, rtol=1e-12, atol=1e-12)
 
 
 def test_gram_symmetry_and_cholesky_reconstruction():
@@ -87,12 +82,15 @@ def test_gram_symmetry_and_cholesky_reconstruction():
     for _ in range(20):
         cfg = make_cfg(m=int(rng.integers(1, 5)))
         X, y, theta = random_block(rng, cfg, 15)
-        local = build_local_gram(X, y, theta, cfg)
-        np.testing.assert_allclose(local.gamma, local.gamma.T, atol=1e-12)
-        recon = local.chol @ local.chol.T
-        rel = np.linalg.norm(recon - local.gamma) / np.linalg.norm(local.gamma)
+        chol, _ = build_local_gram(X, y, theta, cfg)
+        # a lower-triangular factor with a positive diagonal: L L^T is
+        # symmetric positive definite
+        np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
+        assert np.all(np.diag(chol) > 0)
+        gamma = dense_gram(feature_matrix(X, theta, cfg), cfg)
+        rel = np.linalg.norm(chol @ chol.T - gamma) / np.linalg.norm(gamma)
         assert rel <= 1e-8
-        assert np.linalg.eigvalsh(local.gamma).min() > 0
+        assert np.linalg.eigvalsh(gamma).min() > 0
 
 
 def test_matrix_inversion_lemma_identity():
@@ -102,9 +100,9 @@ def test_matrix_inversion_lemma_identity():
         cfg = make_cfg(m=int(rng.integers(1, 5)), sn2=float(rng.uniform(0.05, 0.5)))
         n_k = int(rng.integers(1, 31))
         X, y, theta = random_block(rng, cfg, n_k)
-        local = build_local_gram(X, y, theta, cfg)
+        chol, _ = build_local_gram(X, y, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
-        left = (np.eye(n_k) - Phi.T @ gram_solve(local, Phi)) / cfg.noise_variance
+        left = (np.eye(n_k) - Phi.T @ gram_solve(chol, Phi)) / cfg.noise_variance
         right = np.linalg.inv(
             Phi.T @ (cfg.lambda_diag * Phi) + cfg.noise_variance * np.eye(n_k)
         )
@@ -155,7 +153,7 @@ def test_conditional_moment_formulas():
         mom = conditional(x_star, local, alpha, gm, cfg)
         phi = basis_vector(x_star, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
-        ginv = np.linalg.inv(local.gamma)
+        ginv = np.linalg.inv(dense_gram(Phi, cfg))
         mean = gm * phi @ alpha.s + (1 - gm) * phi @ ginv @ Phi @ y
         var = (1 - gm * gm) * cfg.noise_variance * phi @ ginv @ phi
         assert mom.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
@@ -182,11 +180,12 @@ def test_marginalization_identities():
         cfg = make_cfg(m=int(rng.integers(1, 4)))
         X, y, theta = random_block(rng, cfg, int(rng.integers(1, 15)))
         local = build_local_gram(X, y, theta, cfg)
+        chol, phi_y = local
         x_star = rng.normal(size=cfg.d)
         phi = basis_vector(x_star, theta, cfg)
-        mu_bar = gram_solve(local, local.phi_y)
+        mu_bar = gram_solve(chol, phi_y)
         base = float(phi @ mu_bar)
-        quad = cfg.noise_variance * float(phi @ gram_solve(local, phi))
+        quad = cfg.noise_variance * float(phi @ gram_solve(chol, phi))
         for gm in (-1.0, -0.5, 0.0, 0.5, 1.0):
             mom = conditional(x_star, local, AlphaVector(theta=theta, s=mu_bar), gm, cfg)
             # mean at s = E[s] equals the closed-form expectation of the mean
@@ -232,23 +231,35 @@ def test_conditional_mean_linear_in_targets():
 
 
 def test_jitter_recovers_singular_psd_matrix():
-    # rank-one PSD matrix: plain factorization fails, jitter succeeds
+    # rank-one PSD matrix: plain factorization fails, the first jitter step
+    # (1e-10 * trace/3 on the diagonal) succeeds
     gamma = np.ones((3, 3))
-    chol, jittered = _jittered_cholesky(gamma, block_id=0)
-    # jitter lands on the diagonal only
-    assert np.all(np.diag(jittered) > np.diag(gamma))
-    off_diag = ~np.eye(3, dtype=bool)
-    np.testing.assert_array_equal(jittered[off_diag], gamma[off_diag])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gamma)
+    chol = _cholesky(gamma, block_id=0)
+    np.testing.assert_array_equal(chol, np.linalg.cholesky(gamma + 1e-10 * np.eye(3)))
     recon = chol @ chol.T
-    np.testing.assert_allclose(recon, jittered, rtol=0, atol=1e-12)
+    off_diag = ~np.eye(3, dtype=bool)
+    np.testing.assert_allclose(recon[off_diag], gamma[off_diag], rtol=0, atol=1e-12)
     assert np.linalg.norm(recon - gamma) / np.linalg.norm(gamma) <= 1e-4
+    # an eigenvalue of about -5e-8 * trace/3 fails the steps up to 1e-8 and
+    # is factored at 1e-7 * trace/3
+    gamma = with_low_eigenvalue(-5e-8)
+    base = np.trace(gamma) / 3
+    expected = np.linalg.cholesky(gamma + (1e-7 * base) * np.eye(3))
+    np.testing.assert_array_equal(_cholesky(gamma, block_id=0), expected)
 
 
 def test_jitter_escalation_gives_up_on_indefinite_matrix():
     gamma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NumericalError) as err:
-        _jittered_cholesky(gamma, block_id=7)
+        _cholesky(gamma, block_id=7)
     assert err.value.block_id == 7
+    # the last step is 1e-4 * trace/3: it rescues an eigenvalue of -5e-5
+    # but not one of -5e-4
+    _cholesky(with_low_eigenvalue(-5e-5), block_id=7)
+    with pytest.raises(NumericalError):
+        _cholesky(with_low_eigenvalue(-5e-4), block_id=7)
 
 
 def test_stacked_gram_and_conditional_match_per_theta_views():
@@ -258,17 +269,17 @@ def test_stacked_gram_and_conditional_match_per_theta_views():
     thetas = rng.normal(size=(4, cfg.theta_dim))
     s = rng.normal(size=(4, cfg.num_features))
     X_star = rng.normal(size=(5, cfg.d))
-    stacked = build_local_gram(X, y, thetas, cfg, block_id=2)
-    assert stacked.chol.shape == (4, cfg.num_features, cfg.num_features)
+    chols, phi_ys = build_local_gram(X, y, thetas, cfg, block_id=2)
+    assert chols.shape == (4, cfg.num_features, cfg.num_features)
+    assert phi_ys.shape == (4, cfg.num_features)
     means, variances = conditional_moments(
-        stacked, feature_matrix(X_star, thetas, cfg), s, 0.4, cfg.noise_variance
+        chols, phi_ys, feature_matrix(X_star, thetas, cfg), s, 0.4, cfg.noise_variance
     )
     assert means.shape == variances.shape == (4, 5)
     for i, theta in enumerate(thetas):
         single = build_local_gram(X, y, theta, cfg, block_id=2)
-        np.testing.assert_allclose(stacked.gamma[i], single.gamma, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stacked.chol[i], single.chol, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stacked.phi_y[i], single.phi_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chols[i], single[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi_ys[i], single[1], rtol=0, atol=1e-12)
         alpha = AlphaVector(theta=theta, s=s[i])
         for j, x_star in enumerate(X_star):
             mom = conditional(x_star, single, alpha, 0.4, cfg)
@@ -283,19 +294,18 @@ def test_stacked_cholesky_jitters_only_the_failing_draw():
     A = rng.normal(size=(2, k, k))
     spd = A @ np.swapaxes(A, -1, -2) + k * np.eye(k)
     stack = np.stack([spd[0], np.ones((k, k)), spd[1]])
-    chol, jittered = _stacked_cholesky(stack, block_id=4)
+    before = stack.copy()
+    chol = _cholesky(stack, block_id=4)
+    np.testing.assert_array_equal(stack, before)
     for i in (0, 2):
-        np.testing.assert_array_equal(jittered[i], stack[i])
         np.testing.assert_array_equal(chol[i], np.linalg.cholesky(stack[i]))
-    assert np.all(np.diag(jittered[1]) > 1.0)
-    off_diag = ~np.eye(k, dtype=bool)
-    np.testing.assert_array_equal(jittered[1][off_diag], stack[1][off_diag])
-    np.testing.assert_allclose(chol[1] @ chol[1].T, jittered[1], rtol=0, atol=1e-12)
-    # a lone matrix takes the same fallback
-    for got, want in zip(_stacked_cholesky(stack[1], 4), _jittered_cholesky(stack[1], 4)):
-        np.testing.assert_array_equal(got, want)
+    # the failing member gets the factor it gets on its own
+    np.testing.assert_array_equal(chol[1], _cholesky(stack[1], 4))
+    np.testing.assert_array_equal(chol[1], np.linalg.cholesky(stack[1] + 1e-10 * np.eye(k)))
+    # any number of leading axes takes the same path
+    np.testing.assert_array_equal(_cholesky(stack[None], 4)[0], chol)
     # an indefinite member cannot be rescued by jitter
     stack[1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(NumericalError) as err:
-        _stacked_cholesky(stack, block_id=4)
+        _cholesky(stack, block_id=4)
     assert err.value.block_id == 4

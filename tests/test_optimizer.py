@@ -264,6 +264,7 @@ def _drop(*keys):
         _set("iteration", 2.0),
         _set("iteration", -1),
         _set("iteration", 3),
+        _set("train_config", "train", "iterations", 1),
         _set("trace", lambda rows: [rows[0][:4]] + rows[1:]),
         _set("optimizer", "accumulator", lambda acc: acc[:-1]),
         _set("optimizer", "accumulator", lambda acc: [float("nan")] + acc[1:]),
@@ -288,7 +289,7 @@ def _drop(*keys):
     ],
     ids=[
         "iteration_not_a_number", "iteration_float", "iteration_negative",
-        "iteration_past_trace", "trace_row_short", "accumulator_short",
+        "iteration_past_trace", "iteration_past_target", "trace_row_short", "accumulator_short",
         "accumulator_nan", "accumulator_negative", "variance_accumulator_long",
         "accumulator_missing", "variance_accumulator_missing",
         "train_config_zero_iterations", "train_config_bad_seed", "train_config_bad_plan",
@@ -314,6 +315,18 @@ def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
         json.dump(doc, handle)
     with pytest.raises(ModelFormatError):
         load_checkpoint(path)
+
+
+def test_resume_below_the_checkpoint_is_refused(tmp_path):
+    cfg, data, prior = tiny_problem()
+    path = str(tmp_path / "checkpoint.json")
+    train(
+        data, initial_state(prior, cfg, seed=0), prior, cfg,
+        train_config(20, checkpoint_every=20, checkpoint_path=path),
+    )
+    with pytest.raises(ContractError, match="resume to 5 iterations.* at iteration 20"):
+        resume_training(path, iterations=5)
+    assert len(resume_training(path, iterations=20).trace) == 20
 
 
 def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -78,7 +78,9 @@ def test_partition_determinism():
 
 def test_converged_partition_is_fixed_point():
     # every point sits in the block of its nearest centroid once the
-    # iteration has converged
+    # iteration has converged, and each centroid is its block's mean bit for
+    # bit (the means step sums a cluster's rows in row order, as the mean of
+    # the block's own rows does)
     rng = np.random.default_rng(4)
     X = np.concatenate(
         [rng.normal(loc=c, scale=0.2, size=(20, 2)) for c in ((0, 0), (5, 0), (0, 5))]
@@ -86,6 +88,7 @@ def test_converged_partition_is_fixed_point():
     y = rng.normal(size=60)
     part = kmeans_partition(X, y, p=3, seed=0)
     for k, (Xk, _) in enumerate(part.blocks):
+        np.testing.assert_array_equal(part.centroids[k], Xk.mean(axis=0))
         for x in Xk:
             assert assign_blocks(x[None, :], part)[0] == k
 

@@ -40,9 +40,9 @@ def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
 
 def one_point_moments(x, local, alpha, gamma_mix, cfg):
     """Predictive mean and variance for one draw at one point, from the
-    scalar ``basis_vector`` features."""
+    scalar ``basis_vector`` features; ``local`` is a ``(chol, phi_y)`` pair."""
     phi = basis_vector(x, alpha.theta, cfg)[:, None]
-    mean, variance = conditional_moments(local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    mean, variance = conditional_moments(*local, phi, alpha.s, gamma_mix, cfg.noise_variance)
     return float(mean[0]), float(variance[0])
 
 
@@ -68,12 +68,11 @@ def loop_reference(X_star, model, pcfg):
 
 def test_predict_config_validation():
     with pytest.raises(ContractError):
-        PredictConfig(n_samples=0)
+        PredictConfig(n_samples=0, gamma_mix=0.0)
     with pytest.raises(ContractError):
-        PredictConfig(gamma_mix=1.5)
+        PredictConfig(n_samples=64, gamma_mix=1.5)
     with pytest.raises(ContractError):
-        PredictConfig(gamma_mix=float("nan"))
-    assert PredictConfig().gamma_mix == 0.0
+        PredictConfig(n_samples=64, gamma_mix=float("nan"))
 
 
 def test_batch_matches_independent_loop():

@@ -9,7 +9,6 @@ PUBLIC = [
     "DataError",
     "Dataset",
     "GradientSamplePlan",
-    "LocalGram",
     "ModelFormatError",
     "NumericalError",
     "PartitionedDataset",

@@ -39,7 +39,8 @@ tcfg = sg.TrainConfig(
 result = sg.train(part, sg.initial_state(prior, cfg, seed=0), prior, cfg, tcfg)
 assert all(rec.elbo is not None for rec in result.trace)
 model = result.model(part)
-means, variances = sg.predict_batch(X[:5], model, sg.PredictConfig(n_samples=4))
+pcfg = sg.PredictConfig(n_samples=4, gamma_mix=0.0, seed=0)
+means, variances = sg.predict_batch(X[:5], model, pcfg)
 path = sys.argv[1]
 sg.save_model(path, model)
 sg.load_model(path)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from specgp import (
+    AlphaVector,
     ContractError,
     NumericalError,
     PriorSpec,
@@ -101,6 +102,18 @@ def test_state_with_overflowing_norm_is_rejected_without_warning():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError):
             VariationalState(M, np.zeros(2))
+
+
+def test_alpha_vector_round_trip():
+    cfg = make_cfg(d=2, m=2)
+    rng = np.random.default_rng(0)
+    flat = rng.normal(size=cfg.alpha_dim)
+    alpha = AlphaVector.from_flat(flat, cfg)
+    assert alpha.theta.shape == (cfg.theta_dim,)
+    assert alpha.s.shape == (cfg.num_features,)
+    np.testing.assert_array_equal(alpha.flat, flat)
+    with pytest.raises(ContractError):
+        AlphaVector.from_flat(flat[:-1], cfg)
 
 
 def test_transform_identity_and_offset():
