@@ -29,7 +29,6 @@ from .errors import (
 from .features import (
     SpectralConfig,
     approx_kernel,
-    as_frequency_matrix,
     basis_vector,
     feature_matrix,
 )
@@ -60,7 +59,6 @@ from .predict import (
     rmse,
 )
 from .variational import (
-    AlphaVector,
     PriorSpec,
     VariationalState,
     initial_state,
@@ -72,7 +70,6 @@ from .variational import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaVector",
     "ContractError",
     "DataError",
     "Dataset",
@@ -91,7 +88,6 @@ __all__ = [
     "TrainedModel",
     "VariationalState",
     "approx_kernel",
-    "as_frequency_matrix",
     "assign_blocks",
     "basis_vector",
     "build_local_gram",

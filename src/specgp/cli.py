@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -160,8 +161,19 @@ def _report_dropped(dataset):
         )
 
 
+def _check_output_directories(*paths):
+    """Raise before any work when the directory an output file would be
+    written into does not exist; ``None`` is an output not asked for."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: its directory does not exist")
+
+
 def cmd_train(args) -> int:
     doc = run_config.load_run_config(args.config, _config_overrides(args))
+    tcfg = run_config.train_config_from(doc)
+    checkpoint = tcfg.checkpoint_path if tcfg.checkpoint_every else None
+    _check_output_directories(args.model, args.trace, args.test_output, checkpoint)
     dataset = load_csv(args.data, args.target)
     _report_dropped(dataset)
     train_idx, test_idx = split_indices(dataset.n, doc["split_fraction"], seed=doc["seed"])
@@ -190,7 +202,6 @@ def cmd_train(args) -> int:
     )
     prior = PriorSpec.for_inputs(X_train, cfg)
     init = initial_state(prior, cfg, seed=doc["seed"])
-    tcfg = run_config.train_config_from(doc)
     result = train(part, init, prior, cfg, tcfg)
 
     model = result.model(
@@ -297,10 +308,10 @@ def cmd_evaluate(args) -> int:
     }
     if floored:
         metrics["variance_floored"] = floored
-    print(json.dumps(metrics))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(metrics, handle)
+    print(json.dumps(metrics))
     return EXIT_OK
 
 

@@ -107,36 +107,23 @@ class SpectralConfig:
         return self.signal_variance / self.m
 
 
-def as_frequency_matrix(theta, cfg: SpectralConfig) -> np.ndarray:
-    """Validate ``theta`` and reshape it to ``(m, d)`` rows ``r_i`` (``(b, m, d)`` for a stack)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != cfg.theta_dim:
-        raise ContractError(
-            f"theta must have shape ([b,] {cfg.theta_dim}) for m={cfg.m}, d={cfg.d}; "
-            f"got {theta.shape}"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise ContractError("theta contains non-finite entries")
-    return theta.reshape(theta.shape[:-1] + (cfg.m, cfg.d))
-
-
-def _check_input(x, cfg: SpectralConfig) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.d,):
-        raise ContractError(f"input point must have shape ({cfg.d},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("input point contains non-finite entries")
-    return x
-
-
 def basis_vector(x, theta, cfg: SpectralConfig) -> np.ndarray:
     """Evaluate the ``2m`` interleaved cos/sin features at a single input.
 
     Entry ``2i`` is ``cos(2 pi r_i . x)`` and entry ``2i + 1`` is
     ``sin(2 pi r_i . x)`` (0-based), so every feature lies in [-1, 1].
+    The scalar reference checks its own finite ``x`` ``(d,)`` and ``theta``
+    ``(m * d,)``; row ``i`` of ``theta.reshape(m, d)`` is ``r_i``.
     """
-    x = _check_input(x, cfg)
-    angles = TWO_PI * (as_frequency_matrix(theta, cfg) @ x)
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if x.shape != (cfg.d,):
+        raise ContractError(f"input point must have shape ({cfg.d},), got {x.shape}")
+    if theta.shape != (cfg.theta_dim,):
+        raise ContractError(f"theta must have shape ({cfg.theta_dim},), got {theta.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
+        raise ContractError("x and theta must be finite")
+    angles = TWO_PI * (theta.reshape(cfg.m, cfg.d) @ x)
     out = np.empty(cfg.num_features)
     out[0::2] = np.cos(angles)
     out[1::2] = np.sin(angles)

@@ -12,8 +12,9 @@ stochastically from block indices ``i_1..i_a``, drawn uniformly with
 replacement, and standard normal draws ``z_1..z_b``.  Both sums are linear,
 so one kernel evaluates them at once: it takes the concatenated rows of the
 sampled blocks (a block drawn twice appears twice) and the ``(b, D)`` stack
-``A = Z M^T + b``, and returns each draw's data-term gradient ``G_j`` in
-alpha and ``||v_j||^2``.  Then
+``A = Z M^T + b``, split by :func:`~specgp.variational.transform` into the
+pair of arrays ``(theta, s)``, and returns each draw's data-term gradient
+``G_j`` in alpha and ``||v_j||^2``.  Then
 
     grad_M = (p / (a b)) G^T Z - d KL/dM,
     grad_b = (p / (a b)) sum_j G_j - d KL/db.
@@ -39,7 +40,6 @@ import numpy as np
 from .errors import ContractError
 from .features import TWO_PI, SpectralConfig, feature_matrix
 from .variational import (
-    AlphaVector,
     PriorSpec,
     VariationalState,
     kl_divergence,
@@ -75,16 +75,17 @@ class GradientSamplePlan:
             raise ContractError("n_z_samples must be >= 1")
 
 
-def _residuals(y, X, alpha: AlphaVector, cfg: SpectralConfig):
+def _residuals(y, X, theta, s, cfg: SpectralConfig):
     """Features ``Phi(X)`` and residuals ``v = y - Phi^T s`` for one draw or a
     stack of draws.  Nothing is checked: ``X`` ``(n, d)`` and ``y`` ``(n,)``
-    are rows of a validated partition, ``alpha`` is from a validated state."""
-    phi = feature_matrix(X, alpha.theta, cfg)
-    v = y - (alpha.s[..., None, :] @ phi)[..., 0, :]
+    are rows of a validated partition, ``theta`` ``([b,] m d)`` and ``s``
+    ``([b,] 2m)`` come from :func:`~specgp.variational.transform`."""
+    phi = feature_matrix(X, theta, cfg)
+    v = y - (s[..., None, :] @ phi)[..., 0, :]
     return phi, v
 
 
-def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
+def _data_term(y, X, theta, s, cfg: SpectralConfig):
     """Gradient ``g_alpha`` of ``-0.5 ||v||^2 / noise_variance`` in
     ``(theta, s)``, and ``v_sq = ||v||^2``, for one draw or a stack of draws
     (the results carry the same leading axis).  The ``s`` part is
@@ -97,8 +98,7 @@ def _data_term(y, X, alpha: AlphaVector, cfg: SpectralConfig):
     assembled for all frequencies at once as ``(W * v) @ X`` without
     materializing any per-point Jacobian.  Inputs are trusted as in
     :func:`_residuals`."""
-    s = alpha.s
-    phi, v = _residuals(y, X, alpha, cfg)
+    phi, v = _residuals(y, X, theta, s, cfg)
     inv_noise = 1.0 / cfg.noise_variance
     g_s = inv_noise * (phi @ v[..., None])[..., 0]
     rotated = s[..., 1::2, None] * phi[..., 0::2, :] - s[..., 0::2, None] * phi[..., 1::2, :]
@@ -116,14 +116,15 @@ def _dlog_variances(state: VariationalState, v_sq, n_rows: int, cfg: SpectralCon
     return d_noise, 0.5 * cfg.m * float(np.sum(s_sq)) / cfg.signal_variance - cfg.m
 
 
-def log_likelihood(y, X, alpha: AlphaVector, cfg: SpectralConfig):
-    """Gaussian log likelihood of ``(X, y)`` under the sampled weights.
+def log_likelihood(y, X, theta, s, cfg: SpectralConfig):
+    """Gaussian log likelihood of ``(X, y)`` under sampled frequencies
+    ``theta`` ``([b,] m d)`` and weights ``s`` ``([b,] 2m)``.
 
     A stack of draws gives one value per draw.  Summing this over the
     blocks of a partition reproduces the full-data value exactly, because
     both the quadratic and the ``n log`` terms are additive over rows.
     """
-    _, v = _residuals(y, X, alpha, cfg)
+    _, v = _residuals(y, X, theta, s, cfg)
     return -0.5 * np.sum(v * v, axis=-1) / cfg.noise_variance - 0.5 * len(y) * np.log(
         2.0 * np.pi * cfg.noise_variance
     )
@@ -174,8 +175,8 @@ def stochastic_gradient(
     indices, z_draws = draw_sample_sets(plan, data.p, state.dim)
     X = np.concatenate([data.blocks[i][0] for i in indices])
     y = np.concatenate([data.blocks[i][1] for i in indices])
-    alpha = transform(state, z_draws, cfg)
-    g_alpha, v_sq = _data_term(y, X, alpha, cfg)
+    theta, s = transform(state, z_draws, cfg)
+    g_alpha, v_sq = _data_term(y, X, theta, s, cfg)
     scale = data.p / (plan.n_partition_samples * plan.n_z_samples)
     kl_m, kl_b = kl_term_gradient(state, prior, cfg)
     n_eta = state.dim * (state.dim + 1)
@@ -208,8 +209,8 @@ def elbo_estimate(
         raise ContractError("n_z must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_draws = rng.standard_normal((n_z, state.dim))
-    alpha = transform(state, z_draws, cfg)
-    ll = sum(log_likelihood(y_i, X_i, alpha, cfg) for X_i, y_i in data.blocks)
+    theta, s = transform(state, z_draws, cfg)
+    ll = sum(log_likelihood(y_i, X_i, theta, s, cfg) for X_i, y_i in data.blocks)
     parts = {"log_likelihood": float(np.mean(ll)), "kl": kl_divergence(state, prior, cfg)}
     elbo = parts["log_likelihood"] - parts["kl"]
     if return_parts:

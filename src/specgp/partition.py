@@ -40,8 +40,12 @@ class PartitionedDataset:
         Per-block inputs ``(n_i, d)`` and targets ``(n_i,)``.
     centroids : numpy.ndarray, shape (p, d)
     block_indices : list of numpy.ndarray
-        Original row indices of each block, kept for serialization and
-        for reproducing the training-time assignment at prediction time.
+        Row indices of each block's points.  From :func:`kmeans_partition`
+        they index the ``X`` it was given; for a loaded model they are
+        positions in the model file's block-ordered data.  Nothing in the
+        package reads them after construction: model files write their own
+        consecutive ranges, and prediction assigns test points by
+        ``centroids``.
     """
 
     blocks: list

@@ -1,8 +1,9 @@
 """Monte-Carlo prediction through the variational posterior, plus metrics.
 
 Each test point is served by the block of its nearest centroid.  For one
-predict call, ``r`` posterior draws ``alpha_i = M z_i + b`` are shared by
-every test point in the batch.  Per block that the batch hits, the local
+predict call, ``r`` posterior draws ``alpha_i = M z_i + b``, taken as the
+arrays ``theta`` ``(r, m d)`` and ``s`` ``(r, 2m)``, are shared by every
+test point in the batch.  Per block that the batch hits, the local
 Gram matrices of a chunk of draws are factorized in one stacked call and
 one batched conditional gives the moments of every (draw, point) pair of
 the block; chunks hold at most ``_CHUNK_ELEMENTS`` feature entries, so
@@ -86,7 +87,7 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     labels = assign_blocks(X_star, model.partition)
     by_block = {int(k): np.flatnonzero(labels == k) for k in np.unique(labels)}
     r = pcfg.n_samples
-    alpha = transform(model.state, posterior_draws(model, pcfg), cfg)
+    theta, s = transform(model.state, posterior_draws(model, pcfg), cfg)
 
     sum_mean = np.zeros(t)
     sum_second = np.zeros(t)  # accumulates var_i + mean_i^2
@@ -95,12 +96,11 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
         X_rows = X_star[rows]
         chunk = max(1, _CHUNK_ELEMENTS // (cfg.num_features * (X_k.shape[0] + rows.size)))
         for start in range(0, r, chunk):
-            theta = alpha.theta[start : start + chunk]
-            chol, phi_y = build_local_gram(X_k, y_k, theta, cfg, block_id=k)
-            phi_star = feature_matrix(X_rows, theta, cfg)
+            theta_c = theta[start : start + chunk]
+            chol, phi_y = build_local_gram(X_k, y_k, theta_c, cfg, block_id=k)
+            phi_star = feature_matrix(X_rows, theta_c, cfg)
             mean, variance = conditional_moments(
-                chol, phi_y, phi_star, alpha.s[start : start + chunk], gamma_mix,
-                cfg.noise_variance,
+                chol, phi_y, phi_star, s[start : start + chunk], gamma_mix, cfg.noise_variance
             )
             sum_mean[rows] += mean.sum(axis=0)
             sum_second[rows] += (variance + mean**2).sum(axis=0)

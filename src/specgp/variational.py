@@ -18,6 +18,9 @@ likelihood term:
 ``M`` must stay invertible.  Each state inverts it once, for the exact
 condition number that guards against singular states and for the
 gradient's ``M^{-T}``.
+
+:func:`transform` returns draws of ``alpha`` split into two plain arrays,
+``(theta, s)``, the form in which every caller uses them.
 """
 
 from __future__ import annotations
@@ -151,35 +154,17 @@ def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> Varia
     return VariationalState(0.1 * np.eye(cfg.alpha_dim), b)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    """Joint latent vector: frequencies ``theta`` followed by weights ``s``."""
+def transform(state: VariationalState, z, cfg: SpectralConfig):
+    """Map a standard normal draw (or a stack) to ``alpha = M z + b``, split
+    into frequencies ``theta`` ``([b,] m d)`` and weights ``s`` ``([b,] 2m)``.
 
-    theta: np.ndarray  # shape (m * d,) or (b, m * d)
-    s: np.ndarray  # shape (2 m,) or (b, 2 m)
-
-    @classmethod
-    def from_flat(cls, flat, cfg: SpectralConfig) -> "AlphaVector":
-        """Split a flat length ``m d + 2 m`` vector (or a stack of rows) into (theta, s)."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.ndim not in (1, 2) or flat.shape[-1] != cfg.alpha_dim:
-            raise ContractError(
-                f"alpha must have shape ([b,] {cfg.alpha_dim}), got {flat.shape}"
-            )
-        return cls(theta=flat[..., : cfg.theta_dim].copy(), s=flat[..., cfg.theta_dim :].copy())
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Concatenated (theta, s) vector, one row per draw for a stack."""
-        return np.concatenate([self.theta, self.s], axis=-1)
-
-
-def transform(state: VariationalState, z, cfg: SpectralConfig) -> AlphaVector:
-    """Map a standard normal draw (or a stack) to the joint vector ``alpha = M z + b``."""
+    Each part is a C-contiguous copy that owns its memory.
+    """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != state.dim:
         raise ContractError(f"z must have shape ([b,] {state.dim}), got {z.shape}")
-    return AlphaVector.from_flat((state.M @ z.T).T + state.b, cfg)
+    alpha = (state.M @ z.T).T + state.b
+    return alpha[..., : cfg.theta_dim].copy(), alpha[..., cfg.theta_dim :].copy()
 
 
 def second_moments(state: VariationalState) -> np.ndarray:

@@ -138,7 +138,7 @@ def test_ac3_block_gradients_sum_to_full_data_gradient():
 
             def loglik(m_mat, b_vec):
                 bumped = sg.VariationalState(m_mat, b_vec)
-                return sg.log_likelihood(y, X, sg.transform(bumped, z, cfg), cfg)
+                return sg.log_likelihood(y, X, *sg.transform(bumped, z, cfg), cfg)
 
             for i in range(dim):
                 for j in range(dim):

@@ -817,14 +817,38 @@ def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, c
     assert err.count("\n") == 1
 
 
-def test_missing_output_directory_exits_three(trained_model_doc, tmp_path, capsys):
+MISSING_OUTPUT_ARGV = {
+    "predict": ["predict", "--model", "{model}", "--data", "{data}", "--output", "{out}"],
+    "evaluate": ["evaluate", "--model", "{model}", "--data", "{data}", "--output", "{out}"],
+    "train-model": ["train", "--data", "{data}", "--model", "{out}"],
+    "train-trace": ["train", "--data", "{data}", "--model", "{new}", "--trace", "{out}"],
+    "train-test-output": [
+        "train", "--data", "{data}", "--model", "{new}", "--test-output", "{out}",
+    ],
+    "train-checkpoint": [
+        "train", "--data", "{data}", "--model", "{new}",
+        "--checkpoint-every", "1", "--checkpoint-path", "{out}",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_OUTPUT_ARGV))
+def test_missing_output_directory_exits_three(
+    trained_model_doc, tmp_path, capsys, monkeypatch, case
+):
+    # every output is checked before training starts, and evaluate writes
+    # its file before printing, so nothing reaches stdout
+    def train_must_not_run(*args, **kwargs):
+        raise AssertionError("train ran although an output directory is missing")
+
+    monkeypatch.setattr(cli, "train", train_must_not_run)
     doc, data = trained_model_doc
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))
-    out = tmp_path / "absent" / "predictions.csv"
-    code, stdout, err = run_cli(
-        ["predict", "--model", str(model_path), "--data", data, "--output", str(out)], capsys
-    )
+    out = tmp_path / "absent" / "output"
+    paths = {"model": model_path, "data": data, "new": tmp_path / "new.json", "out": out}
+    argv = [arg.format(**paths) for arg in MISSING_OUTPUT_ARGV[case]]
+    code, stdout, err = run_cli(argv, capsys)
     assert code == 3
     assert stdout == ""
     assert err.startswith("specgp: data: ") and str(out) in err

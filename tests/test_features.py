@@ -7,7 +7,6 @@ from specgp import (
     ContractError,
     SpectralConfig,
     approx_kernel,
-    as_frequency_matrix,
     basis_vector,
     feature_matrix,
 )
@@ -83,13 +82,6 @@ def test_basis_vector_dimension_mismatch():
         basis_vector(np.zeros(2), np.zeros(cfg.theta_dim + 1), cfg)
     with pytest.raises(ContractError):
         basis_vector(np.zeros(2), np.array([np.nan, 0.0, 0.0, 0.0]), cfg)
-
-
-def test_as_frequency_matrix_layout():
-    cfg = make_cfg(d=2, m=3)
-    theta = np.arange(6.0)
-    R = as_frequency_matrix(theta, cfg)
-    np.testing.assert_array_equal(R, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
 
 
 def test_feature_matrix_columns_match_basis_vector():

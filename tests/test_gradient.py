@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from specgp import (
-    AlphaVector,
     ContractError,
     GradientSamplePlan,
     PartitionedDataset,
@@ -95,11 +94,11 @@ def test_log_likelihood_zero_amplitudes():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(9, cfg.d))
     y = rng.normal(size=9)
-    alpha = AlphaVector(theta=rng.normal(size=cfg.theta_dim), s=np.zeros(cfg.num_features))
+    theta, s = rng.normal(size=cfg.theta_dim), np.zeros(cfg.num_features)
     expected = -0.5 * y @ y / cfg.noise_variance - 0.5 * 9 * np.log(
         2 * np.pi * cfg.noise_variance
     )
-    assert log_likelihood(y, X, alpha, cfg) == pytest.approx(expected, rel=1e-12)
+    assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_likelihood_dense_gaussian_oracle():
@@ -109,14 +108,12 @@ def test_log_likelihood_dense_gaussian_oracle():
         n = int(rng.integers(1, 12))
         X = rng.normal(size=(n, cfg.d))
         y = rng.normal(size=n)
-        alpha = AlphaVector(
-            theta=rng.normal(size=cfg.theta_dim), s=rng.normal(size=cfg.num_features)
-        )
-        mean = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
+        theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
+        mean = feature_matrix(X, theta, cfg).T @ s
         dense = stats.multivariate_normal(
             mean=mean, cov=cfg.noise_variance * np.eye(n)
         ).logpdf(y)
-        assert log_likelihood(y, X, alpha, cfg) == pytest.approx(dense, rel=1e-10)
+        assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(dense, rel=1e-10)
 
 
 def test_log_likelihood_partition_additivity():
@@ -124,13 +121,11 @@ def test_log_likelihood_partition_additivity():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, cfg.d))
     y = rng.normal(size=30)
-    alpha = AlphaVector(
-        theta=rng.normal(size=cfg.theta_dim), s=rng.normal(size=cfg.num_features)
-    )
-    whole = log_likelihood(y, X, alpha, cfg)
+    theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
+    whole = log_likelihood(y, X, theta, s, cfg)
     cuts = [0, 7, 13, 22, 30]
     parts = sum(
-        log_likelihood(y[a:b], X[a:b], alpha, cfg) for a, b in zip(cuts, cuts[1:])
+        log_likelihood(y[a:b], X[a:b], theta, s, cfg) for a, b in zip(cuts, cuts[1:])
     )
     assert parts == pytest.approx(whole, rel=1e-12)
 
@@ -139,12 +134,10 @@ def test_log_likelihood_perfect_fit():
     cfg = make_cfg()
     rng = np.random.default_rng(3)
     X = rng.normal(size=(8, cfg.d))
-    alpha = AlphaVector(
-        theta=rng.normal(size=cfg.theta_dim), s=rng.normal(size=cfg.num_features)
-    )
-    y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
+    theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
+    y = feature_matrix(X, theta, cfg).T @ s
     expected = -0.5 * 8 * np.log(2 * np.pi * cfg.noise_variance)
-    assert log_likelihood(y, X, alpha, cfg) == pytest.approx(expected, rel=1e-12)
+    assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_partition_term_zero_residual():
@@ -153,9 +146,9 @@ def test_partition_term_zero_residual():
     prior = random_prior(rng, cfg)
     state = random_state(rng, cfg.alpha_dim)
     plan = GradientSamplePlan(1, 1, rng_seed=4)
-    alpha = transform(state, plan_z(plan, cfg.alpha_dim), cfg)
+    theta, s = transform(state, plan_z(plan, cfg.alpha_dim), cfg)
     X = rng.normal(size=(6, cfg.d))
-    y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
+    y = feature_matrix(X, theta, cfg).T @ s
     grad = partition_term(plan, X, y, state, prior, cfg)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
@@ -169,12 +162,12 @@ def test_partition_term_s_block_closed_form():
     state = random_state(rng, cfg.alpha_dim)
     plan = GradientSamplePlan(1, 1, rng_seed=5)
     z = plan_z(plan, cfg.alpha_dim)
-    alpha = transform(state, z, cfg)
+    theta, s = transform(state, z, cfg)
     X = rng.normal(size=(7, cfg.d))
     y = rng.normal(size=7)
     grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), cfg.alpha_dim)
-    Phi = feature_matrix(X, alpha.theta, cfg)
-    v = y - Phi.T @ alpha.s
+    Phi = feature_matrix(X, theta, cfg)
+    v = y - Phi.T @ s
     np.testing.assert_allclose(
         grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
     )
@@ -194,8 +187,8 @@ def test_partition_term_finite_differences():
         grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), state.dim)
 
         def objective(M, b):
-            a = transform(VariationalState(M, b), z, cfg)
-            v = y - feature_matrix(X, a.theta, cfg).T @ a.s
+            theta, s = transform(VariationalState(M, b), z, cfg)
+            v = y - feature_matrix(X, theta, cfg).T @ s
             return -0.5 * v @ v / cfg.noise_variance
 
         fd_m, fd_b = eta_finite_difference(objective, state)
@@ -255,7 +248,7 @@ def test_stochastic_gradient_single_partition_exact():
     est = stochastic_gradient(plan, data, state, prior, cfg)
     z = plan_z(plan, cfg.alpha_dim)
     X, y = data.blocks[0]
-    g_alpha, _ = _data_term(y, X, transform(state, z, cfg), cfg)
+    g_alpha, _ = _data_term(y, X, *transform(state, z, cfg), cfg)
     km, kb = kl_term_gradient(state, prior, cfg)
     est_m, est_b = eta_views(est, cfg.alpha_dim)
     np.testing.assert_allclose(est_m, np.outer(g_alpha, z) - km, rtol=1e-12, atol=1e-12)
@@ -304,10 +297,10 @@ def test_batched_gradient_matches_explicit_draw_block_sum():
     ref_b = -kb
     ref_noise = 0.0
     for z in z_draws:
-        alpha = transform(state, z, cfg)
+        theta, s = transform(state, z, cfg)
         for i in indices:
             X, y = data.blocks[i]
-            g_alpha, v_sq = _data_term(y, X, alpha, cfg)
+            g_alpha, v_sq = _data_term(y, X, theta, s, cfg)
             ref_m += scale * np.outer(g_alpha, z)
             ref_b += scale * g_alpha
             ref_noise += scale * (0.5 * v_sq / cfg.noise_variance - 0.5 * y.size)
@@ -326,8 +319,8 @@ def test_batched_gradient_matches_explicit_draw_block_sum():
         (n_z, cfg.alpha_dim)
     )
     for z in elbo_draws:
-        alpha = transform(state, z, cfg)
-        terms.append(sum(log_likelihood(y, X, alpha, cfg) for X, y in data.blocks))
+        theta, s = transform(state, z, cfg)
+        terms.append(sum(log_likelihood(y, X, theta, s, cfg) for X, y in data.blocks))
     kl = kl_divergence(state, prior, cfg)
     assert_rel_close(elbo, np.mean(terms) - kl)
     assert_rel_close([parts["log_likelihood"], parts["kl"]], [np.mean(terms), kl])
@@ -398,9 +391,9 @@ def test_elbo_noiseless_fit_data_term():
     prior = random_prior(rng, cfg)
     D = cfg.alpha_dim
     b = rng.normal(size=D)
-    alpha = AlphaVector.from_flat(b, cfg)
+    theta, s = b[: cfg.theta_dim], b[cfg.theta_dim :]
     X = rng.normal(size=(8, 1))
-    y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
+    y = feature_matrix(X, theta, cfg).T @ s
     data = make_dataset(rng, cfg, [1])
     data.blocks[0] = (X, y)
     state = VariationalState(1e-9 * np.eye(D), b)
@@ -445,7 +438,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
         vals = []
         for _ in range(n_z):
             z = rng_z.standard_normal(D)
-            vals.append(log_likelihood(y, X, transform(state, z, cfg), cfg))
+            vals.append(log_likelihood(y, X, *transform(state, z, cfg), cfg))
         vals = np.array(vals)
         mc_se = vals.std(ddof=1) / np.sqrt(n_z)
         assert vals.mean() - kl_divergence(state, prior, cfg) <= log_evidence + 3 * mc_se

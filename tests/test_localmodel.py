@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specgp import (
-    AlphaVector,
     NumericalError,
     SpectralConfig,
     approx_kernel,
@@ -22,11 +21,11 @@ def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
 Moments = namedtuple("Moments", "mean variance")
 
 
-def conditional(x_star, local, alpha, gamma_mix, cfg):
+def conditional(x_star, local, theta, s, gamma_mix, cfg):
     """Mean and variance for one draw at one point: the batched conditional
     on a single ``basis_vector`` column; ``local`` is a ``(chol, phi_y)`` pair."""
-    phi = basis_vector(x_star, alpha.theta, cfg)[:, None]
-    mean, variance = conditional_moments(*local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    phi = basis_vector(x_star, theta, cfg)[:, None]
+    mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
     return Moments(float(mean[0]), float(variance[0]))
 
 
@@ -115,14 +114,14 @@ def test_conditional_gamma_one_degenerate():
     rng = np.random.default_rng(6)
     X, y, theta = random_block(rng, cfg, 10)
     local = build_local_gram(X, y, theta, cfg)
-    alpha = AlphaVector(theta=theta, s=rng.normal(size=cfg.num_features))
+    s = rng.normal(size=cfg.num_features)
     x_star = rng.normal(size=cfg.d)
-    mom = conditional(x_star, local, alpha, 1.0, cfg)
+    mom = conditional(x_star, local, theta, s, 1.0, cfg)
     phi = basis_vector(x_star, theta, cfg)
-    assert mom.mean == pytest.approx(float(phi @ alpha.s), rel=1e-12)
+    assert mom.mean == pytest.approx(float(phi @ s), rel=1e-12)
     assert mom.variance == 0.0
     # gamma=-1 also kills the variance but flips the mixing sign
-    mom_neg = conditional(x_star, local, alpha, -1.0, cfg)
+    mom_neg = conditional(x_star, local, theta, s, -1.0, cfg)
     assert mom_neg.variance == 0.0
 
 
@@ -132,10 +131,10 @@ def test_conditional_gamma_zero_ignores_s():
     X, y, theta = random_block(rng, cfg, 10)
     local = build_local_gram(X, y, theta, cfg)
     x_star = rng.normal(size=cfg.d)
-    a1 = AlphaVector(theta=theta, s=rng.normal(size=cfg.num_features))
-    a2 = AlphaVector(theta=theta, s=rng.normal(size=cfg.num_features))
-    m1 = conditional(x_star, local, a1, 0.0, cfg)
-    m2 = conditional(x_star, local, a2, 0.0, cfg)
+    s1 = rng.normal(size=cfg.num_features)
+    s2 = rng.normal(size=cfg.num_features)
+    m1 = conditional(x_star, local, theta, s1, 0.0, cfg)
+    m2 = conditional(x_star, local, theta, s2, 0.0, cfg)
     assert m1.mean == m2.mean
     assert m1.variance == m2.variance
 
@@ -147,14 +146,14 @@ def test_conditional_moment_formulas():
         cfg = make_cfg(m=int(rng.integers(1, 4)))
         X, y, theta = random_block(rng, cfg, 12)
         local = build_local_gram(X, y, theta, cfg)
-        alpha = AlphaVector(theta=theta, s=rng.normal(size=cfg.num_features))
+        s = rng.normal(size=cfg.num_features)
         x_star = rng.normal(size=cfg.d)
         gm = float(rng.uniform(-1, 1))
-        mom = conditional(x_star, local, alpha, gm, cfg)
+        mom = conditional(x_star, local, theta, s, gm, cfg)
         phi = basis_vector(x_star, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
         ginv = np.linalg.inv(dense_gram(Phi, cfg))
-        mean = gm * phi @ alpha.s + (1 - gm) * phi @ ginv @ Phi @ y
+        mean = gm * phi @ s + (1 - gm) * phi @ ginv @ Phi @ y
         var = (1 - gm * gm) * cfg.noise_variance * phi @ ginv @ phi
         assert mom.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
         assert mom.variance == pytest.approx(var, rel=1e-9, abs=1e-12)
@@ -167,8 +166,8 @@ def test_conditional_variance_nonnegative_gamma_sweep():
             cfg = make_cfg(m=int(rng.integers(1, 5)))
             X, y, theta = random_block(rng, cfg, int(rng.integers(0, 21)))
             local = build_local_gram(X, y, theta, cfg)
-            alpha = AlphaVector(theta=theta, s=rng.normal(size=cfg.num_features))
-            mom = conditional(rng.normal(size=cfg.d), local, alpha, gm, cfg)
+            s = rng.normal(size=cfg.num_features)
+            mom = conditional(rng.normal(size=cfg.d), local, theta, s, gm, cfg)
             assert mom.variance >= 0.0
 
 
@@ -187,7 +186,7 @@ def test_marginalization_identities():
         base = float(phi @ mu_bar)
         quad = cfg.noise_variance * float(phi @ gram_solve(chol, phi))
         for gm in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            mom = conditional(x_star, local, AlphaVector(theta=theta, s=mu_bar), gm, cfg)
+            mom = conditional(x_star, local, theta, mu_bar, gm, cfg)
             # mean at s = E[s] equals the closed-form expectation of the mean
             assert mom.mean == pytest.approx(base, rel=1e-8, abs=1e-12)
             # var(gamma) + gamma^2 phi' Sigma_bar phi is gamma-independent
@@ -205,8 +204,7 @@ def test_gamma_zero_equals_dense_gp_restricted_to_block():
         X, y, theta = random_block(rng, cfg, n_k)
         local = build_local_gram(X, y, theta, cfg)
         x_star = rng.normal(size=cfg.d)
-        alpha = AlphaVector(theta=theta, s=np.zeros(cfg.num_features))
-        mom = conditional(x_star, local, alpha, 0.0, cfg)
+        mom = conditional(x_star, local, theta, np.zeros(cfg.num_features), 0.0, cfg)
         K = np.empty((n_k, n_k))
         for i in range(n_k):
             for j in range(n_k):
@@ -223,10 +221,10 @@ def test_conditional_mean_linear_in_targets():
     cfg = make_cfg()
     rng = np.random.default_rng(12)
     X, y, theta = random_block(rng, cfg, 9)
-    alpha = AlphaVector(theta=theta, s=np.zeros(cfg.num_features))
+    s = np.zeros(cfg.num_features)
     x_star = rng.normal(size=cfg.d)
-    m1 = conditional(x_star, build_local_gram(X, y, theta, cfg), alpha, 0.0, cfg)
-    m2 = conditional(x_star, build_local_gram(X, 2 * y, theta, cfg), alpha, 0.0, cfg)
+    m1 = conditional(x_star, build_local_gram(X, y, theta, cfg), theta, s, 0.0, cfg)
+    m2 = conditional(x_star, build_local_gram(X, 2 * y, theta, cfg), theta, s, 0.0, cfg)
     assert m2.mean == pytest.approx(2 * m1.mean, rel=1e-12)
 
 
@@ -280,9 +278,8 @@ def test_stacked_gram_and_conditional_match_per_theta_views():
         single = build_local_gram(X, y, theta, cfg, block_id=2)
         np.testing.assert_allclose(chols[i], single[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(phi_ys[i], single[1], rtol=0, atol=1e-12)
-        alpha = AlphaVector(theta=theta, s=s[i])
         for j, x_star in enumerate(X_star):
-            mom = conditional(x_star, single, alpha, 0.4, cfg)
+            mom = conditional(x_star, single, theta, s[i], 0.4, cfg)
             assert means[i, j] == pytest.approx(mom.mean, rel=0, abs=1e-12)
             assert variances[i, j] == pytest.approx(mom.variance, rel=0, abs=1e-12)
 

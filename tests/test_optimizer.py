@@ -507,7 +507,7 @@ def test_non_finite_gradient_aborts(bad):
 
 def one_block_variance_gradients(X, y, state, prior, cfg, plan):
     """``(d_log_noise, d_log_signal)`` of the estimate on one block with one
-    draw, and that draw's alpha."""
+    draw, and that draw's ``(theta, s)`` pair."""
     data = kmeans_partition(X, y, p=1, seed=0)
     d_noise, d_signal = stochastic_gradient(plan, data, state, prior, cfg)[-2:]
     alpha = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
@@ -521,8 +521,8 @@ def test_variance_gradients_zero_residual():
     X = rng.normal(size=(11, 2))
     prior = PriorSpec.for_inputs(X, cfg)
     plan = GradientSamplePlan(1, 1, rng_seed=6)
-    alpha = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
-    y = feature_matrix(X, alpha.theta, cfg).T @ alpha.s
+    theta, s = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
+    y = feature_matrix(X, theta, cfg).T @ s
     d_noise, _, _ = one_block_variance_gradients(X, y, state, prior, cfg, plan)
     assert d_noise == pytest.approx(-0.5 * 11, rel=1e-12)
 
@@ -550,7 +550,7 @@ def test_variance_gradients_match_finite_differences():
         def loglik_at(log_sn2):
             from dataclasses import replace
 
-            return log_likelihood(y, X, alpha, replace(cfg, noise_variance=float(np.exp(log_sn2))))
+            return log_likelihood(y, X, *alpha, replace(cfg, noise_variance=float(np.exp(log_sn2))))
 
         base = np.log(cfg.noise_variance)
         fd_noise = (loglik_at(base + step) - loglik_at(base - step)) / (2 * step)

@@ -38,11 +38,11 @@ def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
     return TrainedModel(state=state, prior=prior, spectral=cfg, partition=partition)
 
 
-def one_point_moments(x, local, alpha, gamma_mix, cfg):
+def one_point_moments(x, local, theta, s, gamma_mix, cfg):
     """Predictive mean and variance for one draw at one point, from the
     scalar ``basis_vector`` features; ``local`` is a ``(chol, phi_y)`` pair."""
-    phi = basis_vector(x, alpha.theta, cfg)[:, None]
-    mean, variance = conditional_moments(*local, phi, alpha.s, gamma_mix, cfg.noise_variance)
+    phi = basis_vector(x, theta, cfg)[:, None]
+    mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
     return float(mean[0]), float(variance[0])
 
 
@@ -56,9 +56,9 @@ def loop_reference(X_star, model, pcfg):
         k = assign_blocks(x[None, :], model.partition)[0]
         X_k, y_k = model.partition.blocks[k]
         for z in z_draws:
-            alpha = transform(model.state, z, cfg)
-            local = build_local_gram(X_k, y_k, alpha.theta, cfg, block_id=k)
-            mean, variance = one_point_moments(x, local, alpha, pcfg.gamma_mix, cfg)
+            theta, s = transform(model.state, z, cfg)
+            local = build_local_gram(X_k, y_k, theta, cfg, block_id=k)
+            mean, variance = one_point_moments(x, local, theta, s, pcfg.gamma_mix, cfg)
             means[j] += mean
             seconds[j] += variance + mean**2
     means /= pcfg.n_samples
@@ -155,15 +155,15 @@ def test_collapsed_posterior_recovers_offset_prediction():
     rng = np.random.default_rng(7)
     X_star = rng.normal(size=(5, 2))
     cfg = model.spectral
-    alpha_b = transform(model.state, np.zeros(D), cfg)
+    theta_b, s_b = transform(model.state, np.zeros(D), cfg)
     for r in (1, 8, 64):
         pcfg = PredictConfig(n_samples=r, gamma_mix=0.3, seed=r)
         means, _ = predict_batch(X_star, model, pcfg)
         for j, x in enumerate(X_star):
             k = assign_blocks(x[None, :], model.partition)[0]
             X_k, y_k = model.partition.blocks[k]
-            local = build_local_gram(X_k, y_k, alpha_b.theta, cfg, block_id=k)
-            expected, _ = one_point_moments(x, local, alpha_b, 0.3, cfg)
+            local = build_local_gram(X_k, y_k, theta_b, cfg, block_id=k)
+            expected, _ = one_point_moments(x, local, theta_b, s_b, 0.3, cfg)
             assert abs(means[j] - expected) <= 1e-4
 
 
@@ -176,10 +176,10 @@ def test_gamma_one_variance_is_sample_variance_of_basis_mean():
     cfg = model.spectral
     draws = np.empty((pcfg.n_samples, len(X_star)))
     for i, z in enumerate(posterior_draws(model, pcfg)):
-        alpha = transform(model.state, z, cfg)
+        theta, s = transform(model.state, z, cfg)
         for j, x in enumerate(X_star):
-            phi = specgp.basis_vector(x, alpha.theta, cfg)
-            draws[i, j] = phi @ alpha.s
+            phi = specgp.basis_vector(x, theta, cfg)
+            draws[i, j] = phi @ s
     np.testing.assert_allclose(means, draws.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(variances, draws.var(axis=0), atol=1e-12)
 

@@ -4,7 +4,6 @@ reviewed edit of this list."""
 import specgp
 
 PUBLIC = [
-    "AlphaVector",
     "ContractError",
     "DataError",
     "Dataset",
@@ -23,7 +22,6 @@ PUBLIC = [
     "TrainedModel",
     "VariationalState",
     "approx_kernel",
-    "as_frequency_matrix",
     "assign_blocks",
     "basis_vector",
     "build_local_gram",

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from specgp import (
-    AlphaVector,
     ContractError,
     NumericalError,
     PriorSpec,
@@ -104,30 +103,27 @@ def test_state_with_overflowing_norm_is_rejected_without_warning():
             VariationalState(M, np.zeros(2))
 
 
-def test_alpha_vector_round_trip():
-    cfg = make_cfg(d=2, m=2)
-    rng = np.random.default_rng(0)
-    flat = rng.normal(size=cfg.alpha_dim)
-    alpha = AlphaVector.from_flat(flat, cfg)
-    assert alpha.theta.shape == (cfg.theta_dim,)
-    assert alpha.s.shape == (cfg.num_features,)
-    np.testing.assert_array_equal(alpha.flat, flat)
-    with pytest.raises(ContractError):
-        AlphaVector.from_flat(flat[:-1], cfg)
-
-
 def test_transform_identity_and_offset():
     cfg = make_cfg(d=1, m=1)
     D = cfg.alpha_dim
     state = VariationalState(np.eye(D), np.zeros(D))
     z = np.arange(1.0, D + 1)
-    alpha = transform(state, z, cfg)
-    np.testing.assert_array_equal(alpha.flat, z)
-    np.testing.assert_array_equal(alpha.theta, z[: cfg.theta_dim])
-    np.testing.assert_array_equal(alpha.s, z[cfg.theta_dim :])
+    theta, s = transform(state, z, cfg)
+    np.testing.assert_array_equal(np.concatenate([theta, s]), z)
+    np.testing.assert_array_equal(theta, z[: cfg.theta_dim])
+    np.testing.assert_array_equal(s, z[cfg.theta_dim :])
     b = np.full(D, 2.5)
     state2 = VariationalState(np.eye(D), b)
-    np.testing.assert_array_equal(transform(state2, np.zeros(D), cfg).flat, b)
+    np.testing.assert_array_equal(np.concatenate(transform(state2, np.zeros(D), cfg)), b)
+    # each part is a C-contiguous array owning its memory, for one draw and
+    # for a (b, D) stack: strided views of alpha would change the results
+    stack = transform(state2, np.arange(3.0 * D).reshape(3, D), cfg)
+    for theta, s in ((theta, s), stack):
+        for part in (theta, s):
+            assert part.flags.c_contiguous
+            assert part.base is None
+        assert not np.shares_memory(theta, s)
+    assert stack[0].shape == (3, cfg.theta_dim) and stack[1].shape == (3, cfg.num_features)
 
 
 def test_transform_matvec_oracle():
@@ -136,9 +132,9 @@ def test_transform_matvec_oracle():
     D = cfg.alpha_dim
     state = random_state(rng, D)
     z = rng.normal(size=D)
-    alpha = transform(state, z, cfg)
+    alpha = np.concatenate(transform(state, z, cfg))
     manual = np.array([state.M[i] @ z + state.b[i] for i in range(D)])
-    np.testing.assert_allclose(alpha.flat, manual, atol=1e-12)
+    np.testing.assert_allclose(alpha, manual, atol=1e-12)
     with pytest.raises(ContractError):
         transform(state, z[:-1], cfg)
 
@@ -159,7 +155,9 @@ def test_kl_divergence_monte_carlo_logpdf_oracle():
         cfg = make_cfg(d=int(rng.integers(1, 3)), m=int(rng.integers(1, 3)))
         prior = random_prior(rng, cfg)
         state = random_state(rng, cfg.alpha_dim)
-        alpha = transform(state, rng.normal(size=(n_draws, cfg.alpha_dim)), cfg).flat
+        alpha = np.concatenate(
+            transform(state, rng.normal(size=(n_draws, cfg.alpha_dim)), cfg), axis=-1
+        )
         q = stats.multivariate_normal(mean=state.b, cov=state.M @ state.M.T)
         p = stats.multivariate_normal(
             mean=np.zeros(cfg.alpha_dim), cov=np.diag(prior.variances(cfg))
