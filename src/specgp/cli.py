@@ -268,6 +268,7 @@ def _load_features(path, model):
 
 
 def cmd_predict(args) -> int:
+    _check_output_directories(args.output)
     doc = run_config.load_run_config(args.config, _config_overrides(args))
     model = load_model(args.model)
     X_raw, _, names = _load_features(args.data, model)
@@ -285,6 +286,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_output_directories(args.output)
     doc = run_config.load_run_config(args.config, _config_overrides(args))
     model = load_model(args.model)
     X_raw, y_raw, _ = _load_features(args.data, model)
@@ -332,6 +334,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    truth_path = args.truth_output or f"{args.output}.truth.json"
+    _check_output_directories(args.output, truth_path)
     kwargs = {}
     if args.lengthscale is not None:
         kwargs["lengthscale"] = args.lengthscale
@@ -345,7 +349,6 @@ def cmd_synth(args) -> int:
         **kwargs,
     )
     save_csv(args.output, dataset)
-    truth_path = args.truth_output or f"{args.output}.truth.json"
     serializable = {
         key: value.tolist() if isinstance(value, np.ndarray) else value
         for key, value in truth.items()

@@ -243,7 +243,9 @@ def synth_ssgp(
     theta_true = prior.sample_theta(rng)
     s_true = rng.standard_normal(cfg.num_features) * np.sqrt(cfg.lambda_diag)
     X = rng.random((n, d))
-    y = feature_matrix(X, theta_true, cfg).T @ s_true
+    # Interleaved rows, so every dataset keeps the summation order it was made with.
+    phi = np.swapaxes(feature_matrix(X, theta_true, cfg), 0, 1).reshape(cfg.num_features, n)
+    y = phi.T @ s_true
     if noise > 0:
         y = y + noise * rng.standard_normal(n)
     dataset = Dataset(

@@ -2,9 +2,16 @@
 
 A stack of ``m`` frequency vectors ``r_1, ..., r_m`` (each in R^d,
 flattened into a single vector ``theta``) defines ``2m`` basis functions
-per input, interleaved as
+per input.  The weights ``s`` of a joint vector ``alpha = (theta, s)``
+pair with them interleaved, as in :func:`basis_vector`,
 
-    phi(x) = (cos(2 pi r_1.x), sin(2 pi r_1.x), ..., cos(2 pi r_m.x), sin(2 pi r_m.x)).
+    phi(x) = (cos(2 pi r_1.x), sin(2 pi r_1.x), ..., cos(2 pi r_m.x), sin(2 pi r_m.x)),
+
+while :func:`feature_matrix` stores the same values as a cosine half and a
+sine half, ``([b,] 2, m, n)``, so that each half of each draw is one
+contiguous ``(m, n)`` block.  Reshaped to ``([b,] 2m, n)`` (a free view)
+its rows run cosines first, then sines; :func:`weights_by_half` puts ``s``
+in that order.
 
 With the diagonal weight matrix ``Lambda = (signal_variance / m) * I`` the
 features induce the stationary covariance
@@ -131,7 +138,7 @@ def basis_vector(x, theta, cfg: SpectralConfig) -> np.ndarray:
 
 
 def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
-    """Feature vectors for each row of ``X``, stacked as columns.
+    """Cosine and sine features of each row of ``X``, per frequency.
 
     This is the hot kernel of training and prediction, so it checks
     nothing: ``X`` and ``theta`` must be finite and of the shapes below,
@@ -142,37 +149,47 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     ----------
     X : numpy.ndarray, shape (n, d)
         Input points, one per row.  ``n = 0`` is allowed and produces an
-        empty ``(2m, 0)`` matrix.
+        empty ``(2, m, 0)`` array.
     theta : numpy.ndarray, shape (m * d,) or (b, m * d)
         Flattened frequency vectors, or a stack of ``b`` of them.
     cfg : SpectralConfig
 
     Returns
     -------
-    numpy.ndarray, shape (2m, n) or (b, 2m, n)
-        Column ``j`` equals ``basis_vector(X[j], theta, cfg)``, per vector of a
-        stack, to within 4e-16 absolute.
+    numpy.ndarray, shape (2, m, n) or (b, 2, m, n)
+        ``[..., 0, i, j]`` is ``cos(2 pi r_i.x_j)`` and ``[..., 1, i, j]`` is
+        ``sin(2 pi r_i.x_j)``: entries ``2i`` and ``2i + 1`` of
+        ``basis_vector(X[j], theta, cfg)``, per vector of a stack, to within
+        4e-16 absolute.
 
     Notes
     -----
     Each pair comes from ``t = tan(pi r.x)`` as ``(u - 1, t u)`` with
     ``u = 2 / (1 + t^2)`` (see the module docstring for why, the accuracy
-    bound and the poles).  ``u`` is built in the cosine rows of the result,
-    so the half-angle array ``t`` is the only temporary.
+    bound and the poles).  ``t`` is built in the sine half and ``u`` in the
+    cosine half of the result, so nothing else is allocated.
     """
     X = np.asarray(X, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    t = theta.reshape(theta.shape[:-1] + (cfg.m, cfg.d)) @ X.T
-    t *= np.pi
-    np.tan(t, out=t)
-    phi = np.empty(t.shape[:-2] + (cfg.num_features, X.shape[0]))
-    u = phi[..., 0::2, :]
-    np.square(t, out=u)
-    u += 1.0
-    np.divide(2.0, u, out=u)
-    np.multiply(t, u, out=phi[..., 1::2, :])
-    u -= 1.0
+    batch = theta.shape[:-1]
+    phi = np.empty(batch + (2, cfg.m, X.shape[0]))
+    cos, sin = phi[..., 0, :, :], phi[..., 1, :, :]
+    np.matmul(theta.reshape(batch + (cfg.m, cfg.d)), X.T, out=sin)
+    sin *= np.pi
+    np.tan(sin, out=sin)
+    np.square(sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
     return phi
+
+
+def weights_by_half(s) -> np.ndarray:
+    """Weights ``s`` ``([b,] 2m)``, interleaved as in the joint vector, reordered
+    to the rows of a reshaped :func:`feature_matrix`: ``s_0, s_2, ...`` for the
+    cosines, then ``s_1, s_3, ...`` for the sines."""
+    return np.concatenate([s[..., 0::2], s[..., 1::2]], axis=-1)
 
 
 def approx_kernel(x, x2, theta, cfg: SpectralConfig) -> float:

@@ -12,6 +12,13 @@ NOISE_SD = 0.1
 LENGTHSCALE = 0.055
 
 
+def interleaved(phi):
+    """``feature_matrix`` output ``([b,] 2, m, n)`` as ``([b,] 2m, n)`` rows
+    ``cos_1, sin_1, ..., cos_m, sin_m``, the order of ``basis_vector`` and of
+    the weights ``s``."""
+    return np.swapaxes(phi, -3, -2).reshape(phi.shape[:-3] + (-1, phi.shape[-1]))
+
+
 class SyntheticProblem:
     """A 2-d, five-frequency dataset with a fixed split, standardization,
     partition, and prior; trains and scores models with pinned seeds."""

@@ -829,6 +829,13 @@ MISSING_OUTPUT_ARGV = {
         "train", "--data", "{data}", "--model", "{new}",
         "--checkpoint-every", "1", "--checkpoint-path", "{out}",
     ],
+    "synth-output": [
+        "synth", "--n", "20", "--d", "1", "--m-true", "1", "--noise", "0.1", "--output", "{out}",
+    ],
+    "synth-truth": [
+        "synth", "--n", "20", "--d", "1", "--m-true", "1", "--noise", "0.1",
+        "--output", "{new}", "--truth-output", "{out}",
+    ],
 }
 
 
@@ -836,23 +843,26 @@ MISSING_OUTPUT_ARGV = {
 def test_missing_output_directory_exits_three(
     trained_model_doc, tmp_path, capsys, monkeypatch, case
 ):
-    # every output is checked before training starts, and evaluate writes
-    # its file before printing, so nothing reaches stdout
-    def train_must_not_run(*args, **kwargs):
-        raise AssertionError("train ran although an output directory is missing")
+    # every output is checked before training, prediction or synthesis
+    # starts, so nothing reaches stdout and no file is created
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work ran although an output directory is missing")
 
-    monkeypatch.setattr(cli, "train", train_must_not_run)
+    for name in ("train", "predict_batch", "synth_ssgp"):
+        monkeypatch.setattr(cli, name, must_not_run)
     doc, data = trained_model_doc
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))
     out = tmp_path / "absent" / "output"
     paths = {"model": model_path, "data": data, "new": tmp_path / "new.json", "out": out}
     argv = [arg.format(**paths) for arg in MISSING_OUTPUT_ARGV[case]]
+    before = sorted(tmp_path.rglob("*"))
     code, stdout, err = run_cli(argv, capsys)
     assert code == 3
     assert stdout == ""
     assert err.startswith("specgp: data: ") and str(out) in err
     assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_data_naming_a_directory_exits_three(tmp_path, capsys):

@@ -21,6 +21,8 @@ from specgp import (
     synth_ssgp,
 )
 
+from conftest import interleaved
+
 
 def write(path, text):
     path.write_text(text)
@@ -223,7 +225,7 @@ def test_synth_noiseless_targets_match_generator():
     cfg = SpectralConfig(
         d=2, m=3, signal_variance=truth["signal_variance"], noise_variance=1.0
     )
-    expected = feature_matrix(ds.X, truth["theta"], cfg).T @ truth["s"]
+    expected = interleaved(feature_matrix(ds.X, truth["theta"], cfg)).T @ truth["s"]
     np.testing.assert_array_equal(ds.y, expected)
     assert ds.feature_names == ["x1", "x2"]
     assert truth["theta"].shape == (6,)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,6 +23,8 @@ from specgp import (
     transform,
 )
 from specgp.gradient import _data_term, eta_views
+
+from conftest import interleaved
 
 
 def make_cfg(d=2, m=2, ss2=1.3, sn2=0.4):
@@ -109,7 +114,7 @@ def test_log_likelihood_dense_gaussian_oracle():
         X = rng.normal(size=(n, cfg.d))
         y = rng.normal(size=n)
         theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
-        mean = feature_matrix(X, theta, cfg).T @ s
+        mean = interleaved(feature_matrix(X, theta, cfg)).T @ s
         dense = stats.multivariate_normal(
             mean=mean, cov=cfg.noise_variance * np.eye(n)
         ).logpdf(y)
@@ -135,7 +140,7 @@ def test_log_likelihood_perfect_fit():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(8, cfg.d))
     theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
-    y = feature_matrix(X, theta, cfg).T @ s
+    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
     expected = -0.5 * 8 * np.log(2 * np.pi * cfg.noise_variance)
     assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -148,7 +153,7 @@ def test_partition_term_zero_residual():
     plan = GradientSamplePlan(1, 1, rng_seed=4)
     theta, s = transform(state, plan_z(plan, cfg.alpha_dim), cfg)
     X = rng.normal(size=(6, cfg.d))
-    y = feature_matrix(X, theta, cfg).T @ s
+    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
     grad = partition_term(plan, X, y, state, prior, cfg)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
@@ -166,7 +171,7 @@ def test_partition_term_s_block_closed_form():
     X = rng.normal(size=(7, cfg.d))
     y = rng.normal(size=7)
     grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), cfg.alpha_dim)
-    Phi = feature_matrix(X, theta, cfg)
+    Phi = interleaved(feature_matrix(X, theta, cfg))
     v = y - Phi.T @ s
     np.testing.assert_allclose(
         grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
@@ -188,7 +193,7 @@ def test_partition_term_finite_differences():
 
         def objective(M, b):
             theta, s = transform(VariationalState(M, b), z, cfg)
-            v = y - feature_matrix(X, theta, cfg).T @ s
+            v = y - interleaved(feature_matrix(X, theta, cfg)).T @ s
             return -0.5 * v @ v / cfg.noise_variance
 
         fd_m, fd_b = eta_finite_difference(objective, state)
@@ -383,6 +388,76 @@ def test_elbo_deterministic_and_finite():
         elbo_estimate(0, data, state, prior, cfg)
 
 
+def data_term_oracle(y, X, theta, s, cfg):
+    """``g_alpha`` and ``||v||^2`` of one draw, one row at a time, from libm
+    ``cos``/``sin`` and the per-point Jacobian ``w_ij x_j``."""
+    freqs = theta.reshape(cfg.m, cfg.d)
+    g_alpha = np.zeros(cfg.alpha_dim)
+    v_sq = 0.0
+    for x_j, y_j in zip(X, y):
+        angles = [2.0 * math.pi * float(r @ x_j) for r in freqs]
+        cos = [math.cos(a) for a in angles]
+        sin = [math.sin(a) for a in angles]
+        v = y_j - sum(s[2 * i] * cos[i] + s[2 * i + 1] * sin[i] for i in range(cfg.m))
+        v_sq += v * v
+        for i in range(cfg.m):
+            w = -s[2 * i] * sin[i] + s[2 * i + 1] * cos[i]
+            g_alpha[i * cfg.d : (i + 1) * cfg.d] += 2.0 * math.pi * v * w * x_j
+            g_alpha[cfg.theta_dim + 2 * i] += cos[i] * v
+            g_alpha[cfg.theta_dim + 2 * i + 1] += sin[i] * v
+    return g_alpha / cfg.noise_variance, v_sq
+
+
+def test_data_term_matches_row_loop_oracle():
+    # one draw, a stack of draws, and an empty block (all zeros)
+    cfg = make_cfg(d=3, m=4)
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(13, cfg.d))
+    y = rng.normal(size=13)
+    thetas = rng.normal(size=(5, cfg.theta_dim))
+    ss = rng.normal(size=(5, cfg.num_features))
+    g_one, v_one = _data_term(y, X, thetas[0], ss[0], cfg)
+    g_ref, v_ref = data_term_oracle(y, X, thetas[0], ss[0], cfg)
+    np.testing.assert_allclose(g_one, g_ref, rtol=1e-12)
+    assert v_one == pytest.approx(v_ref, rel=1e-12)
+    g_stack, v_stack = _data_term(y, X, thetas, ss, cfg)
+    assert g_stack.shape == (5, cfg.alpha_dim) and v_stack.shape == (5,)
+    for theta, s, g, v in zip(thetas, ss, g_stack, v_stack):
+        g_ref, v_ref = data_term_oracle(y, X, theta, s, cfg)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12)
+        assert v == pytest.approx(v_ref, rel=1e-12)
+    g_empty, v_empty = _data_term(np.zeros(0), np.zeros((0, cfg.d)), thetas, ss, cfg)
+    np.testing.assert_array_equal(g_empty, np.zeros((5, cfg.alpha_dim)))
+    np.testing.assert_array_equal(v_empty, np.zeros(5))
+
+
+def traced_peak_bytes(fn):
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_map_and_data_term_peak_memory():
+    # at the wide training shape (b, m, n, d) = (8, 16, 568, 4): the feature
+    # map allocates its result and nothing else, and the data term adds
+    # little beyond that feature stack
+    b, m, n, d = 8, 16, 568, 4
+    cfg = make_cfg(d=d, m=m)
+    rng = np.random.default_rng(23)
+    X = rng.random((n, d))
+    y = rng.normal(size=n)
+    theta = rng.normal(size=(b, cfg.theta_dim))
+    s = rng.normal(size=(b, cfg.num_features))
+    stack_bytes = b * cfg.num_features * n * 8
+    assert traced_peak_bytes(lambda: feature_matrix(X, theta, cfg)) <= 1.05 * stack_bytes
+    assert traced_peak_bytes(lambda: _data_term(y, X, theta, s, cfg)) <= 1.5 * stack_bytes
+
+
 def test_elbo_noiseless_fit_data_term():
     # targets generated exactly at alpha = b with a nearly collapsed state:
     # the likelihood part approaches its maximum
@@ -393,7 +468,7 @@ def test_elbo_noiseless_fit_data_term():
     b = rng.normal(size=D)
     theta, s = b[: cfg.theta_dim], b[cfg.theta_dim :]
     X = rng.normal(size=(8, 1))
-    y = feature_matrix(X, theta, cfg).T @ s
+    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
     data = make_dataset(rng, cfg, [1])
     data.blocks[0] = (X, y)
     state = VariationalState(1e-9 * np.eye(D), b)
@@ -421,7 +496,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
     sd = np.sqrt(prior.theta_prior_variance[0])
     for node, w in zip(nodes, weights):
         theta = np.array([np.sqrt(2.0) * sd * node])
-        Phi = feature_matrix(X, theta, cfg)
+        Phi = interleaved(feature_matrix(X, theta, cfg))
         cov = Phi.T @ (cfg.lambda_diag * Phi) + cfg.noise_variance * np.eye(n)
         total += w / np.sqrt(np.pi) * stats.multivariate_normal(
             mean=np.zeros(n), cov=cov

@@ -28,6 +28,8 @@ from specgp import (
 from specgp.config import KEYS
 from specgp.gradient import draw_sample_sets
 
+from conftest import interleaved
+
 
 def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
     rng = np.random.default_rng(seed)
@@ -522,7 +524,7 @@ def test_variance_gradients_zero_residual():
     prior = PriorSpec.for_inputs(X, cfg)
     plan = GradientSamplePlan(1, 1, rng_seed=6)
     theta, s = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
-    y = feature_matrix(X, theta, cfg).T @ s
+    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
     d_noise, _, _ = one_block_variance_gradients(X, y, state, prior, cfg, plan)
     assert d_noise == pytest.approx(-0.5 * 11, rel=1e-12)
 
