@@ -46,19 +46,14 @@ class Dataset:
 class Standardization:
     """Per-column affine normalization fitted on the training portion only.
 
-    Constant columns keep scale 1 so the transform stays invertible; they
-    are recorded in ``constant_columns`` (none by default).
+    Constant columns, and a constant target, keep scale 1 so the transform
+    stays invertible.
     """
 
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
-    constant_columns: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.constant_columns is None:
-            self.constant_columns = np.zeros(len(self.x_mean), dtype=bool)
 
     @classmethod
     def fit(cls, X, y) -> "Standardization":
@@ -76,7 +71,6 @@ class Standardization:
             x_scale=np.where(constant | (x_std == 0), 1.0, x_std),
             y_mean=float(y.mean()),
             y_scale=y_std if np.ptp(y) > 0 and y_std > 0 else 1.0,
-            constant_columns=constant,
         )
 
     def apply_x(self, X) -> np.ndarray:

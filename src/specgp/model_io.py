@@ -1,11 +1,13 @@
 """Versioned JSON model files.
 
-A model file carries everything prediction needs: the spectral
-configuration, the prior, the affine posterior parameters ``(M, b)``, the
-partition (centroids plus per-block row indices) and the training data the
-blocks refer to, along with the standardization fitted on that data.
-Floats are written with Python's shortest round-trip representation, so a
-save/load cycle is lossless at double precision.
+A model file carries everything prediction needs and nothing loading does
+not read: the spectral configuration, the prior's frequency variances, the
+affine posterior parameters ``(M, b)``, the partition (centroids plus the
+row count of each block) and the training data in block order, along with
+the standardization fitted on that data.  Floats are written with Python's
+shortest round-trip representation, so a save/load cycle is lossless at
+double precision.  A file of another version is refused as a version
+mismatch: version 1 stored row-index lists instead of block sizes.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .data import Standardization, identity_standardization
-from .errors import ContractError, ModelFormatError
+from .errors import ContractError, ModelFormatError, NumericalError
 from .features import SpectralConfig
 from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
 
 MODEL_FORMAT = "specgp-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -70,15 +72,8 @@ def _array(a):
 def model_to_doc(model: TrainedModel) -> dict:
     """Plain-dict form of a model, ready for ``json.dump``."""
     part = model.partition
-    X_rows = []
-    y_rows = []
-    block_indices = []
-    offset = 0
-    for X_i, y_i in part.blocks:
-        X_rows.append(X_i)
-        y_rows.append(y_i)
-        block_indices.append(list(range(offset, offset + X_i.shape[0])))
-        offset += X_i.shape[0]
+    X_rows = [X_i for X_i, _ in part.blocks]
+    y_rows = [y_i for _, y_i in part.blocks]
     X_all = np.vstack(X_rows) if X_rows else np.zeros((0, part.d))
     y_all = np.concatenate(y_rows) if y_rows else np.zeros(0)
     std = model.standardization
@@ -91,15 +86,11 @@ def model_to_doc(model: TrainedModel) -> dict:
             "signal_variance": model.spectral.signal_variance,
             "noise_variance": model.spectral.noise_variance,
         },
-        "prior": {
-            "theta_prior_variance": _array(model.prior.theta_prior_variance),
-            # Written for readers of the format; loading derives it from "spectral".
-            "lambda_diag": model.spectral.lambda_diag,
-        },
+        "prior": {"theta_prior_variance": _array(model.prior.theta_prior_variance)},
         "state": {"M": _array(model.state.M), "b": _array(model.state.b)},
         "partition": {
             "centroids": _array(part.centroids),
-            "block_indices": [list(map(int, idx)) for idx in block_indices],
+            "block_sizes": part.block_sizes().tolist(),
         },
         "data": {"X": _array(X_all), "y": _array(y_all)},
         "standardization": {
@@ -107,26 +98,20 @@ def model_to_doc(model: TrainedModel) -> dict:
             "x_scale": _array(std.x_scale),
             "y_mean": std.y_mean,
             "y_scale": std.y_scale,
-            "constant_columns": [bool(c) for c in std.constant_columns],
         },
         "feature_names": model.feature_names,
         "target_name": model.target_name,
     }
 
 
-def _block_rows(idx) -> np.ndarray:
-    """One block's row indices; a float or boolean entry is rejected, not
-    truncated to an integer."""
-    if not isinstance(idx, list) or not all(type(i) is int for i in idx):
-        raise ModelFormatError("model: partition.block_indices entries must be integers")
-    return np.asarray(idx, dtype=int)
-
-
-def _check_partition(X_all, y_all, centroids, block_indices, d) -> None:
+def _check_partition(X_all, y_all, centroids, sizes, d) -> None:
     """Reject non-finite data or centroids, mismatched shapes, and block
-    indices that are not a disjoint cover of the data rows."""
+    sizes that are not integers >= 0 summing to the number of data rows.
+    A float or boolean size is rejected, not truncated to an integer."""
+    if not isinstance(sizes, list) or not all(type(k) is int and k >= 0 for k in sizes):
+        raise ModelFormatError("model: partition.block_sizes must be a list of integers >= 0")
     n = y_all.shape[0] if y_all.ndim == 1 else -1
-    p = len(block_indices)
+    p = len(sizes)
     if X_all.shape != (n, d) or centroids.shape != (p, d):
         raise ModelFormatError(
             f"model: need data.X ({n}, {d}) and partition.centroids ({p}, {d}) for "
@@ -134,19 +119,33 @@ def _check_partition(X_all, y_all, centroids, block_indices, d) -> None:
         )
     if not all(np.all(np.isfinite(a)) for a in (X_all, y_all, centroids)):
         raise ModelFormatError("model: data.X, data.y or partition.centroids is not finite")
-    rows = np.concatenate(block_indices) if block_indices else np.zeros(0, dtype=int)
-    if not np.array_equal(np.sort(rows), np.arange(n)):
-        raise ModelFormatError("model: partition.block_indices must list each data row once")
+    if sum(sizes) != n:
+        raise ModelFormatError(
+            f"model: partition.block_sizes sum to {sum(sizes)}, data.y has {n} rows"
+        )
 
 
 def _check_standardization(std: Standardization, d) -> None:
     """Reject a standardization that does not fit ``d`` input columns or is
     not a finite transform with positive scales."""
-    if any(a.shape != (d,) for a in (std.x_mean, std.x_scale, std.constant_columns)):
+    if std.x_mean.shape != (d,) or std.x_scale.shape != (d,):
         raise ModelFormatError(f"model: standardization vectors need {d} entries")
     values = np.concatenate([std.x_mean, std.x_scale, [std.y_mean, std.y_scale]])
     if not np.all(np.isfinite(values)) or np.any(std.x_scale <= 0) or std.y_scale <= 0:
         raise ModelFormatError("model: standardization is not finite with positive scales")
+
+
+def _check_names(feature_names, target_name, d) -> None:
+    """Reject feature names that are not null or ``d`` distinct strings, and
+    a target name that is not a string."""
+    if feature_names is not None and not (
+        isinstance(feature_names, list)
+        and all(isinstance(name, str) for name in feature_names)
+        and len(set(feature_names)) == len(feature_names) == d
+    ):
+        raise ModelFormatError(f"model: feature_names must be null or {d} distinct strings")
+    if not isinstance(target_name, str):
+        raise ModelFormatError("model: target_name must be a string")
 
 
 def _check_header(doc, fmt, version, noun) -> None:
@@ -203,8 +202,10 @@ def model_from_doc(doc: dict) -> TrainedModel:
             X_all = X_all.reshape(0, spectral.d)
         y_all = np.asarray(doc["data"]["y"], dtype=float)
         centroids = np.asarray(doc["partition"]["centroids"], dtype=float)
-        block_indices = [_block_rows(idx) for idx in doc["partition"]["block_indices"]]
-        _check_partition(X_all, y_all, centroids, block_indices, spectral.d)
+        sizes = doc["partition"]["block_sizes"]
+        _check_partition(X_all, y_all, centroids, sizes, spectral.d)
+        ends = np.cumsum(sizes, dtype=int)
+        block_indices = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
         blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
         partition = PartitionedDataset(
             blocks=blocks, centroids=centroids, block_indices=block_indices
@@ -215,9 +216,11 @@ def model_from_doc(doc: dict) -> TrainedModel:
             x_scale=np.asarray(std_doc["x_scale"], dtype=float),
             y_mean=float(std_doc["y_mean"]),
             y_scale=float(std_doc["y_scale"]),
-            constant_columns=np.asarray(std_doc["constant_columns"], dtype=bool),
         )
         _check_standardization(standardization, spectral.d)
+        feature_names = doc.get("feature_names")
+        target_name = doc.get("target_name", "y")
+        _check_names(feature_names, target_name, spectral.d)
         # A ContractError from the dimension check is a ValueError, so a
         # state or prior that does not fit "spectral" is a format error here.
         return TrainedModel(
@@ -226,12 +229,13 @@ def model_from_doc(doc: dict) -> TrainedModel:
             spectral=spectral,
             partition=partition,
             standardization=standardization,
-            feature_names=doc.get("feature_names"),
-            target_name=doc.get("target_name") or "y",
+            feature_names=feature_names,
+            target_name=target_name,
         )
     except KeyError as missing:
         raise ModelFormatError(f"model: missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
+    except (TypeError, ValueError, NumericalError) as bad:
+        # a NumericalError can only come from a state whose M is singular
         raise ModelFormatError(f"model: malformed field ({bad})") from None
 
 

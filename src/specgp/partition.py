@@ -41,10 +41,10 @@ class PartitionedDataset:
     centroids : numpy.ndarray, shape (p, d)
     block_indices : list of numpy.ndarray
         Row indices of each block's points.  From :func:`kmeans_partition`
-        they index the ``X`` it was given; for a loaded model they are
-        positions in the model file's block-ordered data.  Nothing in the
-        package reads them after construction: model files write their own
-        consecutive ranges, and prediction assigns test points by
+        they index the ``X`` it was given; for a loaded model they are the
+        consecutive ranges of the model file's block-ordered data.  Nothing
+        in the package reads them after construction: model files store
+        ``block_sizes()``, and prediction assigns test points by
         ``centroids``.
     """
 
@@ -59,10 +59,6 @@ class PartitionedDataset:
     @property
     def d(self) -> int:
         return self.centroids.shape[1]
-
-    @property
-    def total_n(self) -> int:
-        return sum(X.shape[0] for X, _ in self.blocks)
 
     def block_sizes(self) -> np.ndarray:
         return np.array([X.shape[0] for X, _ in self.blocks], dtype=int)

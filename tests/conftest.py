@@ -2,6 +2,9 @@
 are verified end to end (RMSE halving, gamma sweep), built once per session
 because training runs take seconds."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,22 @@ def interleaved(phi):
     ``cos_1, sin_1, ..., cos_m, sin_m``, the order of ``basis_vector`` and of
     the weights ``s``."""
     return np.swapaxes(phi, -3, -2).reshape(phi.shape[:-3] + (-1, phi.shape[-1]))
+
+
+def as_version_one_model(doc):
+    """A copy of the model document ``doc`` laid out as model files of
+    version 1 were: per-block row-index lists over the block-ordered data in
+    place of block sizes, plus the ``lambda_diag`` echo and the
+    ``constant_columns`` flags, all false as for data with no constant
+    column."""
+    old = json.loads(json.dumps(doc))
+    old["version"] = 1
+    old["prior"]["lambda_diag"] = old["spectral"]["signal_variance"] / old["spectral"]["m"]
+    sizes = old["partition"].pop("block_sizes")
+    ends = itertools.accumulate(sizes)
+    old["partition"]["block_indices"] = [list(range(e - k, e)) for k, e in zip(sizes, ends)]
+    old["standardization"]["constant_columns"] = [False] * old["spectral"]["d"]
+    return old
 
 
 class SyntheticProblem:

@@ -747,25 +747,39 @@ def _too_few_centroids(doc):
     doc["partition"]["centroids"].pop()
 
 
-def _index_out_of_range(doc):
-    doc["partition"]["block_indices"][0][0] = len(doc["data"]["y"])
+def _sizes_one_row_short(doc):
+    doc["partition"]["block_sizes"][0] -= 1
 
 
-def _overlapping_blocks(doc):
-    indices = doc["partition"]["block_indices"]
-    indices[1][0] = indices[0][0]
+def _negative_size(doc):
+    # the sizes still sum to the number of rows
+    sizes = doc["partition"]["block_sizes"]
+    sizes[1] += sizes[0] + 1
+    sizes[0] = -1
 
 
-def _fractional_index(doc):
-    # truncation would map the entry back to its own row, so the cover would hold
-    doc["partition"]["block_indices"][0][0] += 0.5
+def _fractional_size(doc):
+    # the sizes still sum to the number of rows
+    sizes = doc["partition"]["block_sizes"]
+    sizes[1] += sizes[0] - 1.5
+    sizes[0] = 1.5
 
 
-def _boolean_index(doc):
-    # True reads as row 1, so the cover would still look complete
-    for indices in doc["partition"]["block_indices"]:
-        if 1 in indices:
-            indices[indices.index(1)] = True
+def _boolean_size(doc):
+    # True reads as 1, so with the rest moved to the next block the sum holds
+    sizes = doc["partition"]["block_sizes"]
+    sizes[1] += sizes[0] - 1
+    sizes[0] = True
+
+
+def _sizes_one_short_of_centroids(doc):
+    # the sizes still sum to the number of rows
+    sizes = doc["partition"]["block_sizes"]
+    sizes[0] += sizes.pop()
+
+
+def _singular_state(doc):
+    doc["state"]["M"] = [[0.0] * len(row) for row in doc["state"]["M"]]
 
 
 def _state_one_short(doc):
@@ -797,12 +811,31 @@ def _d_float(doc):
     doc["spectral"]["d"] = float(doc["spectral"]["d"])
 
 
+def _one_feature_name(doc):
+    # the one named column would be broadcast over both inputs
+    doc["feature_names"] = ["x1"]
+
+
+def _repeated_feature_name(doc):
+    doc["feature_names"] = ["x1", "x1"]
+
+
+def _feature_names_number(doc):
+    doc["feature_names"] = 5
+
+
+def _target_name_number(doc):
+    doc["target_name"] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _index_out_of_range,
-        _overlapping_blocks, _fractional_index, _boolean_index, _state_one_short,
-        _prior_one_short, _x_mean_one_short, _zero_x_scale, _m_float, _d_float,
+        _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _sizes_one_row_short,
+        _negative_size, _fractional_size, _boolean_size, _sizes_one_short_of_centroids,
+        _state_one_short, _singular_state, _prior_one_short, _x_mean_one_short,
+        _zero_x_scale, _m_float, _d_float, _one_feature_name, _repeated_feature_name,
+        _feature_names_number, _target_name_number,
     ],
 )
 def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, corrupt):

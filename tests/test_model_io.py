@@ -1,0 +1,167 @@
+"""The model and checkpoint file formats: every stored field is one that
+loading reads, a save/load cycle reproduces the file byte for byte, and
+files of earlier versions are refused."""
+
+import json
+
+import numpy as np
+import pytest
+
+from specgp import (
+    GradientSamplePlan,
+    PartitionedDataset,
+    PriorSpec,
+    SpectralConfig,
+    Standardization,
+    StepSchedule,
+    TrainConfig,
+    TrainedModel,
+    initial_state,
+    kmeans_partition,
+    load_model,
+    save_model,
+    train,
+)
+from specgp.errors import ModelFormatError
+from specgp.optimizer import load_checkpoint
+
+from conftest import as_version_one_model
+
+MODEL_KEYS = [
+    "data.X",
+    "data.y",
+    "feature_names",
+    "format",
+    "partition.block_sizes",
+    "partition.centroids",
+    "prior.theta_prior_variance",
+    "spectral.d",
+    "spectral.m",
+    "spectral.noise_variance",
+    "spectral.signal_variance",
+    "standardization.x_mean",
+    "standardization.x_scale",
+    "standardization.y_mean",
+    "standardization.y_scale",
+    "state.M",
+    "state.b",
+    "target_name",
+    "version",
+]
+
+CHECKPOINT_KEYS = sorted(
+    [
+        "format",
+        "iteration",
+        "optimizer.accumulator",
+        "trace",
+        "train_config.seed",
+        "train_config.train.base_step",
+        "train_config.train.checkpoint_every",
+        "train_config.train.checkpoint_path",
+        "train_config.train.decay_power",
+        "train_config.train.elbo_every",
+        "train_config.train.elbo_samples",
+        "train_config.train.iterations",
+        "train_config.train.learn_variances",
+        "train_config.train.partition_samples",
+        "train_config.train.z_samples",
+        "version",
+    ]
+    + [f"model.{key}" for key in MODEL_KEYS]
+)
+
+
+def key_paths(doc, prefix=""):
+    """Sorted dotted paths of the leaves of nested JSON objects; a list is a leaf."""
+    paths = []
+    for key, value in doc.items():
+        path = prefix + key
+        paths += key_paths(value, path + ".") if isinstance(value, dict) else [path]
+    return sorted(paths)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Paths of a saved model and of the checkpoint its training run wrote."""
+    root = tmp_path_factory.mktemp("formats")
+    rng = np.random.default_rng(5)
+    cfg = SpectralConfig(d=2, m=2, signal_variance=1.0, noise_variance=0.25)
+    X = rng.normal(size=(40, 2))
+    y = rng.normal(size=40)
+    part = kmeans_partition(X, y, p=3, seed=0)
+    prior = PriorSpec.for_inputs(X, cfg)
+    checkpoint = root / "checkpoint.json"
+    tcfg = TrainConfig(
+        iterations=2,
+        plan=GradientSamplePlan(2, 2),
+        schedule=StepSchedule(base_step=0.05, decay_power=0.6),
+        checkpoint_every=2,
+        checkpoint_path=str(checkpoint),
+    )
+    result = train(part, initial_state(prior, cfg, seed=0), prior, cfg, tcfg)
+    model = root / "model.json"
+    save_model(model, result.model(part, standardization=Standardization.fit(X, y)))
+    return model, checkpoint
+
+
+def read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def test_files_hold_exactly_the_fields_loading_reads(saved_files):
+    model, checkpoint = saved_files
+    model_doc, checkpoint_doc = read_json(model), read_json(checkpoint)
+    assert (model_doc["version"], checkpoint_doc["version"]) == (2, 4)
+    assert key_paths(model_doc) == MODEL_KEYS
+    assert key_paths(checkpoint_doc) == CHECKPOINT_KEYS
+
+
+def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
+    # the middle block holds no rows, which sizes over block-ordered rows
+    # express as a 0
+    rng = np.random.default_rng(6)
+    cfg = SpectralConfig(d=2, m=2, signal_variance=1.3, noise_variance=0.2)
+    X = rng.normal(size=(9, 2))
+    y = rng.normal(size=9)
+    prior = PriorSpec.for_inputs(X, cfg)
+    rows = [np.arange(4), np.arange(4, 4), np.arange(4, 9)]
+    partition = PartitionedDataset(
+        blocks=[(X[idx], y[idx]) for idx in rows],
+        centroids=rng.normal(size=(3, 2)),
+        block_indices=rows,
+    )
+    model = TrainedModel(
+        state=initial_state(prior, cfg, seed=0),
+        prior=prior,
+        spectral=cfg,
+        partition=partition,
+        standardization=Standardization.fit(X, y),
+        feature_names=["a", "b"],
+        target_name="t",
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(first, model)
+    assert read_json(first)["partition"]["block_sizes"] == [4, 0, 5]
+    loaded = load_model(first)
+    save_model(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    assert [idx.tolist() for idx in loaded.partition.block_indices] == [
+        idx.tolist() for idx in rows
+    ]
+
+
+def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path):
+    model, checkpoint = saved_files
+    old_model = tmp_path / "model-v1.json"
+    old_model.write_text(json.dumps(as_version_one_model(read_json(model))))
+    with pytest.raises(ModelFormatError, match="version mismatch"):
+        load_model(old_model)
+    doc = read_json(checkpoint)
+    doc["version"] = 3
+    doc["model"] = as_version_one_model(doc["model"])
+    old_checkpoint = tmp_path / "checkpoint-v3.json"
+    old_checkpoint.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="version mismatch"):
+        load_checkpoint(old_checkpoint)

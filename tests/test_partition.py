@@ -175,7 +175,7 @@ def test_partitioned_dataset_accessors():
     y = rng.normal(size=25)
     part = kmeans_partition(X, y, p=3, seed=2)
     assert part.d == 4
-    assert part.total_n == 25
+    assert sum(part.block_sizes()) == 25
     np.testing.assert_array_equal(
         part.block_sizes(), [len(Xk) for Xk, _ in part.blocks]
     )
