@@ -97,8 +97,8 @@ def load_csv(path, target_column) -> Dataset:
     ``target_column = None`` treats every column as a feature and leaves
     ``y`` as ``None`` (useful for prediction inputs).  Raises
     :class:`DataError` for a missing file, an empty file, a missing target
-    column, ragged rows or non-numeric cells.  Rows containing missing
-    values are dropped and counted in ``dropped_rows``.
+    column, a repeated column name, ragged rows or non-numeric cells.  Rows
+    containing missing values are dropped and counted in ``dropped_rows``.
     """
     try:
         handle = open(path, "r", newline="")
@@ -111,6 +111,9 @@ def load_csv(path, target_column) -> Dataset:
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         header = [name.strip() for name in header]
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise DataError(f"repeated column names {repeated} in header {header}")
         if target_column is None:
             target_idx = None
             feature_names = list(header)
@@ -222,7 +225,9 @@ def synth_ssgp(
     -------
     (Dataset, dict)
         The dataset plus ground truth: theta, s, and the generating
-        hyperparameters.
+        hyperparameters.  ``s`` is in the order of the weights of the joint
+        vector ``alpha`` (cosines, then sines), so ``y`` equals
+        ``feature_matrix(X, theta, cfg).T @ s`` up to roundoff.
     """
     if n < 1:
         raise ContractError("n must be >= 1")
@@ -235,11 +240,12 @@ def synth_ssgp(
     cfg = SpectralConfig(d=d, m=m_true, signal_variance=signal_variance, noise_variance=1.0)
     prior = PriorSpec.from_lengthscales(np.full(d, float(lengthscale)), cfg)
     theta_true = prior.sample_theta(rng)
-    s_true = rng.standard_normal(cfg.num_features) * np.sqrt(cfg.lambda_diag)
+    # The generator draws and sums the weights as cos_1, sin_1, ..., cos_m,
+    # sin_m, so every dataset keeps the bytes it was first made with.
+    s_drawn = rng.standard_normal(cfg.num_features) * np.sqrt(cfg.lambda_diag)
     X = rng.random((n, d))
-    # Interleaved rows, so every dataset keeps the summation order it was made with.
-    phi = np.swapaxes(feature_matrix(X, theta_true, cfg), 0, 1).reshape(cfg.num_features, n)
-    y = phi.T @ s_true
+    phi = feature_matrix(X, theta_true, cfg).reshape(2, m_true, n)
+    y = np.swapaxes(phi, 0, 1).reshape(cfg.num_features, n).T @ s_drawn
     if noise > 0:
         y = y + noise * rng.standard_normal(n)
     dataset = Dataset(
@@ -250,7 +256,7 @@ def synth_ssgp(
     )
     truth = {
         "theta": theta_true,
-        "s": s_true,
+        "s": np.concatenate([s_drawn[0::2], s_drawn[1::2]]),
         "m": m_true,
         "signal_variance": signal_variance,
         "noise": noise,

@@ -2,16 +2,14 @@
 
 A stack of ``m`` frequency vectors ``r_1, ..., r_m`` (each in R^d,
 flattened into a single vector ``theta``) defines ``2m`` basis functions
-per input.  The weights ``s`` of a joint vector ``alpha = (theta, s)``
-pair with them interleaved, as in :func:`basis_vector`,
+per input, all cosines, then all sines:
 
-    phi(x) = (cos(2 pi r_1.x), sin(2 pi r_1.x), ..., cos(2 pi r_m.x), sin(2 pi r_m.x)),
+    phi(x) = (cos(2 pi r_1.x), ..., cos(2 pi r_m.x), sin(2 pi r_1.x), ..., sin(2 pi r_m.x)).
 
-while :func:`feature_matrix` stores the same values as a cosine half and a
-sine half, ``([b,] 2, m, n)``, so that each half of each draw is one
-contiguous ``(m, n)`` block.  Reshaped to ``([b,] 2m, n)`` (a free view)
-its rows run cosines first, then sines; :func:`weights_by_half` puts ``s``
-in that order.
+This is the one order of the package: :func:`basis_vector`, the rows of
+:func:`feature_matrix`, and the weights ``s`` of a joint vector
+``alpha = (theta, s)`` all follow it, so weight ``k`` multiplies feature
+``k``.
 
 With the diagonal weight matrix ``Lambda = (signal_variance / m) * I`` the
 features induce the stationary covariance
@@ -115,9 +113,9 @@ class SpectralConfig:
 
 
 def basis_vector(x, theta, cfg: SpectralConfig) -> np.ndarray:
-    """Evaluate the ``2m`` interleaved cos/sin features at a single input.
+    """Evaluate the ``2m`` cos/sin features at a single input.
 
-    Entry ``2i`` is ``cos(2 pi r_i . x)`` and entry ``2i + 1`` is
+    Entry ``i`` is ``cos(2 pi r_i . x)`` and entry ``m + i`` is
     ``sin(2 pi r_i . x)`` (0-based), so every feature lies in [-1, 1].
     The scalar reference checks its own finite ``x`` ``(d,)`` and ``theta``
     ``(m * d,)``; row ``i`` of ``theta.reshape(m, d)`` is ``r_i``.
@@ -131,14 +129,11 @@ def basis_vector(x, theta, cfg: SpectralConfig) -> np.ndarray:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
         raise ContractError("x and theta must be finite")
     angles = TWO_PI * (theta.reshape(cfg.m, cfg.d) @ x)
-    out = np.empty(cfg.num_features)
-    out[0::2] = np.cos(angles)
-    out[1::2] = np.sin(angles)
-    return out
+    return np.concatenate([np.cos(angles), np.sin(angles)])
 
 
 def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
-    """Cosine and sine features of each row of ``X``, per frequency.
+    """Cosine and sine features of each row of ``X``, one row per feature.
 
     This is the hot kernel of training and prediction, so it checks
     nothing: ``X`` and ``theta`` must be finite and of the shapes below,
@@ -149,18 +144,17 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     ----------
     X : numpy.ndarray, shape (n, d)
         Input points, one per row.  ``n = 0`` is allowed and produces an
-        empty ``(2, m, 0)`` array.
+        empty ``(2m, 0)`` array.
     theta : numpy.ndarray, shape (m * d,) or (b, m * d)
         Flattened frequency vectors, or a stack of ``b`` of them.
     cfg : SpectralConfig
 
     Returns
     -------
-    numpy.ndarray, shape (2, m, n) or (b, 2, m, n)
-        ``[..., 0, i, j]`` is ``cos(2 pi r_i.x_j)`` and ``[..., 1, i, j]`` is
-        ``sin(2 pi r_i.x_j)``: entries ``2i`` and ``2i + 1`` of
-        ``basis_vector(X[j], theta, cfg)``, per vector of a stack, to within
-        4e-16 absolute.
+    numpy.ndarray, shape (2m, n) or (b, 2m, n)
+        Column ``j`` is ``basis_vector(X[j], theta, cfg)``, per vector of a
+        stack, to within 4e-16 absolute: rows ``:m`` are the cosines and
+        rows ``m:`` the sines.
 
     Notes
     -----
@@ -172,8 +166,8 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     theta = np.asarray(theta, dtype=float)
     batch = theta.shape[:-1]
-    phi = np.empty(batch + (2, cfg.m, X.shape[0]))
-    cos, sin = phi[..., 0, :, :], phi[..., 1, :, :]
+    phi = np.empty(batch + (cfg.num_features, X.shape[0]))
+    cos, sin = phi[..., : cfg.m, :], phi[..., cfg.m :, :]
     np.matmul(theta.reshape(batch + (cfg.m, cfg.d)), X.T, out=sin)
     sin *= np.pi
     np.tan(sin, out=sin)
@@ -183,13 +177,6 @@ def feature_matrix(X, theta, cfg: SpectralConfig) -> np.ndarray:
     sin *= cos
     cos -= 1.0
     return phi
-
-
-def weights_by_half(s) -> np.ndarray:
-    """Weights ``s`` ``([b,] 2m)``, interleaved as in the joint vector, reordered
-    to the rows of a reshaped :func:`feature_matrix`: ``s_0, s_2, ...`` for the
-    cosines, then ``s_1, s_3, ...`` for the sines."""
-    return np.concatenate([s[..., 0::2], s[..., 1::2]], axis=-1)
 
 
 def approx_kernel(x, x2, theta, cfg: SpectralConfig) -> float:

@@ -106,7 +106,7 @@ def _block_log_likelihood(X_k, y_k, alpha, cfg: SpectralConfig) -> float:
     ``cos`` and ``sin`` of the ``(n_k, m)`` angles ``2 pi X_k r^T``."""
     theta, s = alpha[: cfg.theta_dim], alpha[cfg.theta_dim :]
     angles = 2.0 * np.pi * (X_k @ theta.reshape(cfg.m, cfg.d).T)
-    v = y_k - np.cos(angles) @ s[0::2] - np.sin(angles) @ s[1::2]
+    v = y_k - np.cos(angles) @ s[: cfg.m] - np.sin(angles) @ s[cfg.m :]
     return -0.5 * float(v @ v) / cfg.noise_variance - 0.5 * y_k.size * np.log(
         2.0 * np.pi * cfg.noise_variance
     )

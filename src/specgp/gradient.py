@@ -15,9 +15,9 @@ sampled blocks (a block drawn twice appears twice) and the ``(b, D)`` stack
 ``A = Z M^T + b``, split by :func:`~specgp.variational.transform` into the
 pair of arrays ``(theta, s)``, and returns each draw's data-term gradient
 ``G_j`` in alpha and ``||v_j||^2``.  Past the feature map its work is three
-products with the features, taken as ``(b, 2m, n)`` cosine rows then sine
-rows: the residual ``v = y - Phi^T s`` and, for the gradient, ``Phi v`` and
-``Phi (v * X)``.  Then
+products with the ``(b, 2m, n)`` features, whose rows run in the order of
+the weights (cosines, then sines): the residual ``v = y - Phi^T s`` and,
+for the gradient, ``Phi v`` and ``Phi (v * X)``.  Then
 
     grad_M = (p / (a b)) G^T Z - d KL/dM,
     grad_b = (p / (a b)) sum_j G_j - d KL/db.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .features import TWO_PI, SpectralConfig, feature_matrix, weights_by_half
+from .features import TWO_PI, SpectralConfig, feature_matrix
 from .variational import (
     PriorSpec,
     VariationalState,
@@ -79,14 +79,13 @@ class GradientSamplePlan:
 
 
 def _residuals(y, X, theta, s, cfg: SpectralConfig):
-    """Features ``Phi(X)`` ``([b,] 2m, n)``, cosine rows then sine rows, and
-    residuals ``v = y - Phi^T s`` for one draw or a stack of draws.  Nothing
+    """Features ``Phi(X)`` ``([b,] 2m, n)`` and residuals
+    ``v = y - Phi^T s`` for one draw or a stack of draws.  Nothing
     is checked: ``X`` ``(n, d)`` and ``y`` ``(n,)`` are rows of a validated
     partition, ``theta`` ``([b,] m d)`` and ``s`` ``([b,] 2m)`` come from
     :func:`~specgp.variational.transform`."""
     phi = feature_matrix(X, theta, cfg)
-    phi = phi.reshape(phi.shape[:-3] + (cfg.num_features, X.shape[0]))
-    v = y - (weights_by_half(s)[..., None, :] @ phi)[..., 0, :]
+    v = y - (s[..., None, :] @ phi)[..., 0, :]
     return phi, v
 
 
@@ -95,27 +94,26 @@ def _data_term(y, X, theta, s, cfg: SpectralConfig):
     ``(theta, s)``, and ``v_sq = ||v||^2``, for one draw or a stack of draws
     (the results carry the same leading axis).  The ``s`` part is
     ``Phi v / noise_variance``.  The ``theta`` part follows from the
-    feature Jacobian: with ``w_ij = -s_{2i} sin(a_ij) + s_{2i+1} cos(a_ij)``
+    feature Jacobian: with ``w_ij = -s_i sin(a_ij) + s_{m+i} cos(a_ij)``
     (the derivative of ``phi^T s`` in the angle ``a_ij``),
 
         d(-0.5||v||^2/noise)/d r_i = (2 pi / noise) * sum_j v_j w_ij x_j
-                                   = (2 pi / noise) * (s_{2i+1} P_cos,i - s_{2i} P_sin,i),
+                                   = (2 pi / noise) * (s_{m+i} P_i - s_i P_{m+i}),
 
-    where ``P = Phi (v * X)`` holds ``sum_j cos(a_ij) v_j x_j`` and
-    ``sum_j sin(a_ij) v_j x_j``.  The two products ``Phi v`` and ``P`` are
-    all the work on the features; no per-point Jacobian is materialized.
+    where ``P = Phi (v * X)`` holds ``sum_j cos(a_ij) v_j x_j`` in row ``i``
+    and ``sum_j sin(a_ij) v_j x_j`` in row ``m + i``.  The two products
+    ``Phi v`` and ``P`` are all the work on the features; no per-point
+    Jacobian is materialized.
     Inputs are trusted as in :func:`_residuals`."""
     phi, v = _residuals(y, X, theta, s, cfg)
     inv_noise = 1.0 / cfg.noise_variance
-    phi_v = (phi @ v[..., None])[..., 0]
     P = phi @ (v[..., None] * X)
     m = cfg.m
     g_theta = (TWO_PI * inv_noise) * (
-        s[..., 1::2, None] * P[..., :m, :] - s[..., 0::2, None] * P[..., m:, :]
+        s[..., m:, None] * P[..., :m, :] - s[..., :m, None] * P[..., m:, :]
     )
-    g_s = inv_noise * np.stack([phi_v[..., :m], phi_v[..., m:]], axis=-1)
-    batch = v.shape[:-1]
-    g_alpha = np.concatenate([g_theta.reshape(batch + (-1,)), g_s.reshape(batch + (-1,))], axis=-1)
+    g_s = inv_noise * (phi @ v[..., None])[..., 0]
+    g_alpha = np.concatenate([g_theta.reshape(v.shape[:-1] + (-1,)), g_s], axis=-1)
     return g_alpha, np.sum(v * v, axis=-1)
 
 

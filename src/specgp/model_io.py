@@ -7,7 +7,9 @@ row count of each block) and the training data in block order, along with
 the standardization fitted on that data.  Floats are written with Python's
 shortest round-trip representation, so a save/load cycle is lossless at
 double precision.  A file of another version is refused as a version
-mismatch: version 1 stored row-index lists instead of block sizes.
+mismatch: version 1 stored row-index lists instead of block sizes, and
+version 2 interleaved the weight entries of ``M`` and ``b`` as cos_1,
+sin_1, ... instead of all cosines, then all sines.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
 
 MODEL_FORMAT = "specgp-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass
@@ -149,14 +151,15 @@ def _check_names(feature_names, target_name, d) -> None:
 
 
 def _check_header(doc, fmt, version, noun) -> None:
-    """Reject a document that is not a JSON object of format ``fmt`` at ``version``."""
+    """Reject a document that is not a JSON object of format ``fmt`` at
+    ``version``, which must be a JSON integer (``3.0`` is not ``3``)."""
     if not isinstance(doc, dict):
         raise ModelFormatError(f"model: {noun} is not a JSON object")
     if doc.get("format") != fmt:
         raise ModelFormatError(
             f"model: format mismatch (expected {fmt!r}, got {doc.get('format')!r})"
         )
-    if doc.get("version") != version:
+    if type(doc.get("version")) is not int or doc["version"] != version:
         raise ModelFormatError(
             f"model: version mismatch (expected {version}, got {doc.get('version')!r})"
         )
@@ -234,6 +237,8 @@ def model_from_doc(doc: dict) -> TrainedModel:
         )
     except KeyError as missing:
         raise ModelFormatError(f"model: missing field {missing}") from None
+    except ModelFormatError:
+        raise
     except (TypeError, ValueError, NumericalError) as bad:
         # a NumericalError can only come from a state whose M is singular
         raise ModelFormatError(f"model: malformed field ({bad})") from None

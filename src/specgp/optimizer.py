@@ -37,7 +37,7 @@ MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-CHECKPOINT_VERSION = 4  # bumped with MODEL_VERSION: a checkpoint embeds a model document
+CHECKPOINT_VERSION = 5  # bumped with MODEL_VERSION: a checkpoint embeds a model document
 
 
 @dataclass(frozen=True)

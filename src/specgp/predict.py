@@ -6,7 +6,7 @@ arrays ``theta`` ``(r, m d)`` and ``s`` ``(r, 2m)``, are shared by every
 test point in the batch.  Per block that the batch hits, the local
 Gram matrices of a chunk of draws are factorized in one stacked call and
 one batched conditional gives the moments of every (draw, point) pair of
-the block from the chunk's ``(r_c, 2, m, t_k)`` cosine and sine features;
+the block from the chunk's ``(r_c, 2m, t_k)`` cosine and sine features;
 chunks hold at most ``_CHUNK_ELEMENTS`` feature entries, so memory stays
 bounded for any ``r``.  The moments are mixed across draws as
 

@@ -15,11 +15,19 @@ NOISE_SD = 0.1
 LENGTHSCALE = 0.055
 
 
-def interleaved(phi):
-    """``feature_matrix`` output ``([b,] 2, m, n)`` as ``([b,] 2m, n)`` rows
-    ``cos_1, sin_1, ..., cos_m, sin_m``, the order of ``basis_vector`` and of
-    the weights ``s``."""
-    return np.swapaxes(phi, -3, -2).reshape(phi.shape[:-3] + (-1, phi.shape[-1]))
+def as_version_two_model(doc):
+    """A copy of the model document ``doc`` laid out as model files of
+    version 2 were: the same fields, with the weight entries of ``state.b``
+    and the matching rows and columns of ``state.M`` interleaved as
+    ``cos_1, sin_1, ..., cos_m, sin_m``."""
+    old = json.loads(json.dumps(doc))
+    old["version"] = 2
+    m, d = old["spectral"]["m"], old["spectral"]["d"]
+    weights = m * d + np.arange(2 * m).reshape(2, m).T.ravel()
+    order = np.concatenate([np.arange(m * d), weights])
+    old["state"]["M"] = np.asarray(old["state"]["M"])[np.ix_(order, order)].tolist()
+    old["state"]["b"] = np.asarray(old["state"]["b"])[order].tolist()
+    return old
 
 
 def as_version_one_model(doc):
@@ -27,8 +35,8 @@ def as_version_one_model(doc):
     version 1 were: per-block row-index lists over the block-ordered data in
     place of block sizes, plus the ``lambda_diag`` echo and the
     ``constant_columns`` flags, all false as for data with no constant
-    column."""
-    old = json.loads(json.dumps(doc))
+    column; like version 2, it interleaved the weights."""
+    old = as_version_two_model(doc)
     old["version"] = 1
     old["prior"]["lambda_diag"] = old["spectral"]["signal_variance"] / old["spectral"]["m"]
     sizes = old["partition"].pop("block_sizes")

@@ -275,8 +275,7 @@ def test_ac8_mixing_identities_hold_in_closed_form():
         theta = rng.standard_normal(cfg.theta_dim)
         chol, phi_y = sg.build_local_gram(X, y, theta, cfg)
         x_star = rng.uniform(-1.0, 1.0, size=d)
-        # chol and phi_y run cosines first, then sines
-        phi = sg.basis_vector(x_star, theta, cfg).reshape(m, 2).T.ravel()
+        phi = sg.basis_vector(x_star, theta, cfg)
 
         half_mu = np.linalg.solve(chol, phi_y)
         mu_bar = np.linalg.solve(chol.T, half_mu)
@@ -286,10 +285,8 @@ def test_ac8_mixing_identities_hold_in_closed_form():
         base_variance = cfg.noise_variance * quad
 
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            # features as (2, m, 1) halves, the weight mean interleaved
             mean, variance = conditional_moments(
-                chol, phi_y, phi.reshape(2, m, 1), mu_bar.reshape(2, m).T.ravel(),
-                gamma, cfg.noise_variance,
+                chol, phi_y, phi[:, None], mu_bar, gamma, cfg.noise_variance
             )
             assert abs(mean[0] - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
             recovered = variance[0] + gamma**2 * cfg.noise_variance * quad

@@ -850,6 +850,45 @@ def test_malformed_model_files_exit_three(trained_model_doc, tmp_path, capsys, c
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_sizes_one_row_short, "partition.block_sizes sum to {short}, data.y has {n} rows"),
+        (_zero_x_scale, "standardization is not finite with positive scales"),
+        (_repeated_feature_name, "feature_names must be null or 2 distinct strings"),
+    ],
+    ids=["partition", "standardization", "names"],
+)
+def test_loader_check_messages_are_not_wrapped_again(
+    trained_model_doc, tmp_path, capsys, corrupt, message
+):
+    doc, data = trained_model_doc
+    doc = json.loads(json.dumps(doc))
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    n = len(doc["data"]["y"])
+    code, _, err = run_cli(["evaluate", "--model", str(bad), "--data", data], capsys)
+    assert code == 3
+    assert err == "specgp: data: model: " + message.format(short=n - 1, n=n) + "\n"
+
+
+def test_train_refuses_a_repeated_column_name(tmp_path, capsys):
+    # a model trained on such a file could never be loaded, so nothing is
+    # trained and no model is written
+    data = tmp_path / "data.csv"
+    data.write_text("x,x,y\n" + "".join(f"{i},{-i},{i % 3}\n" for i in range(12)))
+    model_path = tmp_path / "model.json"
+    code, stdout, err = run_cli(
+        ["train", "--data", str(data), "--model", str(model_path), "--iterations", "2"], capsys
+    )
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("specgp: data: repeated column names ['x']")
+    assert err.count("\n") == 1
+    assert not model_path.exists()
+
+
 MISSING_OUTPUT_ARGV = {
     "predict": ["predict", "--model", "{model}", "--data", "{data}", "--output", "{out}"],
     "evaluate": ["evaluate", "--model", "{model}", "--data", "{data}", "--output", "{out}"],

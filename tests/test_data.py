@@ -21,8 +21,6 @@ from specgp import (
     synth_ssgp,
 )
 
-from conftest import interleaved
-
 
 def write(path, text):
     path.write_text(text)
@@ -97,6 +95,10 @@ def test_load_csv_distinct_errors(tmp_path):
     all_dropped = write(tmp_path / "all_gone.csv", "a,y\nnan,1\n")
     with pytest.raises(DataError, match="no usable data rows"):
         load_csv(all_dropped, target_column="y")
+    repeated = write(tmp_path / "repeated.csv", "x, x,y\n1,2,3\n")
+    for target in ("y", None):
+        with pytest.raises(DataError, match=r"repeated column names \['x'\]"):
+            load_csv(repeated, target_column=target)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
@@ -223,8 +225,15 @@ def test_synth_noiseless_targets_match_generator():
     cfg = SpectralConfig(
         d=2, m=3, signal_variance=truth["signal_variance"], noise_variance=1.0
     )
-    expected = interleaved(feature_matrix(ds.X, truth["theta"], cfg)).T @ truth["s"]
-    np.testing.assert_array_equal(ds.y, expected)
+    # the generator's own product: weights in their draw order cos_1, sin_1,
+    # ..., against feature rows in the same order; truth["s"] is in alpha's
+    # order (cosines, then sines), so its product differs only by roundoff
+    phi = feature_matrix(ds.X, truth["theta"], cfg)
+    drawn = np.empty(6)
+    drawn[0::2], drawn[1::2] = truth["s"][:3], truth["s"][3:]
+    rows = np.swapaxes(phi.reshape(2, 3, ds.n), 0, 1).reshape(6, ds.n)
+    np.testing.assert_array_equal(ds.y, rows.T @ drawn)
+    np.testing.assert_allclose(ds.y, phi.T @ truth["s"], rtol=0, atol=1e-14)
     assert ds.feature_names == ["x1", "x2"]
     assert truth["theta"].shape == (6,)
     assert truth["s"].shape == (6,)

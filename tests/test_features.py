@@ -12,8 +12,6 @@ from specgp import (
 )
 from specgp.features import TWO_PI
 
-from conftest import interleaved
-
 
 def make_cfg(d=2, m=3, ss2=1.5, sn2=0.1):
     return SpectralConfig(d=d, m=m, signal_variance=ss2, noise_variance=sn2)
@@ -47,7 +45,7 @@ def test_basis_vector_zero_input():
     rng = np.random.default_rng(0)
     theta = rng.normal(size=cfg.theta_dim)
     phi = basis_vector(np.zeros(3), theta, cfg)
-    expected = np.tile([1.0, 0.0], cfg.m)
+    expected = np.repeat([1.0, 0.0], cfg.m)
     np.testing.assert_array_equal(phi, expected)
 
 
@@ -72,8 +70,8 @@ def test_basis_vector_scalar_oracle():
         freqs = theta.reshape(m, d)
         for i in range(m):
             angle = 2.0 * math.pi * float(np.dot(freqs[i], x))
-            assert phi[2 * i] == pytest.approx(math.cos(angle), abs=1e-12)
-            assert phi[2 * i + 1] == pytest.approx(math.sin(angle), abs=1e-12)
+            assert phi[i] == pytest.approx(math.cos(angle), abs=1e-12)
+            assert phi[m + i] == pytest.approx(math.sin(angle), abs=1e-12)
 
 
 def test_basis_vector_dimension_mismatch():
@@ -91,14 +89,14 @@ def test_feature_matrix_columns_match_basis_vector():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(7, 2))
     theta = rng.normal(size=cfg.theta_dim)
-    Phi = interleaved(feature_matrix(X, theta, cfg))
+    Phi = feature_matrix(X, theta, cfg)
     assert Phi.shape == (cfg.num_features, 7)
     for j in range(7):
         np.testing.assert_allclose(Phi[:, j], basis_vector(X[j], theta, cfg), atol=1e-14)
 
 
 def test_feature_matrix_halves_match_basis_vector_columns():
-    # [..., 0, i, j] is the cosine and [..., 1, i, j] the sine of frequency i
+    # [..., i, j] is the cosine and [..., m + i, j] the sine of frequency i
     # at row j, for one theta and for a stack; each half of each draw is one
     # contiguous block.  Dyadic inputs make every r.x exact, so both maps see
     # the same float64 angles and the 4e-16 accuracy bound applies.
@@ -107,11 +105,11 @@ def test_feature_matrix_halves_match_basis_vector_columns():
     X = rng.integers(-16, 17, size=(9, 3)) / 8.0
     thetas = rng.integers(-16, 17, size=(3, cfg.theta_dim)) / 16.0
     stack = feature_matrix(X, thetas, cfg)
-    assert stack.shape == (3, 2, cfg.m, 9)
+    assert stack.shape == (3, cfg.num_features, 9)
     assert stack.flags.c_contiguous
     for k, theta in enumerate(thetas):
-        single = interleaved(feature_matrix(X, theta, cfg))
-        np.testing.assert_array_equal(interleaved(stack)[k], single)
+        single = feature_matrix(X, theta, cfg)
+        np.testing.assert_array_equal(stack[k], single)
         reference = np.stack([basis_vector(x, theta, cfg) for x in X], axis=-1)
         np.testing.assert_allclose(single, reference, rtol=0, atol=4e-16)
 
@@ -131,17 +129,30 @@ def test_feature_matrix_matches_long_double_trig():
     theta = np.concatenate([spread, poles, -poles])
     cfg = make_cfg(d=1, m=theta.size)
     with np.errstate(all="raise"):
-        Phi = interleaved(feature_matrix(np.ones((1, 1)), theta, cfg))[:, 0]
+        Phi = feature_matrix(np.ones((1, 1)), theta, cfg)[:, 0]
     assert Phi.dtype == np.float64
     angles = np.longdouble(TWO_PI * theta)
-    assert np.max(np.abs(Phi[0::2] - np.cos(angles))) <= 1e-15
-    assert np.max(np.abs(Phi[1::2] - np.sin(angles))) <= 1e-15
+    assert np.max(np.abs(Phi[: cfg.m] - np.cos(angles))) <= 1e-15
+    assert np.max(np.abs(Phi[cfg.m :] - np.sin(angles))) <= 1e-15
 
 
 def test_feature_matrix_empty_input():
     cfg = make_cfg(d=2, m=3)
     Phi = feature_matrix(np.zeros((0, 2)), np.zeros(cfg.theta_dim), cfg)
-    assert Phi.shape == (2, cfg.m, 0)
+    assert Phi.shape == (cfg.num_features, 0)
+
+
+def test_basis_vector_is_a_feature_matrix_column():
+    # one order for both maps: the scalar reference at x is the one column of
+    # feature_matrix at x[None], with no reordering, to the 4e-16 bound on
+    # dyadic inputs (exact angles)
+    cfg = make_cfg(d=2, m=5)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x = rng.integers(-16, 17, size=2) / 8.0
+        theta = rng.integers(-16, 17, size=cfg.theta_dim) / 16.0
+        column = feature_matrix(x[None], theta, cfg)[:, 0]
+        np.testing.assert_allclose(basis_vector(x, theta, cfg), column, rtol=0, atol=4e-16)
 
 
 def test_kernel_diagonal_is_signal_variance():
@@ -185,7 +196,7 @@ def test_gram_matrix_positive_semidefinite():
         cfg = make_cfg(d=2, m=4, ss2=float(rng.uniform(0.5, 2.0)))
         X = rng.normal(size=(12, 2))
         theta = rng.normal(size=cfg.theta_dim)
-        Phi = interleaved(feature_matrix(X, theta, cfg))
+        Phi = feature_matrix(X, theta, cfg)
         gram = Phi.T @ (cfg.lambda_diag * Phi)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         assert eigs.min() >= -1e-10 * cfg.signal_variance

@@ -24,8 +24,6 @@ from specgp import (
 )
 from specgp.gradient import _data_term, eta_views
 
-from conftest import interleaved
-
 
 def make_cfg(d=2, m=2, ss2=1.3, sn2=0.4):
     return SpectralConfig(d=d, m=m, signal_variance=ss2, noise_variance=sn2)
@@ -114,11 +112,28 @@ def test_log_likelihood_dense_gaussian_oracle():
         X = rng.normal(size=(n, cfg.d))
         y = rng.normal(size=n)
         theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
-        mean = interleaved(feature_matrix(X, theta, cfg)).T @ s
+        mean = feature_matrix(X, theta, cfg).T @ s
         dense = stats.multivariate_normal(
             mean=mean, cov=cfg.noise_variance * np.eye(n)
         ).logpdf(y)
         assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(dense, rel=1e-10)
+
+
+def test_log_likelihood_weight_k_multiplies_feature_row_k():
+    # with s = e_k and y = 0 the residual is feature k alone: the cosine of
+    # frequency k for k < m and the sine of frequency k - m after that
+    cfg = make_cfg(d=2, m=3)
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(11, cfg.d))
+    theta = rng.normal(size=cfg.theta_dim)
+    angles = 2.0 * np.pi * (theta.reshape(cfg.m, cfg.d) @ X.T)
+    rows = np.concatenate([np.cos(angles), np.sin(angles)])
+    np.testing.assert_allclose(feature_matrix(X, theta, cfg), rows, rtol=0, atol=1e-14)
+    const = -0.5 * 11 * np.log(2 * np.pi * cfg.noise_variance)
+    for k, row in enumerate(rows):
+        s = np.eye(cfg.num_features)[k]
+        expected = -0.5 * row @ row / cfg.noise_variance + const
+        assert log_likelihood(np.zeros(11), X, theta, s, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_likelihood_partition_additivity():
@@ -140,7 +155,7 @@ def test_log_likelihood_perfect_fit():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(8, cfg.d))
     theta, s = rng.normal(size=cfg.theta_dim), rng.normal(size=cfg.num_features)
-    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
+    y = feature_matrix(X, theta, cfg).T @ s
     expected = -0.5 * 8 * np.log(2 * np.pi * cfg.noise_variance)
     assert log_likelihood(y, X, theta, s, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -153,7 +168,7 @@ def test_partition_term_zero_residual():
     plan = GradientSamplePlan(1, 1, rng_seed=4)
     theta, s = transform(state, plan_z(plan, cfg.alpha_dim), cfg)
     X = rng.normal(size=(6, cfg.d))
-    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
+    y = feature_matrix(X, theta, cfg).T @ s
     grad = partition_term(plan, X, y, state, prior, cfg)
     np.testing.assert_allclose(grad, 0.0, atol=1e-10)
 
@@ -171,7 +186,7 @@ def test_partition_term_s_block_closed_form():
     X = rng.normal(size=(7, cfg.d))
     y = rng.normal(size=7)
     grad_m, grad_b = eta_views(partition_term(plan, X, y, state, prior, cfg), cfg.alpha_dim)
-    Phi = interleaved(feature_matrix(X, theta, cfg))
+    Phi = feature_matrix(X, theta, cfg)
     v = y - Phi.T @ s
     np.testing.assert_allclose(
         grad_b[cfg.theta_dim :], Phi @ v / cfg.noise_variance, rtol=1e-10
@@ -193,7 +208,7 @@ def test_partition_term_finite_differences():
 
         def objective(M, b):
             theta, s = transform(VariationalState(M, b), z, cfg)
-            v = y - interleaved(feature_matrix(X, theta, cfg)).T @ s
+            v = y - feature_matrix(X, theta, cfg).T @ s
             return -0.5 * v @ v / cfg.noise_variance
 
         fd_m, fd_b = eta_finite_difference(objective, state)
@@ -398,13 +413,13 @@ def data_term_oracle(y, X, theta, s, cfg):
         angles = [2.0 * math.pi * float(r @ x_j) for r in freqs]
         cos = [math.cos(a) for a in angles]
         sin = [math.sin(a) for a in angles]
-        v = y_j - sum(s[2 * i] * cos[i] + s[2 * i + 1] * sin[i] for i in range(cfg.m))
+        v = y_j - sum(s[i] * cos[i] + s[cfg.m + i] * sin[i] for i in range(cfg.m))
         v_sq += v * v
         for i in range(cfg.m):
-            w = -s[2 * i] * sin[i] + s[2 * i + 1] * cos[i]
+            w = -s[i] * sin[i] + s[cfg.m + i] * cos[i]
             g_alpha[i * cfg.d : (i + 1) * cfg.d] += 2.0 * math.pi * v * w * x_j
-            g_alpha[cfg.theta_dim + 2 * i] += cos[i] * v
-            g_alpha[cfg.theta_dim + 2 * i + 1] += sin[i] * v
+            g_alpha[cfg.theta_dim + i] += cos[i] * v
+            g_alpha[cfg.theta_dim + cfg.m + i] += sin[i] * v
     return g_alpha / cfg.noise_variance, v_sq
 
 
@@ -468,7 +483,7 @@ def test_elbo_noiseless_fit_data_term():
     b = rng.normal(size=D)
     theta, s = b[: cfg.theta_dim], b[cfg.theta_dim :]
     X = rng.normal(size=(8, 1))
-    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
+    y = feature_matrix(X, theta, cfg).T @ s
     data = make_dataset(rng, cfg, [1])
     data.blocks[0] = (X, y)
     state = VariationalState(1e-9 * np.eye(D), b)
@@ -496,7 +511,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
     sd = np.sqrt(prior.theta_prior_variance[0])
     for node, w in zip(nodes, weights):
         theta = np.array([np.sqrt(2.0) * sd * node])
-        Phi = interleaved(feature_matrix(X, theta, cfg))
+        Phi = feature_matrix(X, theta, cfg)
         cov = Phi.T @ (cfg.lambda_diag * Phi) + cfg.noise_variance * np.eye(n)
         total += w / np.sqrt(np.pi) * stats.multivariate_normal(
             mean=np.zeros(n), cov=cov

@@ -13,8 +13,6 @@ from specgp import (
 )
 from specgp.localmodel import _cholesky, conditional_moments
 
-from conftest import interleaved
-
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
     return SpectralConfig(d=d, m=m, signal_variance=ss2, noise_variance=sn2)
@@ -25,9 +23,9 @@ Moments = namedtuple("Moments", "mean variance")
 
 def conditional(x_star, local, theta, s, gamma_mix, cfg):
     """Mean and variance for one draw at one point: the batched conditional
-    on a single ``basis_vector`` column, split into its cosine and sine
-    halves ``(2, m, 1)``; ``local`` is a ``(chol, phi_y)`` pair."""
-    phi = basis_vector(x_star, theta, cfg).reshape(cfg.m, 2).T[:, :, None]
+    on a single ``basis_vector`` column ``(2m, 1)``; ``local`` is a
+    ``(chol, phi_y)`` pair."""
+    phi = basis_vector(x_star, theta, cfg)[:, None]
     mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
     return Moments(float(mean[0]), float(variance[0]))
 
@@ -72,7 +70,7 @@ def test_gram_dense_product_oracle():
         cfg = make_cfg(m=int(rng.integers(1, 5)))
         X, y, theta = random_block(rng, cfg, int(rng.integers(1, 25)))
         chol, phi_y = build_local_gram(X, y, theta, cfg, block_id=3)
-        Phi = feature_matrix(X, theta, cfg).reshape(cfg.num_features, -1)
+        Phi = feature_matrix(X, theta, cfg)
         expected = dense_gram(Phi, cfg)
         rel = np.linalg.norm(chol @ chol.T - expected) / np.linalg.norm(expected)
         assert rel <= 1e-12
@@ -89,7 +87,7 @@ def test_gram_symmetry_and_cholesky_reconstruction():
         # symmetric positive definite
         np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
         assert np.all(np.diag(chol) > 0)
-        gamma = dense_gram(feature_matrix(X, theta, cfg).reshape(cfg.num_features, -1), cfg)
+        gamma = dense_gram(feature_matrix(X, theta, cfg), cfg)
         rel = np.linalg.norm(chol @ chol.T - gamma) / np.linalg.norm(gamma)
         assert rel <= 1e-8
         assert np.linalg.eigvalsh(gamma).min() > 0
@@ -103,7 +101,7 @@ def test_matrix_inversion_lemma_identity():
         n_k = int(rng.integers(1, 31))
         X, y, theta = random_block(rng, cfg, n_k)
         chol, _ = build_local_gram(X, y, theta, cfg)
-        Phi = feature_matrix(X, theta, cfg).reshape(cfg.num_features, -1)
+        Phi = feature_matrix(X, theta, cfg)
         left = (np.eye(n_k) - Phi.T @ gram_solve(chol, Phi)) / cfg.noise_variance
         right = np.linalg.inv(
             Phi.T @ (cfg.lambda_diag * Phi) + cfg.noise_variance * np.eye(n_k)
@@ -154,7 +152,7 @@ def test_conditional_moment_formulas():
         gm = float(rng.uniform(-1, 1))
         mom = conditional(x_star, local, theta, s, gm, cfg)
         phi = basis_vector(x_star, theta, cfg)
-        Phi = interleaved(feature_matrix(X, theta, cfg))
+        Phi = feature_matrix(X, theta, cfg)
         ginv = np.linalg.inv(dense_gram(Phi, cfg))
         mean = gm * phi @ s + (1 - gm) * phi @ ginv @ Phi @ y
         var = (1 - gm * gm) * cfg.noise_variance * phi @ ginv @ phi
@@ -184,14 +182,12 @@ def test_marginalization_identities():
         local = build_local_gram(X, y, theta, cfg)
         chol, phi_y = local
         x_star = rng.normal(size=cfg.d)
-        # chol and phi_y run cosines first, then sines
-        phi = basis_vector(x_star, theta, cfg).reshape(cfg.m, 2).T.ravel()
+        phi = basis_vector(x_star, theta, cfg)
         mu_bar = gram_solve(chol, phi_y)
         base = float(phi @ mu_bar)
         quad = cfg.noise_variance * float(phi @ gram_solve(chol, phi))
         for gm in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            # the weight mean interleaved, as weights are drawn
-            mom = conditional(x_star, local, theta, mu_bar.reshape(2, cfg.m).T.ravel(), gm, cfg)
+            mom = conditional(x_star, local, theta, mu_bar, gm, cfg)
             # mean at s = E[s] equals the closed-form expectation of the mean
             assert mom.mean == pytest.approx(base, rel=1e-8, abs=1e-12)
             # var(gamma) + gamma^2 phi' Sigma_bar phi is gamma-independent

@@ -25,7 +25,7 @@ from specgp import (
 from specgp.errors import ModelFormatError
 from specgp.optimizer import load_checkpoint
 
-from conftest import as_version_one_model
+from conftest import as_version_one_model, as_version_two_model
 
 MODEL_KEYS = [
     "data.X",
@@ -113,7 +113,7 @@ def read_json(path):
 def test_files_hold_exactly_the_fields_loading_reads(saved_files):
     model, checkpoint = saved_files
     model_doc, checkpoint_doc = read_json(model), read_json(checkpoint)
-    assert (model_doc["version"], checkpoint_doc["version"]) == (2, 4)
+    assert (model_doc["version"], checkpoint_doc["version"]) == (3, 5)
     assert key_paths(model_doc) == MODEL_KEYS
     assert key_paths(checkpoint_doc) == CHECKPOINT_KEYS
 
@@ -153,15 +153,35 @@ def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
 
 
 def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path):
+    # version 2 models (in version 4 checkpoints) interleaved the weights;
+    # version 1 models (in version 3 checkpoints) also stored row-index lists
     model, checkpoint = saved_files
-    old_model = tmp_path / "model-v1.json"
-    old_model.write_text(json.dumps(as_version_one_model(read_json(model))))
-    with pytest.raises(ModelFormatError, match="version mismatch"):
-        load_model(old_model)
+    for version, as_old in ((1, as_version_one_model), (2, as_version_two_model)):
+        old_model = tmp_path / f"model-v{version}.json"
+        old_model.write_text(json.dumps(as_old(read_json(model))))
+        with pytest.raises(ModelFormatError, match="version mismatch"):
+            load_model(old_model)
+        doc = read_json(checkpoint)
+        doc["version"] = version + 2
+        doc["model"] = as_old(doc["model"])
+        old_checkpoint = tmp_path / f"checkpoint-v{version + 2}.json"
+        old_checkpoint.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="version mismatch"):
+            load_checkpoint(old_checkpoint)
+
+
+def test_a_float_version_is_a_version_mismatch(saved_files, tmp_path):
+    # 3.0 == 3 in Python, but a file's version must be a JSON integer
+    model, checkpoint = saved_files
+    doc = read_json(model)
+    doc["version"] = 3.0
+    path = tmp_path / "model-float.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 3, got 3\.0\)"):
+        load_model(path)
     doc = read_json(checkpoint)
-    doc["version"] = 3
-    doc["model"] = as_version_one_model(doc["model"])
-    old_checkpoint = tmp_path / "checkpoint-v3.json"
-    old_checkpoint.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="version mismatch"):
-        load_checkpoint(old_checkpoint)
+    doc["version"] = 5.0
+    path = tmp_path / "checkpoint-float.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 5, got 5\.0\)"):
+        load_checkpoint(path)

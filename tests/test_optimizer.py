@@ -28,7 +28,7 @@ from specgp import (
 from specgp.config import KEYS
 from specgp.gradient import draw_sample_sets
 
-from conftest import as_version_one_model, interleaved
+from conftest import as_version_one_model, as_version_two_model
 
 
 def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
@@ -368,8 +368,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     # train-config layout (with the ignored plan.rng_seed); version 2 kept a
     # train.adaptive key and an empty accumulator for plain Robbins-Monro
     # runs; version 3 keeps one full accumulator and no adaptive key; all
-    # three embed a version 1 model; version 4 embeds a version 2 model, so
-    # files of every older version are refused
+    # three embed a version 1 model; version 4 embeds a version 2 model,
+    # whose weights are interleaved; so files of every older version are
+    # refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
@@ -379,12 +380,15 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["version"] == 4 and doc["model"]["version"] == 2
+    assert doc["version"] == 5 and doc["model"]["version"] == 3
     assert set(doc["train_config"]) == {"seed", "train"}
     assert "adaptive" not in doc["train_config"]["train"]
     assert set(doc["optimizer"]) == {"accumulator"}
     assert len(doc["optimizer"]["accumulator"]) == init.dim * (init.dim + 1) + 2
     accumulator = doc["optimizer"]["accumulator"]
+    version_four = json.loads(json.dumps(doc))
+    version_four["version"] = 4
+    version_four["model"] = as_version_two_model(doc["model"])
     doc["model"] = as_version_one_model(doc["model"])
     version_three = json.loads(json.dumps(doc))
     version_three["version"] = 3
@@ -399,7 +403,7 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     version_one["train_config"]["plan"] = {
         "n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7,
     }
-    for old in (version_three, version_two, version_one):
+    for old in (version_four, version_three, version_two, version_one):
         with open(path, "w") as handle:
             json.dump(old, handle)
         with pytest.raises(ModelFormatError, match="version mismatch"):
@@ -528,7 +532,7 @@ def test_variance_gradients_zero_residual():
     prior = PriorSpec.for_inputs(X, cfg)
     plan = GradientSamplePlan(1, 1, rng_seed=6)
     theta, s = transform(state, draw_sample_sets(plan, 1, state.dim)[1][0], cfg)
-    y = interleaved(feature_matrix(X, theta, cfg)).T @ s
+    y = feature_matrix(X, theta, cfg).T @ s
     d_noise, _, _ = one_block_variance_gradients(X, y, state, prior, cfg, plan)
     assert d_noise == pytest.approx(-0.5 * 11, rel=1e-12)
 

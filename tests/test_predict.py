@@ -40,9 +40,9 @@ def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
 
 def one_point_moments(x, local, theta, s, gamma_mix, cfg):
     """Predictive mean and variance for one draw at one point, from the
-    scalar ``basis_vector`` features split into their cosine and sine halves
-    ``(2, m, 1)``; ``local`` is a ``(chol, phi_y)`` pair."""
-    phi = basis_vector(x, theta, cfg).reshape(cfg.m, 2).T[:, :, None]
+    scalar ``basis_vector`` features as one column ``(2m, 1)``; ``local`` is a
+    ``(chol, phi_y)`` pair."""
+    phi = basis_vector(x, theta, cfg)[:, None]
     mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
     return float(mean[0]), float(variance[0])
 
