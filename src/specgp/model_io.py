@@ -10,11 +10,16 @@ double precision.  A file of another version is refused as a version
 mismatch: version 1 stored row-index lists instead of block sizes, and
 version 2 interleaved the weight entries of ``M`` and ``b`` as cos_1,
 sin_1, ... instead of all cosines, then all sines.
+
+Checkpoints (:mod:`specgp.optimizer`) share the posterior fields and, in
+their data file, the partition fields.  Every file is written by
+:func:`write_json_atomic`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -71,30 +76,46 @@ def _array(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def model_to_doc(model: TrainedModel) -> dict:
-    """Plain-dict form of a model, ready for ``json.dump``."""
-    part = model.partition
-    X_rows = [X_i for X_i, _ in part.blocks]
-    y_rows = [y_i for _, y_i in part.blocks]
-    X_all = np.vstack(X_rows) if X_rows else np.zeros((0, part.d))
+def partition_to_doc(partition: PartitionedDataset) -> dict:
+    """The ``partition`` and ``data`` fields that model files and checkpoint
+    data files share: centroids, the row count of each block, and the
+    training rows in block order."""
+    X_rows = [X_i for X_i, _ in partition.blocks]
+    y_rows = [y_i for _, y_i in partition.blocks]
+    X_all = np.vstack(X_rows) if X_rows else np.zeros((0, partition.d))
     y_all = np.concatenate(y_rows) if y_rows else np.zeros(0)
+    return {
+        "partition": {
+            "centroids": _array(partition.centroids),
+            "block_sizes": partition.block_sizes().tolist(),
+        },
+        "data": {"X": _array(X_all), "y": _array(y_all)},
+    }
+
+
+def posterior_to_doc(state: VariationalState, prior: PriorSpec, spectral: SpectralConfig) -> dict:
+    """The ``spectral``, ``prior`` and ``state`` fields that model files and
+    checkpoints share."""
+    return {
+        "spectral": {
+            "d": spectral.d,
+            "m": spectral.m,
+            "signal_variance": spectral.signal_variance,
+            "noise_variance": spectral.noise_variance,
+        },
+        "prior": {"theta_prior_variance": _array(prior.theta_prior_variance)},
+        "state": {"M": _array(state.M), "b": _array(state.b)},
+    }
+
+
+def model_to_doc(model: TrainedModel) -> dict:
+    """Plain-dict form of a model, ready for :func:`write_json_atomic`."""
     std = model.standardization
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "spectral": {
-            "d": model.spectral.d,
-            "m": model.spectral.m,
-            "signal_variance": model.spectral.signal_variance,
-            "noise_variance": model.spectral.noise_variance,
-        },
-        "prior": {"theta_prior_variance": _array(model.prior.theta_prior_variance)},
-        "state": {"M": _array(model.state.M), "b": _array(model.state.b)},
-        "partition": {
-            "centroids": _array(part.centroids),
-            "block_sizes": part.block_sizes().tolist(),
-        },
-        "data": {"X": _array(X_all), "y": _array(y_all)},
+        **posterior_to_doc(model.state, model.prior, model.spectral),
+        **partition_to_doc(model.partition),
         "standardization": {
             "x_mean": _array(std.x_mean),
             "x_scale": _array(std.x_scale),
@@ -183,36 +204,65 @@ def read_document(path, fmt, version, kind=None) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def field_errors(kind=None):
+    """Turn a missing or malformed field met while rebuilding a document into
+    a :class:`ModelFormatError` whose message names the file's ``kind``
+    (``"checkpoint"``) when one is given."""
+    label = f"{kind} " if kind else ""
+    try:
+        yield
+    except KeyError as missing:
+        raise ModelFormatError(f"model: {label}missing field {missing}") from None
+    except ModelFormatError:
+        raise
+    except (TypeError, ValueError, NumericalError) as bad:
+        # a ContractError from a dimension check is a ValueError, and a
+        # NumericalError can only come from a state whose M is singular
+        raise ModelFormatError(f"model: malformed {label}field ({bad})") from None
+
+
+def posterior_from_doc(doc: dict):
+    """``(spectral, prior, state)`` from the fields that
+    :func:`posterior_to_doc` writes; call it under :func:`field_errors`."""
+    spectral = SpectralConfig(
+        d=doc["spectral"]["d"],
+        m=doc["spectral"]["m"],
+        signal_variance=doc["spectral"]["signal_variance"],
+        noise_variance=doc["spectral"]["noise_variance"],
+    )
+    prior = PriorSpec(
+        theta_prior_variance=np.asarray(doc["prior"]["theta_prior_variance"], dtype=float)
+    )
+    state = VariationalState(
+        np.asarray(doc["state"]["M"], dtype=float),
+        np.asarray(doc["state"]["b"], dtype=float),
+    )
+    return spectral, prior, state
+
+
+def partition_from_doc(doc: dict, d: int) -> PartitionedDataset:
+    """The partition of ``d``-column rows that :func:`partition_to_doc`
+    writes, checked; call it under :func:`field_errors`."""
+    X_all = np.asarray(doc["data"]["X"], dtype=float)
+    if X_all.size == 0:
+        X_all = X_all.reshape(0, d)
+    y_all = np.asarray(doc["data"]["y"], dtype=float)
+    centroids = np.asarray(doc["partition"]["centroids"], dtype=float)
+    sizes = doc["partition"]["block_sizes"]
+    _check_partition(X_all, y_all, centroids, sizes, d)
+    ends = np.cumsum(sizes, dtype=int)
+    block_indices = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
+    return PartitionedDataset(blocks=blocks, centroids=centroids, block_indices=block_indices)
+
+
 def model_from_doc(doc: dict) -> TrainedModel:
     """Rebuild a :class:`TrainedModel`, validating format and version."""
     _check_header(doc, MODEL_FORMAT, MODEL_VERSION, "document")
-    try:
-        spectral = SpectralConfig(
-            d=doc["spectral"]["d"],
-            m=doc["spectral"]["m"],
-            signal_variance=doc["spectral"]["signal_variance"],
-            noise_variance=doc["spectral"]["noise_variance"],
-        )
-        prior = PriorSpec(
-            theta_prior_variance=np.asarray(doc["prior"]["theta_prior_variance"], dtype=float)
-        )
-        state = VariationalState(
-            np.asarray(doc["state"]["M"], dtype=float),
-            np.asarray(doc["state"]["b"], dtype=float),
-        )
-        X_all = np.asarray(doc["data"]["X"], dtype=float)
-        if X_all.size == 0:
-            X_all = X_all.reshape(0, spectral.d)
-        y_all = np.asarray(doc["data"]["y"], dtype=float)
-        centroids = np.asarray(doc["partition"]["centroids"], dtype=float)
-        sizes = doc["partition"]["block_sizes"]
-        _check_partition(X_all, y_all, centroids, sizes, spectral.d)
-        ends = np.cumsum(sizes, dtype=int)
-        block_indices = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
-        blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
-        partition = PartitionedDataset(
-            blocks=blocks, centroids=centroids, block_indices=block_indices
-        )
+    with field_errors():
+        spectral, prior, state = posterior_from_doc(doc)
+        partition = partition_from_doc(doc, spectral.d)
         std_doc = doc["standardization"]
         standardization = Standardization(
             x_mean=np.asarray(std_doc["x_mean"], dtype=float),
@@ -224,8 +274,6 @@ def model_from_doc(doc: dict) -> TrainedModel:
         feature_names = doc.get("feature_names")
         target_name = doc.get("target_name", "y")
         _check_names(feature_names, target_name, spectral.d)
-        # A ContractError from the dimension check is a ValueError, so a
-        # state or prior that does not fit "spectral" is a format error here.
         return TrainedModel(
             state=state,
             prior=prior,
@@ -235,29 +283,75 @@ def model_from_doc(doc: dict) -> TrainedModel:
             feature_names=feature_names,
             target_name=target_name,
         )
-    except KeyError as missing:
-        raise ModelFormatError(f"model: missing field {missing}") from None
-    except ModelFormatError:
-        raise
-    except (TypeError, ValueError, NumericalError) as bad:
-        # a NumericalError can only come from a state whose M is singular
-        raise ModelFormatError(f"model: malformed field ({bad})") from None
 
 
-def write_json_atomic(path, doc) -> None:
-    """Write ``doc`` as JSON so that ``path`` holds its old or its new
-    contents, never a partial file: the text goes to a temporary file in the
-    same directory, which then replaces ``path`` in one rename.  There is no
-    fsync, so this survives an interrupted process, not a power loss."""
+# The most numbers one json.dumps call encodes while a document is written.
+# The C encoder holds the text of every number of a call until it returns,
+# so this bounds the writer's memory; 2048 numbers are about 40 KB of text.
+PIECE_NUMBERS = 2048
+
+
+def _numbers(value) -> int:
+    """Numbers in a list, counting each entry as wide as the first."""
+    first = value[0] if value else None
+    return len(value) * (len(first) if isinstance(first, list) else 1)
+
+
+def _json_pieces(value):
+    """``json.dumps(value)`` as consecutive strings, each from one
+    ``json.dumps`` call of at most about :data:`PIECE_NUMBERS` numbers.
+    Objects, whose keys must be strings, go key by key; a longer list goes
+    as slices of whole entries, or entry by entry when one entry alone is
+    longer."""
+    if isinstance(value, dict) and value:
+        opener = "{"
+        for key, item in value.items():
+            yield f"{opener}{json.dumps(key)}: "
+            yield from _json_pieces(item)
+            opener = ", "
+        yield "}"
+    elif isinstance(value, list) and _numbers(value) > PIECE_NUMBERS:
+        opener = "["
+        step = PIECE_NUMBERS // _numbers(value[:1])
+        if step == 0:
+            for item in value:
+                yield opener
+                yield from _json_pieces(item)
+                opener = ", "
+        else:
+            for start in range(0, len(value), step):
+                yield opener + json.dumps(value[start:start + step])[1:-1]
+                opener = ", "
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
+def write_json_atomic(path, doc, final_path=None) -> str:
+    """Write ``doc`` as the bytes of ``json.dumps(doc)`` and return their
+    sha256 hex digest.
+
+    The file holds its old or its new contents, never a partial file: the
+    text goes to the temporary file ``<path>.<pid>.tmp``, which then replaces
+    ``path``, or ``final_path(digest)`` when that function is given, in one
+    rename.  The text is encoded piece by piece (:func:`_json_pieces`), so
+    the encoder's memory stays flat in the size of the document.  There is
+    no fsync, so this survives an interrupted process, not a power loss."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle)
-        os.replace(tmp, path)
+        with open(tmp, "wb") as handle:
+            for piece in _json_pieces(doc):
+                raw = piece.encode()
+                digest.update(raw)
+                handle.write(raw)
+        hexdigest = digest.hexdigest()
+        os.replace(tmp, path if final_path is None else final_path(hexdigest))
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    return hexdigest
 
 
 def save_model(path, model: TrainedModel) -> None:

@@ -17,10 +17,23 @@ Every iteration draws its Monte-Carlo sample seed deterministically from
 ``(seed, iteration)``, so a run is bit-reproducible and a checkpoint can
 resume mid-stream with nothing but the master seed, the iteration counter
 and the AdaGrad accumulator.
+
+A checkpoint comes in two files.  The first checkpoint of a run writes the
+partitioned training data once, to ``<checkpoint>.<digest16>.data.json``
+beside the checkpoint, named by the first 16 hex digits of the sha256 of
+its bytes.  Every checkpoint then holds only what changes or what resuming
+needs besides the data: the iteration, the data file's full digest, the
+posterior and hyperparameters, the train config, the accumulator and the
+trace.  So its size does not grow with n, and a new run on the same path
+leaves an older checkpoint's data file in place.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -30,14 +43,24 @@ import numpy as np
 from .errors import ContractError, ModelFormatError, NumericalError
 from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
-from .model_io import TrainedModel, model_from_doc, model_to_doc, read_document, write_json_atomic
+from .model_io import (
+    TrainedModel,
+    field_errors,
+    partition_from_doc,
+    partition_to_doc,
+    posterior_from_doc,
+    posterior_to_doc,
+    read_document,
+    write_json_atomic,
+)
 from .variational import RCOND_MIN, PriorSpec, VariationalState
 
 MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-CHECKPOINT_VERSION = 5  # bumped with MODEL_VERSION: a checkpoint embeds a model document
+# 6: the partitioned data moved to its own file; 5 and earlier embedded a model
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -129,6 +152,7 @@ class _OptState:
     accumulator: np.ndarray
     trace: list = field(default_factory=list)
     iteration: int = 0
+    data_digest: Optional[str] = None  # sha256 of the run's data file, once written
 
 
 def _iteration_seed(seed: int, t: int, stream: int = 0) -> int:
@@ -280,19 +304,46 @@ def _accumulator_from_doc(values, size: int):
     return acc
 
 
+def data_file_path(path, digest: str) -> str:
+    """Where the data file with sha256 ``digest`` sits beside checkpoint ``path``."""
+    return f"{path}.{digest[:16]}.data.json"
+
+
+def _read_data_file(path, digest, d: int):
+    """The partition in the data file of checkpoint ``path``, after checking
+    that its bytes hash to ``digest``."""
+    data_path = data_file_path(path, digest)
+    try:
+        with open(data_path, "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
+        raise ModelFormatError(f"model: checkpoint data file not found: {data_path}") from None
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ModelFormatError(
+            f"model: checkpoint data file {data_path} does not match the checkpoint's data_digest"
+        )
+    return partition_from_doc(json.loads(raw), d)
+
+
 def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None:
     """Write everything needed to resume training at ``opt.iteration``.
 
+    The data file is written on the first call of a run, while
+    ``opt.data_digest`` is unset, and only named by the checkpoint after.
     The train config is stored in its run-config form, ``{"seed", "train"}``.
     """
     from .config import train_config_doc  # config imports this module
 
-    model = TrainedModel(state=state, prior=prior, spectral=cfg, partition=data)
+    if opt.data_digest is None:
+        opt.data_digest = write_json_atomic(
+            path, partition_to_doc(data), final_path=lambda digest: data_file_path(path, digest)
+        )
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "iteration": opt.iteration,
-        "model": model_to_doc(model),
+        "data_digest": opt.data_digest,
+        **posterior_to_doc(state, prior, cfg),
         "train_config": train_config_doc(tcfg),
         "optimizer": {"accumulator": opt.accumulator.tolist()},
         "trace": _trace_rows(opt.trace),
@@ -301,15 +352,27 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
 
 
 def load_checkpoint(path):
-    """Read a checkpoint into (model, train config, optimizer state), validating
-    every field that resuming reads; a fault is a :class:`ModelFormatError`.
-    The train config passes the same key checks as a run-config file, and
-    every one of its keys must be present."""
+    """Read a checkpoint and its data file into (model, train config,
+    optimizer state), validating every field that resuming reads; a fault
+    is a :class:`ModelFormatError`.  The data file must hash to the
+    checkpoint's ``data_digest``.  The train config passes the same key
+    checks as a run-config file, and every one of its keys must be present.
+    The model carries no standardization or names, which resuming does not
+    read."""
     from .config import train_config_read  # config imports this module
 
     doc = read_document(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, kind="checkpoint")
-    try:
-        model = model_from_doc(doc["model"])
+    with field_errors("checkpoint"):
+        digest = doc["data_digest"]
+        if type(digest) is not str or not re.fullmatch("[0-9a-f]{64}", digest):
+            raise ModelFormatError("model: checkpoint data_digest must be 64 hex digits")
+        spectral, prior, state = posterior_from_doc(doc)
+        model = TrainedModel(
+            state=state,
+            prior=prior,
+            spectral=spectral,
+            partition=_read_data_file(path, digest, spectral.d),
+        )
         tcfg = train_config_read(doc["train_config"])
         opt = _OptState(
             accumulator=_accumulator_from_doc(
@@ -317,13 +380,8 @@ def load_checkpoint(path):
             ),
             trace=_trace_from_rows(doc["trace"]),
             iteration=doc["iteration"],
+            data_digest=digest,
         )
-    except KeyError as missing:
-        raise ModelFormatError(f"model: checkpoint missing field {missing}") from None
-    except ModelFormatError:
-        raise
-    except (TypeError, ValueError) as bad:  # ContractError from the config checks included
-        raise ModelFormatError(f"model: malformed checkpoint field ({bad})") from None
     if type(opt.iteration) is not int or opt.iteration != len(opt.trace):
         raise ModelFormatError(
             f"model: checkpoint iteration {opt.iteration!r} does not match "
@@ -340,11 +398,14 @@ def load_checkpoint(path):
 def resume_training(path, iterations: Optional[int] = None, gradient_fn=None) -> TrainResult:
     """Continue a checkpointed run to ``iterations`` (default: original target).
 
-    The checkpoint is self-contained (it embeds the partitioned data), so
-    resuming reproduces the uninterrupted trajectory bit for bit.  A target
-    below the checkpoint's iteration is a :class:`ContractError`.
+    The checkpoint and its data file hold the partitioned data, the state
+    and the optimizer's internals, so resuming reproduces the uninterrupted
+    trajectory bit for bit.  Later checkpoints go to ``path``, beside the
+    data file just read, which is not written again.  A target below the
+    checkpoint's iteration is a :class:`ContractError`.
     """
     model, tcfg, opt = load_checkpoint(path)
+    tcfg = replace(tcfg, checkpoint_path=os.fspath(path))
     if iterations is not None:
         tcfg = replace(tcfg, iterations=iterations)
     if tcfg.iterations < opt.iteration:

@@ -46,6 +46,41 @@ def as_version_one_model(doc):
     return old
 
 
+def fail_writes(monkeypatch, at, after=100):
+    """Make the ``at``-th temporary file that ``specgp.model_io`` opens from
+    now on (counting from 1) take ``after`` bytes, then fail its write with
+    ``OSError("disk full")``, as a full disk would part-way through a file."""
+    opened = 0
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self.handle, self.budget = handle, after
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, raw):
+            if len(raw) > self.budget:
+                self.handle.write(raw[: self.budget])
+                raise OSError("disk full")
+            self.budget -= len(raw)
+            return self.handle.write(raw)
+
+    def failing_open(path, *args, **kwargs):
+        nonlocal opened
+        handle = open(path, *args, **kwargs)
+        if str(path).endswith(".tmp"):
+            opened += 1
+            if opened == at:
+                return FailingHandle(handle)
+        return handle
+
+    monkeypatch.setattr("specgp.model_io.open", failing_open, raising=False)
+
+
 class SyntheticProblem:
     """A 2-d, five-frequency dataset with a fixed split, standardization,
     partition, and prior; trains and scores models with pinned seeds."""

@@ -9,6 +9,8 @@ import specgp.config as run_config
 from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
 
+from conftest import fail_writes
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -954,12 +956,7 @@ def test_interrupted_model_save_keeps_previous_file(trained_model_doc, tmp_path,
     path.write_text(json.dumps(doc))
     model = load_model(str(path))
     before = path.read_bytes()
-
-    def dump_fails(obj, handle):
-        handle.write(json.dumps(obj)[:100])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", dump_fails)
+    fail_writes(monkeypatch, at=1)
     with pytest.raises(OSError, match="disk full"):
         save_model(str(path), model)
     assert path.read_bytes() == before

@@ -1,7 +1,9 @@
-"""The model and checkpoint file formats: every stored field is one that
-loading reads, a save/load cycle reproduces the file byte for byte, and
-files of earlier versions are refused."""
+"""The model, checkpoint and checkpoint data file formats: every stored
+field is one that loading reads, a save/load cycle reproduces the file byte
+for byte, files of earlier versions are refused, and the writer's bytes are
+those of ``json.dumps``."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,7 +25,8 @@ from specgp import (
     train,
 )
 from specgp.errors import ModelFormatError
-from specgp.optimizer import load_checkpoint
+from specgp.model_io import PIECE_NUMBERS, model_to_doc, partition_to_doc, write_json_atomic
+from specgp.optimizer import data_file_path, load_checkpoint
 
 from conftest import as_version_one_model, as_version_two_model
 
@@ -49,27 +52,34 @@ MODEL_KEYS = [
     "version",
 ]
 
-CHECKPOINT_KEYS = sorted(
-    [
-        "format",
-        "iteration",
-        "optimizer.accumulator",
-        "trace",
-        "train_config.seed",
-        "train_config.train.base_step",
-        "train_config.train.checkpoint_every",
-        "train_config.train.checkpoint_path",
-        "train_config.train.decay_power",
-        "train_config.train.elbo_every",
-        "train_config.train.elbo_samples",
-        "train_config.train.iterations",
-        "train_config.train.learn_variances",
-        "train_config.train.partition_samples",
-        "train_config.train.z_samples",
-        "version",
-    ]
-    + [f"model.{key}" for key in MODEL_KEYS]
-)
+PARTITION_KEYS = ["data.X", "data.y", "partition.block_sizes", "partition.centroids"]
+
+CHECKPOINT_KEYS = [
+    "data_digest",
+    "format",
+    "iteration",
+    "optimizer.accumulator",
+    "prior.theta_prior_variance",
+    "spectral.d",
+    "spectral.m",
+    "spectral.noise_variance",
+    "spectral.signal_variance",
+    "state.M",
+    "state.b",
+    "trace",
+    "train_config.seed",
+    "train_config.train.base_step",
+    "train_config.train.checkpoint_every",
+    "train_config.train.checkpoint_path",
+    "train_config.train.decay_power",
+    "train_config.train.elbo_every",
+    "train_config.train.elbo_samples",
+    "train_config.train.iterations",
+    "train_config.train.learn_variances",
+    "train_config.train.partition_samples",
+    "train_config.train.z_samples",
+    "version",
+]
 
 
 def key_paths(doc, prefix=""):
@@ -83,7 +93,8 @@ def key_paths(doc, prefix=""):
 
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory):
-    """Paths of a saved model and of the checkpoint its training run wrote."""
+    """Paths of a saved model, and of the checkpoint and data file its
+    training run wrote."""
     root = tmp_path_factory.mktemp("formats")
     rng = np.random.default_rng(5)
     cfg = SpectralConfig(d=2, m=2, signal_variance=1.0, noise_variance=0.25)
@@ -102,7 +113,8 @@ def saved_files(tmp_path_factory):
     result = train(part, initial_state(prior, cfg, seed=0), prior, cfg, tcfg)
     model = root / "model.json"
     save_model(model, result.model(part, standardization=Standardization.fit(X, y)))
-    return model, checkpoint
+    data = data_file_path(checkpoint, load_checkpoint(checkpoint)[2].data_digest)
+    return model, checkpoint, data
 
 
 def read_json(path):
@@ -111,11 +123,13 @@ def read_json(path):
 
 
 def test_files_hold_exactly_the_fields_loading_reads(saved_files):
-    model, checkpoint = saved_files
+    model, checkpoint, data = saved_files
     model_doc, checkpoint_doc = read_json(model), read_json(checkpoint)
-    assert (model_doc["version"], checkpoint_doc["version"]) == (3, 5)
+    assert (model_doc["version"], checkpoint_doc["version"]) == (3, 6)
     assert key_paths(model_doc) == MODEL_KEYS
     assert key_paths(checkpoint_doc) == CHECKPOINT_KEYS
+    assert key_paths(read_json(data)) == PARTITION_KEYS
+    assert set(PARTITION_KEYS) < set(MODEL_KEYS)
 
 
 def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
@@ -154,17 +168,25 @@ def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
 
 def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path):
     # version 2 models (in version 4 checkpoints) interleaved the weights;
-    # version 1 models (in version 3 checkpoints) also stored row-index lists
-    model, checkpoint = saved_files
+    # version 1 models (in version 3 checkpoints) also stored row-index lists;
+    # version 5 checkpoints embedded a version 3 model, data included
+    model, checkpoint, _ = saved_files
     for version, as_old in ((1, as_version_one_model), (2, as_version_two_model)):
         old_model = tmp_path / f"model-v{version}.json"
         old_model.write_text(json.dumps(as_old(read_json(model))))
         with pytest.raises(ModelFormatError, match="version mismatch"):
             load_model(old_model)
+    for version, model_doc in (
+        (3, as_version_one_model(read_json(model))),
+        (4, as_version_two_model(read_json(model))),
+        (5, read_json(model)),
+    ):
         doc = read_json(checkpoint)
-        doc["version"] = version + 2
-        doc["model"] = as_old(doc["model"])
-        old_checkpoint = tmp_path / f"checkpoint-v{version + 2}.json"
+        for key in ("data_digest", "spectral", "prior", "state"):
+            del doc[key]
+        doc["version"] = version
+        doc["model"] = model_doc
+        old_checkpoint = tmp_path / f"checkpoint-v{version}.json"
         old_checkpoint.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="version mismatch"):
             load_checkpoint(old_checkpoint)
@@ -172,7 +194,7 @@ def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path)
 
 def test_a_float_version_is_a_version_mismatch(saved_files, tmp_path):
     # 3.0 == 3 in Python, but a file's version must be a JSON integer
-    model, checkpoint = saved_files
+    model, checkpoint, _ = saved_files
     doc = read_json(model)
     doc["version"] = 3.0
     path = tmp_path / "model-float.json"
@@ -180,8 +202,65 @@ def test_a_float_version_is_a_version_mismatch(saved_files, tmp_path):
     with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 3, got 3\.0\)"):
         load_model(path)
     doc = read_json(checkpoint)
-    doc["version"] = 5.0
+    doc["version"] = 6.0
     path = tmp_path / "checkpoint-float.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 5, got 5\.0\)"):
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 6, got 6\.0\)"):
         load_checkpoint(path)
+
+
+def written_as_dumps(path, doc):
+    """Whether ``write_json_atomic`` writes exactly ``json.dumps(doc)`` and
+    returns the sha256 of the file's bytes."""
+    digest = write_json_atomic(path, doc)
+    raw = path.read_bytes()
+    return raw == json.dumps(doc).encode() and digest == hashlib.sha256(raw).hexdigest()
+
+
+def test_writer_bytes_are_those_of_json_dumps(saved_files, tmp_path):
+    model, checkpoint, data = saved_files
+    path = tmp_path / "written.json"
+    for doc in (read_json(model), read_json(checkpoint), read_json(data), [], {}, None):
+        assert written_as_dumps(path, doc)
+    rng = np.random.default_rng(7)
+    long_rows = rng.normal(size=(3 * PIECE_NUMBERS + 5, 3)).tolist()
+    long_row = rng.normal(size=PIECE_NUMBERS + 1).tolist()
+    nested = {
+        "rows": long_rows,
+        "flat": long_row,
+        "wider_than_a_piece": [long_row, long_row[:3], [long_row, []]],
+        "mixed": [1, None, "x", True, {"a": []}] * PIECE_NUMBERS,
+        "empty": {"list": [], "object": {}, "rows": [[]] * (PIECE_NUMBERS + 1)},
+    }
+    assert written_as_dumps(path, nested)
+    assert [p.name for p in tmp_path.iterdir()] == ["written.json"]
+
+
+def test_writer_bytes_for_a_zero_row_block_and_non_ascii_names(tmp_path):
+    rng = np.random.default_rng(8)
+    cfg = SpectralConfig(d=2, m=2, signal_variance=1.0, noise_variance=0.2)
+    X = rng.normal(size=(5, 2))
+    y = rng.normal(size=5)
+    prior = PriorSpec.for_inputs(X, cfg)
+    rows = [np.arange(0), np.arange(5)]
+    model = TrainedModel(
+        state=initial_state(prior, cfg, seed=0),
+        prior=prior,
+        spectral=cfg,
+        partition=PartitionedDataset(
+            blocks=[(X[idx], y[idx]) for idx in rows],
+            centroids=rng.normal(size=(2, 2)),
+            block_indices=rows,
+        ),
+        feature_names=["température °C", "数量"],
+        target_name="ÿ",
+    )
+    doc = model_to_doc(model)
+    assert doc["partition"]["block_sizes"] == [0, 5]
+    path = tmp_path / "model.json"
+    assert written_as_dumps(path, doc)
+    assert load_model(path).feature_names == ["température °C", "数量"]
+    empty = PartitionedDataset(
+        blocks=[(X[:0], y[:0])], centroids=X[:1], block_indices=[np.arange(0)]
+    )
+    assert written_as_dumps(path, partition_to_doc(empty))

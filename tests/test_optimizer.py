@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from specgp import (
 )
 from specgp.config import KEYS
 from specgp.gradient import draw_sample_sets
+from specgp.model_io import model_to_doc
+from specgp.optimizer import data_file_path
 
-from conftest import as_version_one_model, as_version_two_model
+from conftest import as_version_one_model, as_version_two_model, fail_writes
 
 
 def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
@@ -288,6 +292,9 @@ def _drop(*keys):
         _set("train_config", "train", "learn_variances", "false"),
         _drop("train_config", "train", "elbo_every"),
         _drop("train_config", "seed"),
+        _drop("data_digest"),
+        _set("data_digest", 5),
+        _set("data_digest", lambda digest: digest[:16]),
     ],
     ids=[
         "iteration_not_a_number", "iteration_float", "iteration_negative",
@@ -300,6 +307,7 @@ def _drop(*keys):
         "train_config_float_elbo_samples", "train_config_int_checkpoint_path",
         "train_config_negative_seed", "train_config_string_boolean",
         "train_config_missing_key", "train_config_missing_seed",
+        "data_digest_missing", "data_digest_not_a_string", "data_digest_short",
     ],
 )
 def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
@@ -338,16 +346,9 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
     sched = StepSchedule(0.1, 0.6)
     straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
 
-    real_dump = json.dump
-
-    def dump_fails_at_30(doc, handle):
-        if doc["iteration"] == 30:
-            handle.write(json.dumps(doc)[:100])
-            raise OSError("disk full")
-        real_dump(doc, handle)
-
+    # temporary files: the data file and the checkpoints at 10, 20 and 30
     with monkeypatch.context() as patch:
-        patch.setattr(json, "dump", dump_fails_at_30)
+        fail_writes(patch, at=4)
         with pytest.raises(OSError, match="disk full"):
             train(
                 data, init, prior, cfg,
@@ -355,12 +356,115 @@ def test_interrupted_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkey
                     40, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path,
                 ),
             )
-    assert os.listdir(tmp_path) == ["checkpoint.json"]
-    assert load_checkpoint(path)[2].iteration == 20
+    _, _, opt = load_checkpoint(path)
+    assert opt.iteration == 20
+    assert sorted(os.listdir(tmp_path)) == [
+        "checkpoint.json", os.path.basename(data_file_path(path, opt.data_digest)),
+    ]
     resumed = resume_training(path)
     np.testing.assert_array_equal(resumed.state.M, straight.state.M)
     np.testing.assert_array_equal(resumed.state.b, straight.state.b)
     assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
+
+
+def test_interrupted_data_file_write_keeps_previous_run_resumable(tmp_path, monkeypatch):
+    # a second run on the same path, with other data, fails while writing
+    # its data file: the first run's checkpoint still names its own data file
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    path = str(tmp_path / "checkpoint.json")
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
+    first = train_config(20, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path)
+    train(data, init, prior, cfg, first)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert len(before) == 2
+
+    _, other_data, _ = tiny_problem(seed=1)
+    with monkeypatch.context() as patch:
+        fail_writes(patch, at=1)
+        with pytest.raises(OSError, match="disk full"):
+            train(other_data, init, prior, cfg, first)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    resumed = resume_training(path, iterations=40)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+
+
+def test_resuming_a_moved_checkpoint_writes_beside_it(tmp_path):
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
+    old_dir, new_dir = tmp_path / "a", tmp_path / "b"
+    old_dir.mkdir()
+    new_dir.mkdir()
+    old_path = str(old_dir / "ck.json")
+    train(
+        data, init, prior, cfg,
+        train_config(20, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=old_path),
+    )
+    for name in os.listdir(old_dir):
+        shutil.move(old_dir / name, new_dir / name)
+    old_dir.rmdir()
+
+    new_path = str(new_dir / "ck.json")
+    resumed = resume_training(new_path, iterations=40)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
+    assert not old_dir.exists()
+    model, tcfg, opt = load_checkpoint(new_path)
+    assert (opt.iteration, tcfg.checkpoint_path) == (40, new_path)
+    assert len(os.listdir(new_dir)) == 2
+    np.testing.assert_array_equal(model.state.M, straight.state.M)
+
+
+def test_checkpoint_size_is_flat_in_n(tmp_path):
+    # the data file holds the rows; the checkpoint holds what does not grow with n
+    sizes = []
+    for n in (200, 800):
+        cfg, data, prior = tiny_problem(n=n, d=2, m=2, p=4)
+        path = str(tmp_path / f"checkpoint-{n}.json")
+        train(
+            data, initial_state(prior, cfg, seed=0), prior, cfg,
+            train_config(5, checkpoint_every=5, checkpoint_path=path),
+        )
+        digest = load_checkpoint(path)[2].data_digest
+        sizes.append((os.path.getsize(path), os.path.getsize(data_file_path(path, digest))))
+    (checkpoint_n, data_n), (checkpoint_4n, data_4n) = sizes
+    assert abs(checkpoint_4n / checkpoint_n - 1) < 0.05
+    assert 3.5 < data_4n / data_n < 4.5
+
+
+def test_data_file_faults_are_format_errors_naming_the_file(tmp_path):
+    cfg, data, prior = tiny_problem()
+    path = str(tmp_path / "checkpoint.json")
+    other = str(tmp_path / "other.json")
+    for partition, checkpoint in ((data, path), (tiny_problem(seed=1)[1], other)):
+        train(
+            partition, initial_state(prior, cfg, seed=0), prior, cfg,
+            train_config(2, checkpoint_every=2, checkpoint_path=checkpoint),
+        )
+    data_path = data_file_path(path, load_checkpoint(path)[2].data_digest)
+    other_data_path = data_file_path(other, load_checkpoint(other)[2].data_digest)
+    data_file, other_data_file = (
+        tmp_path / os.path.basename(name) for name in (data_path, other_data_path)
+    )
+    original = data_file.read_bytes()
+
+    # one float edited, keeping the file valid JSON of the same shape
+    doc = json.loads(original)
+    doc["data"]["y"][0] += 1.0
+    for contents in (json.dumps(doc).encode(), other_data_file.read_bytes()):
+        data_file.write_bytes(contents)
+        with pytest.raises(ModelFormatError, match=f"data file {re.escape(data_path)} does not"):
+            load_checkpoint(path)
+    data_file.unlink()
+    with pytest.raises(ModelFormatError, match=f"data file not found: {re.escape(data_path)}"):
+        load_checkpoint(path)
+    data_file.write_bytes(original)
+    load_checkpoint(path)
 
 
 def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
@@ -369,8 +473,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     # train.adaptive key and an empty accumulator for plain Robbins-Monro
     # runs; version 3 keeps one full accumulator and no adaptive key; all
     # three embed a version 1 model; version 4 embeds a version 2 model,
-    # whose weights are interleaved; so files of every older version are
-    # refused
+    # whose weights are interleaved; version 5 embeds a version 3 model with
+    # the data, which version 6 keeps in its own file; so files of every
+    # older version are refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
@@ -380,16 +485,22 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["version"] == 5 and doc["model"]["version"] == 3
+    assert doc["version"] == 6 and "model" not in doc
     assert set(doc["train_config"]) == {"seed", "train"}
     assert "adaptive" not in doc["train_config"]["train"]
     assert set(doc["optimizer"]) == {"accumulator"}
     assert len(doc["optimizer"]["accumulator"]) == init.dim * (init.dim + 1) + 2
     accumulator = doc["optimizer"]["accumulator"]
+    model_doc = model_to_doc(load_checkpoint(path)[0])
+    for key in ("data_digest", "spectral", "prior", "state"):
+        del doc[key]
+    doc["model"] = model_doc
+    version_five = json.loads(json.dumps(doc))
+    version_five["version"] = 5
     version_four = json.loads(json.dumps(doc))
     version_four["version"] = 4
-    version_four["model"] = as_version_two_model(doc["model"])
-    doc["model"] = as_version_one_model(doc["model"])
+    version_four["model"] = as_version_two_model(model_doc)
+    doc["model"] = as_version_one_model(model_doc)
     version_three = json.loads(json.dumps(doc))
     version_three["version"] = 3
     version_two = json.loads(json.dumps(doc))
@@ -403,7 +514,7 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     version_one["train_config"]["plan"] = {
         "n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7,
     }
-    for old in (version_four, version_three, version_two, version_one):
+    for old in (version_five, version_four, version_three, version_two, version_one):
         with open(path, "w") as handle:
             json.dump(old, handle)
         with pytest.raises(ModelFormatError, match="version mismatch"):
