@@ -148,8 +148,9 @@ def draw_sample_sets(plan: GradientSamplePlan, n_blocks: int, dim: int):
     """
     if n_blocks < 1:
         raise ContractError("the partition must contain at least one block")
-    root = np.random.SeedSequence(plan.rng_seed)
-    index_seq, z_seq = root.spawn(2)
+    # The two children that ``SeedSequence(plan.rng_seed).spawn(2)`` would
+    # give, built directly: the same streams without the parent's own cost.
+    index_seq, z_seq = (np.random.SeedSequence(plan.rng_seed, spawn_key=(i,)) for i in (0, 1))
     indices = np.random.default_rng(index_seq).integers(
         0, n_blocks, size=plan.n_partition_samples
     )

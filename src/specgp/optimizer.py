@@ -24,12 +24,14 @@ beside the checkpoint, named by the first 16 hex digits of the sha256 of
 its bytes.  Every checkpoint then holds only what changes or what resuming
 needs besides the data: the iteration, the data file's full digest, the
 posterior and hyperparameters, the train config, the accumulator and the
-trace.  So its size does not grow with n, and a new run on the same path
-leaves an older checkpoint's data file in place.
+trace.  So its size does not grow with n.  A new run on the same path
+removes the older runs' data files beside it once its own first checkpoint
+has replaced theirs, so the old checkpoint stays resumable until then.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -309,6 +311,19 @@ def data_file_path(path, digest: str) -> str:
     return f"{path}.{digest[:16]}.data.json"
 
 
+def _remove_other_data_files(path, digest: str) -> None:
+    """Remove the data files beside checkpoint ``path`` other than the one
+    with ``digest``: after the checkpoint names that one, no file names them."""
+    directory, base = os.path.split(path)
+    directory = directory or os.curdir
+    keep = os.path.basename(data_file_path(path, digest))
+    pattern = re.compile(re.escape(base) + r"\.[0-9a-f]{16}\.data\.json")
+    for name in os.listdir(directory):
+        if name != keep and pattern.fullmatch(name):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(directory, name))
+
+
 def _read_data_file(path, digest, d: int):
     """The partition in the data file of checkpoint ``path``, after checking
     that its bytes hash to ``digest``."""
@@ -330,11 +345,14 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
 
     The data file is written on the first call of a run, while
     ``opt.data_digest`` is unset, and only named by the checkpoint after.
+    Once that first checkpoint is in place, the data files of earlier runs
+    on ``path`` are removed.
     The train config is stored in its run-config form, ``{"seed", "train"}``.
     """
     from .config import train_config_doc  # config imports this module
 
-    if opt.data_digest is None:
+    new_data = opt.data_digest is None
+    if new_data:
         opt.data_digest = write_json_atomic(
             path, partition_to_doc(data), final_path=lambda digest: data_file_path(path, digest)
         )
@@ -349,6 +367,8 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
         "trace": _trace_rows(opt.trace),
     }
     write_json_atomic(path, doc)
+    if new_data:
+        _remove_other_data_files(path, opt.data_digest)
 
 
 def load_checkpoint(path):

@@ -97,7 +97,8 @@ def test_feature_matrix_columns_match_basis_vector():
 
 def test_feature_matrix_halves_match_basis_vector_columns():
     # [..., i, j] is the cosine and [..., m + i, j] the sine of frequency i
-    # at row j, for one theta and for a stack; each half of each draw is one
+    # at row j, for one theta and for a stack.  A stack is a view of a
+    # feature-major (2m, b, n) buffer: each half of the whole stack is one
     # contiguous block.  Dyadic inputs make every r.x exact, so both maps see
     # the same float64 angles and the 4e-16 accuracy bound applies.
     cfg = make_cfg(d=3, m=4)
@@ -106,12 +107,46 @@ def test_feature_matrix_halves_match_basis_vector_columns():
     thetas = rng.integers(-16, 17, size=(3, cfg.theta_dim)) / 16.0
     stack = feature_matrix(X, thetas, cfg)
     assert stack.shape == (3, cfg.num_features, 9)
-    assert stack.flags.c_contiguous
+    assert stack.strides == (9 * 8, 3 * 9 * 8, 8)
+    buffer = stack.swapaxes(0, 1)
+    for half in (buffer[: cfg.m], buffer[cfg.m :]):
+        assert half.flags.c_contiguous
     for k, theta in enumerate(thetas):
         single = feature_matrix(X, theta, cfg)
         np.testing.assert_array_equal(stack[k], single)
         reference = np.stack([basis_vector(x, theta, cfg) for x in X], axis=-1)
         np.testing.assert_allclose(single, reference, rtol=0, atol=4e-16)
+
+
+def feature_matrix_per_draw(X, theta, cfg):
+    """The map with each draw's (2m, n) block contiguous, ``([b,] 2m, n)``
+    C-ordered: the same operations in the same order on per-draw halves."""
+    batch = theta.shape[:-1]
+    phi = np.empty(batch + (cfg.num_features, X.shape[0]))
+    cos, sin = phi[..., : cfg.m, :], phi[..., cfg.m :, :]
+    np.matmul(theta.reshape(batch + (cfg.m, cfg.d)), X.T, out=sin)
+    sin *= np.pi
+    np.tan(sin, out=sin)
+    np.square(sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+    return phi
+
+
+@pytest.mark.parametrize("b", [None, 1, 3, 65])
+@pytest.mark.parametrize("n", [0, 1, 95])
+def test_feature_matrix_is_bit_identical_to_per_draw_layout(b, n):
+    # the layout moves no bit: every value equals the per-draw C-order map's
+    cfg = make_cfg(d=2, m=5)
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(n, cfg.d))
+    theta = rng.normal(size=(cfg.theta_dim,) if b is None else (b, cfg.theta_dim))
+    got = feature_matrix(X, theta, cfg)
+    expected = feature_matrix_per_draw(X, theta, cfg)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_feature_matrix_matches_long_double_trig():

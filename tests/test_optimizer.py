@@ -391,6 +391,58 @@ def test_interrupted_data_file_write_keeps_previous_run_resumable(tmp_path, monk
     np.testing.assert_array_equal(resumed.state.b, straight.state.b)
 
 
+def test_new_run_on_a_checkpoint_path_removes_the_old_data_file(tmp_path):
+    # a second run on the same path with other data leaves one checkpoint and
+    # its own data file; files of other checkpoints beside it stay
+    cfg, data, prior = tiny_problem()
+    _, other_data, _ = tiny_problem(seed=1)
+    init = initial_state(prior, cfg, seed=4)
+    path = str(tmp_path / "checkpoint.json")
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(other_data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
+    bystanders = ["other.json.0123456789abcdef.data.json", "checkpoint.json.notes.data.json"]
+    for name in bystanders:
+        (tmp_path / name).write_text("{}")
+    first = train_config(20, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path)
+    train(data, init, prior, cfg, first)
+    train(other_data, init, prior, cfg, first)
+    _, _, opt = load_checkpoint(path)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["checkpoint.json", os.path.basename(data_file_path(path, opt.data_digest)), *bystanders]
+    )
+    resumed = resume_training(path, iterations=40)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
+
+
+def test_interrupted_checkpoint_of_a_new_run_keeps_the_old_data_file(tmp_path, monkeypatch):
+    # the second run writes its data file, then fails writing its first
+    # checkpoint: the first run's checkpoint and data file are untouched and
+    # resume bit for bit
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    path = str(tmp_path / "checkpoint.json")
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
+    first = train_config(20, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path)
+    train(data, init, prior, cfg, first)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert len(before) == 2
+
+    _, other_data, _ = tiny_problem(seed=1)
+    with monkeypatch.context() as patch:
+        fail_writes(patch, at=2)
+        with pytest.raises(OSError, match="disk full"):
+            train(other_data, init, prior, cfg, first)
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert {name: after[name] for name in before} == before
+    assert len(after) == 3  # and the new run's data file, named by no checkpoint
+    resumed = resume_training(path, iterations=40)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+
+
 def test_resuming_a_moved_checkpoint_writes_beside_it(tmp_path):
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=4)
