@@ -238,8 +238,7 @@ def synth_ssgp(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # noise_variance is irrelevant to feature evaluation; 1.0 is a placeholder.
     cfg = SpectralConfig(d=d, m=m_true, signal_variance=signal_variance, noise_variance=1.0)
-    prior = PriorSpec.from_lengthscales(np.full(d, float(lengthscale)), cfg)
-    theta_true = prior.sample_theta(rng)
+    theta_true = PriorSpec(np.full(d, float(lengthscale))).sample_theta(rng, m_true)
     # The generator draws and sums the weights as cos_1, sin_1, ..., cos_m,
     # sin_m, so every dataset keeps the bytes it was first made with.
     s_drawn = rng.standard_normal(cfg.num_features) * np.sqrt(cfg.lambda_diag)

@@ -78,7 +78,7 @@ def _random_problem(rng, max_m=3, max_d=2):
         signal_variance=float(rng.uniform(0.5, 2.0)),
         noise_variance=float(rng.uniform(0.2, 1.0)),
     )
-    prior = PriorSpec.from_lengthscales(rng.uniform(0.3, 2.0, size=d), cfg)
+    prior = PriorSpec(rng.uniform(0.3, 2.0, size=d))
     dim = cfg.alpha_dim
     # Keep M far from singular: the KL objective contains log|det M|, whose
     # curvature grows like 1/sigma_min(M)^2 and would swamp any central

@@ -1,15 +1,16 @@
 """Versioned JSON model files.
 
 A model file carries everything prediction needs and nothing loading does
-not read: the spectral configuration, the prior's frequency variances, the
+not read: the spectral configuration, the prior's ``d`` lengthscales, the
 affine posterior parameters ``(M, b)``, the partition (centroids plus the
 row count of each block) and the training data in block order, along with
 the standardization fitted on that data.  Floats are written with Python's
 shortest round-trip representation, so a save/load cycle is lossless at
 double precision.  A file of another version is refused as a version
-mismatch: version 1 stored row-index lists instead of block sizes, and
+mismatch: version 1 stored row-index lists instead of block sizes,
 version 2 interleaved the weight entries of ``M`` and ``b`` as cos_1,
-sin_1, ... instead of all cosines, then all sines.
+sin_1, ... instead of all cosines, then all sines, and version 3 stored
+the m·d tiled frequency variances instead of the lengthscales.
 
 Checkpoints (:mod:`specgp.optimizer`) share the posterior fields and, in
 their data file, the partition fields.  Every file is written by
@@ -34,7 +35,7 @@ from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
 
 MODEL_FORMAT = "specgp-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 @dataclass
@@ -59,10 +60,9 @@ class TrainedModel:
             raise ContractError(
                 f"state has dimension {self.state.dim}, the config needs {spectral.alpha_dim}"
             )
-        if self.prior.theta_dim != spectral.theta_dim:
+        if self.prior.d != spectral.d:
             raise ContractError(
-                f"prior covers {self.prior.theta_dim} frequency coordinates, "
-                f"the config needs {spectral.theta_dim}"
+                f"prior has {self.prior.d} lengthscales, the config needs {spectral.d}"
             )
         if self.partition.d != spectral.d:
             raise ContractError(
@@ -103,7 +103,7 @@ def posterior_to_doc(state: VariationalState, prior: PriorSpec, spectral: Spectr
             "signal_variance": spectral.signal_variance,
             "noise_variance": spectral.noise_variance,
         },
-        "prior": {"theta_prior_variance": _array(prior.theta_prior_variance)},
+        "prior": {"lengthscales": _array(prior.lengthscales)},
         "state": {"M": _array(state.M), "b": _array(state.b)},
     }
 
@@ -231,9 +231,7 @@ def posterior_from_doc(doc: dict):
         signal_variance=doc["spectral"]["signal_variance"],
         noise_variance=doc["spectral"]["noise_variance"],
     )
-    prior = PriorSpec(
-        theta_prior_variance=np.asarray(doc["prior"]["theta_prior_variance"], dtype=float)
-    )
+    prior = PriorSpec(doc["prior"]["lengthscales"])
     state = VariationalState(
         np.asarray(doc["state"]["M"], dtype=float),
         np.asarray(doc["state"]["b"], dtype=float),

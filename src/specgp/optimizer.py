@@ -61,8 +61,9 @@ MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-# 6: the partitioned data moved to its own file; 5 and earlier embedded a model
-CHECKPOINT_VERSION = 6
+# 7 stores the prior's lengthscales, 6 its m·d tiled variances; 5 and
+# earlier embedded a model, data included
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def train(
     """
     if init.dim != cfg.alpha_dim:
         raise ContractError("initial state does not match the spectral config")
-    if prior.theta_dim != cfg.theta_dim:
+    if prior.d != cfg.d:
         raise ContractError("prior does not match the spectral config")
     opt = _OptState(accumulator=np.zeros(_moved_size(init.dim, tcfg)))
     return _run(data, init, prior, cfg, tcfg, opt, gradient_fn)
@@ -346,13 +347,15 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
     The data file is written on the first call of a run, while
     ``opt.data_digest`` is unset, and only named by the checkpoint after.
     Once that first checkpoint is in place, the data files of earlier runs
-    on ``path`` are removed.
+    on ``path`` are removed; if it fails, so is the data file, unless a run
+    on the same data had written it before.
     The train config is stored in its run-config form, ``{"seed", "train"}``.
     """
     from .config import train_config_doc  # config imports this module
 
     new_data = opt.data_digest is None
     if new_data:
+        names_before = set(os.listdir(os.path.dirname(path) or os.curdir))
         opt.data_digest = write_json_atomic(
             path, partition_to_doc(data), final_path=lambda digest: data_file_path(path, digest)
         )
@@ -366,7 +369,13 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
         "optimizer": {"accumulator": opt.accumulator.tolist()},
         "trace": _trace_rows(opt.trace),
     }
-    write_json_atomic(path, doc)
+    try:
+        write_json_atomic(path, doc)
+    except BaseException:
+        data_path = data_file_path(path, opt.data_digest)
+        if new_data and os.path.basename(data_path) not in names_before:
+            os.remove(data_path)
+        raise
     if new_data:
         _remove_other_data_files(path, opt.data_digest)
 

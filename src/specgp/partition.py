@@ -119,9 +119,8 @@ def _repair_empty(labels, centroids, X):
     """Give every empty cluster the farthest point of the largest cluster."""
     counts = np.bincount(labels, minlength=centroids.shape[0])
     for empty in np.flatnonzero(counts == 0):
+        # with 1 <= p <= n, while a cluster is empty another holds >= 2 points
         largest = int(np.argmax(counts))
-        if counts[largest] <= 1:
-            break
         members = np.flatnonzero(labels == largest)
         own = _sq_dist_to_own(X[members], centroids, labels[members])
         stolen = members[int(np.argmax(own))]
@@ -176,12 +175,10 @@ def kmeans_partition(
     labels, centroids = _repair_empty(labels, centroids, X)
     for _ in range(max_iters):
         # means step: per-dimension sums over each cluster's members, in row
-        # order; every cluster is non-empty after repair, and an empty one
-        # would keep its centroid
+        # order; every cluster is non-empty after repair
         counts = np.bincount(labels, minlength=p)
         sums = np.stack([np.bincount(labels, X[:, j], p) for j in range(X.shape[1])], axis=1)
-        filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        centroids = sums / counts[:, None]
         new_labels = _nearest_centroid(X, centroids, dist)
         new_labels, centroids = _repair_empty(new_labels, centroids, X)
         if np.array_equal(new_labels, labels):

@@ -81,8 +81,6 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     if not np.all(np.isfinite(X_star)):
         raise ContractError("X_star contains non-finite entries")
     t = X_star.shape[0]
-    if t == 0:
-        return np.zeros(0), np.zeros(0)
     cfg = model.spectral
     gamma_mix = pcfg.gamma_mix
     labels = assign_blocks(X_star, model.partition)

@@ -6,10 +6,10 @@ Gaussian parameterized through an affine map of a standard normal draw:
     z ~ N(0, I),   alpha = M z + b,   q(alpha) = N(alpha | b, M M^T).
 
 The prior over ``alpha`` is the diagonal Gaussian ``N(0, diag(v))`` with
-the ``theta`` variances first and the config's weight variance
-``signal_variance / m`` repeated ``2m`` times.  The divergence between
-these two Gaussians has a closed form, so the bound samples only its
-likelihood term:
+the frequency variances of :class:`PriorSpec` first and the config's weight
+variance ``signal_variance / m`` repeated ``2m`` times.  The divergence
+between these two Gaussians has a closed form, so the bound samples only
+its likelihood term:
 
     KL(q || p) = 0.5 sum_i (E_q[alpha_i^2] / v_i + log v_i) - D/2 - log |det M|,
     E_q[alpha_i^2] = (M M^T)_ii + b_i^2,
@@ -41,63 +41,57 @@ RCOND_MIN = 1e-13
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Diagonal Gaussian prior over the joint vector ``alpha``.
+    """Squared-exponential prior ``N(0, (4 pi^2 diag(l^2))^{-1})`` of each of
+    the ``m`` frequencies (SSGP), given by its ``d`` lengthscales ``l``.
 
-    ``theta_prior_variance`` holds one variance per frequency coordinate
-    (length ``m * d``).  The shared variance of the ``2m`` trigonometric
-    weights is not stored here: it is ``SpectralConfig.lambda_diag``, so it
-    follows the signal variance when that is learned.
+    ``frequency_variance``, the ``d`` variances ``1 / (4 pi^2 l^2)``, is
+    derived once at construction and is not a field.  The shared variance of
+    the ``2m`` weights is ``SpectralConfig.lambda_diag``, so it follows the
+    signal variance when that is learned.
     """
 
-    theta_prior_variance: np.ndarray
+    lengthscales: np.ndarray
 
     def __post_init__(self):
-        var = np.atleast_1d(np.asarray(self.theta_prior_variance, dtype=float))
-        if var.ndim != 1 or var.size == 0:
-            raise ContractError("theta_prior_variance must be a non-empty vector")
-        if not np.all(np.isfinite(var)) or np.any(var <= 0):
-            raise ContractError("theta_prior_variance entries must be positive and finite")
-        object.__setattr__(self, "theta_prior_variance", var)
+        ls = np.array(self.lengthscales, dtype=float)
+        with np.errstate(all="ignore"):
+            var = 1.0 / (FOUR_PI_SQ * ls**2)
+        if ls.ndim != 1 or ls.size == 0 or not np.all((ls > 0) & (var > 0) & np.isfinite(var)):
+            raise ContractError(
+                f"lengthscales must be a non-empty vector of l > 0 with a finite, positive "
+                f"1 / (4 pi^2 l^2), got {self.lengthscales!r}"
+            )
+        object.__setattr__(self, "lengthscales", ls)
+        object.__setattr__(self, "frequency_variance", var)
 
     @property
-    def theta_dim(self) -> int:
-        return self.theta_prior_variance.size
+    def d(self) -> int:
+        return self.lengthscales.size
 
     def variances(self, cfg: SpectralConfig) -> np.ndarray:
-        """Full diagonal of the prior covariance, length ``alpha_dim``; the
-        caller guarantees ``theta_dim == cfg.theta_dim``."""
-        return np.concatenate(
-            [self.theta_prior_variance, np.full(cfg.num_features, cfg.lambda_diag)]
-        )
+        """Full diagonal of the prior covariance, length ``alpha_dim``: the
+        frequency variances for each frequency, then ``lambda_diag``."""
+        var = np.empty(cfg.alpha_dim)
+        var[: cfg.theta_dim].reshape(cfg.m, cfg.d)[:] = self.frequency_variance
+        var[cfg.theta_dim :] = cfg.lambda_diag
+        return var
 
-    def sample_theta(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of the flattened frequency vector from N(0, Theta)."""
-        return rng.standard_normal(self.theta_dim) * np.sqrt(self.theta_prior_variance)
-
-    @classmethod
-    def from_lengthscales(cls, lengthscales, cfg: SpectralConfig) -> "PriorSpec":
-        """Frequency prior ``N(0, (4 pi^2 diag(l^2))^{-1})`` tiled over the m frequencies."""
-        ls = np.asarray(lengthscales, dtype=float)
-        if ls.shape != (cfg.d,):
-            raise ContractError(f"need {cfg.d} lengthscales, got shape {ls.shape}")
-        if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
-            raise ContractError("lengthscales must be positive and finite")
-        per_dim = 1.0 / (FOUR_PI_SQ * ls**2)
-        return cls(theta_prior_variance=np.tile(per_dim, cfg.m))
+    def sample_theta(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """One draw of the flattened ``(m d)`` frequency vector from the prior."""
+        return (rng.standard_normal((m, self.d)) * np.sqrt(self.frequency_variance)).ravel()
 
     @classmethod
     def for_inputs(cls, X, cfg: SpectralConfig) -> "PriorSpec":
         """Data-scaled default: lengthscale = per-dimension standard deviation.
 
-        Constant columns (zero spread) fall back to a lengthscale of 1 so
-        the prior stays proper.
+        Constant columns (zero spread), and every column of an ``X`` with no
+        rows, fall back to a lengthscale of 1 so the prior stays proper.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != cfg.d:
             raise ContractError(f"X must have shape (n, {cfg.d}), got {X.shape}")
         spread = X.std(axis=0) if X.shape[0] else np.zeros(cfg.d)
-        spread = np.where(spread > 0, spread, 1.0)
-        return cls.from_lengthscales(spread, cfg)
+        return cls(np.where(spread > 0, spread, 1.0))
 
 
 class VariationalState:
@@ -147,10 +141,10 @@ class VariationalState:
 def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> VariationalState:
     """Default starting point: ``M = 0.1 I``; ``b`` has a fresh prior draw in
     its frequency block and zeros for the weights."""
+    if prior.d != cfg.d:
+        raise ContractError(f"prior has {prior.d} lengthscales, the config needs {cfg.d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    b = np.concatenate([prior.sample_theta(rng), np.zeros(cfg.num_features)])
-    if b.size != cfg.alpha_dim:
-        raise ContractError("prior dimensions do not match the spectral config")
+    b = np.concatenate([prior.sample_theta(rng, cfg.m), np.zeros(cfg.num_features)])
     return VariationalState(0.1 * np.eye(cfg.alpha_dim), b)
 
 

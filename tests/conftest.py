@@ -15,12 +15,31 @@ NOISE_SD = 0.1
 LENGTHSCALE = 0.055
 
 
+def as_tiled_prior(doc, version):
+    """A copy of the model or checkpoint document ``doc`` at ``version``, with
+    the prior stored as files of model version 3 and checkpoint version 6
+    stored it: the m·d frequency variances ``1 / (4 pi^2 l^2)``, tiled over
+    the m frequencies, in place of the ``d`` lengthscales ``l``."""
+    old = json.loads(json.dumps(doc))
+    old["version"] = version
+    lengthscales = np.asarray(old["prior"].pop("lengthscales"))
+    per_dim = 1.0 / (4.0 * np.pi**2 * lengthscales**2)
+    old["prior"]["theta_prior_variance"] = np.tile(per_dim, old["spectral"]["m"]).tolist()
+    return old
+
+
+def as_version_three_model(doc):
+    """A copy of the model document ``doc`` laid out as model files of
+    version 3 were: the prior as its tiled frequency variances."""
+    return as_tiled_prior(doc, 3)
+
+
 def as_version_two_model(doc):
     """A copy of the model document ``doc`` laid out as model files of
-    version 2 were: the same fields, with the weight entries of ``state.b``
+    version 2 were: as version 3, with the weight entries of ``state.b``
     and the matching rows and columns of ``state.M`` interleaved as
     ``cos_1, sin_1, ..., cos_m, sin_m``."""
-    old = json.loads(json.dumps(doc))
+    old = as_version_three_model(doc)
     old["version"] = 2
     m, d = old["spectral"]["m"], old["spectral"]["d"]
     weights = m * d + np.arange(2 * m).reshape(2, m).T.ravel()

@@ -35,8 +35,8 @@ def test_ac1_monte_carlo_kernel_matches_squared_exponential():
     single = sg.SpectralConfig(
         d=d, m=1, signal_variance=signal_variance, noise_variance=1.0
     )
-    prior = sg.PriorSpec.from_lengthscales(lengthscales, single)
-    freqs = rng.normal(size=(n_draws, d)) * np.sqrt(prior.theta_prior_variance)
+    prior = sg.PriorSpec(lengthscales)
+    freqs = rng.normal(size=(n_draws, d)) * np.sqrt(prior.frequency_variance)
 
     # One stacked config holds all draws at once: its kernel value is exactly
     # the mean of the n_draws single-frequency kernel values.
@@ -100,7 +100,7 @@ def test_ac3_block_gradients_sum_to_full_data_gradient():
     cfg = sg.SpectralConfig(d=2, m=2, signal_variance=1.1, noise_variance=0.07)
     dim = cfg.alpha_dim
     n_eta = dim * (dim + 1)
-    prior = sg.PriorSpec.from_lengthscales(np.array([0.5, 0.8]), cfg)
+    prior = sg.PriorSpec(np.array([0.5, 0.8]))
 
     for p in (1, 2, 3, 4):
         n = 4 * p + 1
@@ -177,7 +177,7 @@ def test_ac4_single_sample_gradient_estimates_are_unbiased():
         np.eye(dim) + 0.1 * rng.standard_normal((dim, dim)),
         0.3 * rng.standard_normal(dim),
     )
-    prior = sg.PriorSpec.from_lengthscales(np.array([0.6, 1.2]), cfg)
+    prior = sg.PriorSpec(np.array([0.6, 1.2]))
 
     diffs = np.empty((draws, dim * dim + dim + 2))
     for t in range(draws):

@@ -9,7 +9,7 @@ import specgp.config as run_config
 from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
 
-from conftest import fail_writes
+from conftest import as_version_three_model, fail_writes
 
 
 def run_cli(argv, capsys):
@@ -636,6 +636,16 @@ def test_data_errors_exit_three(tmp_path, capsys):
     assert "model: invalid JSON" in err
 
 
+def test_version_three_model_exits_three(trained_model_doc, tmp_path, capsys):
+    # version 3 stored the m·d tiled frequency variances, not the lengthscales
+    doc, data = trained_model_doc
+    old = tmp_path / "model-v3.json"
+    old.write_text(json.dumps(as_version_three_model(doc)))
+    code, out, err = run_cli(["evaluate", "--model", str(old), "--data", data], capsys)
+    assert (code, out) == (3, "")
+    assert err == "specgp: data: model: version mismatch (expected 4, got 3)\n"
+
+
 def test_predict_rejects_mismatched_columns(tmp_path, capsys):
     data = make_synth_csv(tmp_path, capsys, n=60, d=2, m_true=1, seed=7)
     model_path = str(tmp_path / "model.json")
@@ -792,7 +802,7 @@ def _state_one_short(doc):
 
 
 def _prior_one_short(doc):
-    doc["prior"]["theta_prior_variance"].pop()
+    doc["prior"]["lengthscales"].pop()
 
 
 def _x_mean_one_short(doc):

@@ -35,7 +35,8 @@ def random_state(rng, dim, scale=0.4):
 
 
 def random_prior(rng, cfg):
-    return PriorSpec(theta_prior_variance=rng.uniform(0.3, 1.5, size=cfg.theta_dim))
+    # lengthscales whose frequency variances 1 / (4 pi^2 l^2) lie in about [0.3, 1.5]
+    return PriorSpec(rng.uniform(0.13, 0.29, size=cfg.d))
 
 
 def make_dataset(rng, cfg, sizes):
@@ -522,7 +523,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
     # minus the exact KL) must sit below it
     cfg = make_cfg(d=1, m=1, ss2=1.0, sn2=0.4)
     rng = np.random.default_rng(15)
-    prior = PriorSpec(theta_prior_variance=np.array([0.5]))
+    prior = PriorSpec(1.0 / (2.0 * np.pi * np.sqrt([0.5])))  # frequency variance 0.5
     n = 8
     X = rng.normal(size=(n, 1))
     y = rng.normal(size=n)
@@ -531,7 +532,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
 
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     total = 0.0
-    sd = np.sqrt(prior.theta_prior_variance[0])
+    sd = np.sqrt(prior.frequency_variance[0])
     for node, w in zip(nodes, weights):
         theta = np.array([np.sqrt(2.0) * sd * node])
         Phi = feature_matrix(X, theta, cfg)

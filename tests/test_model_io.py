@@ -28,7 +28,12 @@ from specgp.errors import ModelFormatError
 from specgp.model_io import PIECE_NUMBERS, model_to_doc, partition_to_doc, write_json_atomic
 from specgp.optimizer import data_file_path, load_checkpoint
 
-from conftest import as_version_one_model, as_version_two_model
+from conftest import (
+    as_tiled_prior,
+    as_version_one_model,
+    as_version_three_model,
+    as_version_two_model,
+)
 
 MODEL_KEYS = [
     "data.X",
@@ -37,7 +42,7 @@ MODEL_KEYS = [
     "format",
     "partition.block_sizes",
     "partition.centroids",
-    "prior.theta_prior_variance",
+    "prior.lengthscales",
     "spectral.d",
     "spectral.m",
     "spectral.noise_variance",
@@ -59,7 +64,7 @@ CHECKPOINT_KEYS = [
     "format",
     "iteration",
     "optimizer.accumulator",
-    "prior.theta_prior_variance",
+    "prior.lengthscales",
     "spectral.d",
     "spectral.m",
     "spectral.noise_variance",
@@ -125,7 +130,7 @@ def read_json(path):
 def test_files_hold_exactly_the_fields_loading_reads(saved_files):
     model, checkpoint, data = saved_files
     model_doc, checkpoint_doc = read_json(model), read_json(checkpoint)
-    assert (model_doc["version"], checkpoint_doc["version"]) == (3, 6)
+    assert (model_doc["version"], checkpoint_doc["version"]) == (4, 7)
     assert key_paths(model_doc) == MODEL_KEYS
     assert key_paths(checkpoint_doc) == CHECKPOINT_KEYS
     assert key_paths(read_json(data)) == PARTITION_KEYS
@@ -166,20 +171,55 @@ def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
     ]
 
 
+def test_save_and_load_keep_the_lengthscales_bit_for_bit(tmp_path):
+    # lengthscales whose shortest round-trip text is long, and whose derived
+    # frequency variances 1 / (4 pi^2 l^2) could not give them back exactly
+    rng = np.random.default_rng(8)
+    cfg = SpectralConfig(d=3, m=2, signal_variance=1.0, noise_variance=0.25)
+    lengthscales = np.array([0.1 + 0.2, np.nextafter(1.0, 2.0), 1e-3]) * rng.uniform(0.5, 2.0, 3)
+    prior = PriorSpec(lengthscales)
+    X = rng.normal(size=(20, 3))
+    y = rng.normal(size=20)
+    part = kmeans_partition(X, y, p=2, seed=0)
+    model_path, checkpoint = tmp_path / "model.json", str(tmp_path / "checkpoint.json")
+    tcfg = TrainConfig(
+        iterations=2,
+        plan=GradientSamplePlan(1, 2),
+        schedule=StepSchedule(base_step=0.05, decay_power=0.6),
+        checkpoint_every=2,
+        checkpoint_path=checkpoint,
+    )
+    result = train(part, initial_state(prior, cfg, seed=0), prior, cfg, tcfg)
+    save_model(model_path, result.model(part))
+    for loaded in (load_model(model_path).prior, load_checkpoint(checkpoint)[0].prior):
+        assert loaded.lengthscales.tobytes() == lengthscales.tobytes()
+        assert loaded.variances(cfg).tobytes() == prior.variances(cfg).tobytes()
+
+
 def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path):
-    # version 2 models (in version 4 checkpoints) interleaved the weights;
-    # version 1 models (in version 3 checkpoints) also stored row-index lists;
-    # version 5 checkpoints embedded a version 3 model, data included
+    # version 3 models (in version 5 checkpoints, and version 6 checkpoints)
+    # stored the m·d tiled frequency variances; version 2 models (in version
+    # 4 checkpoints) also interleaved the weights; version 1 models (in
+    # version 3 checkpoints) also stored row-index lists; version 5
+    # checkpoints embedded a version 3 model, data included
     model, checkpoint, _ = saved_files
-    for version, as_old in ((1, as_version_one_model), (2, as_version_two_model)):
+    for version, as_old in (
+        (1, as_version_one_model), (2, as_version_two_model), (3, as_version_three_model),
+    ):
         old_model = tmp_path / f"model-v{version}.json"
         old_model.write_text(json.dumps(as_old(read_json(model))))
-        with pytest.raises(ModelFormatError, match="version mismatch"):
+        with pytest.raises(
+            ModelFormatError, match=rf"version mismatch \(expected 4, got {version}\)"
+        ):
             load_model(old_model)
+    old_checkpoint = tmp_path / "checkpoint-v6.json"
+    old_checkpoint.write_text(json.dumps(as_tiled_prior(read_json(checkpoint), 6)))
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 7, got 6\)"):
+        load_checkpoint(old_checkpoint)
     for version, model_doc in (
         (3, as_version_one_model(read_json(model))),
         (4, as_version_two_model(read_json(model))),
-        (5, read_json(model)),
+        (5, as_version_three_model(read_json(model))),
     ):
         doc = read_json(checkpoint)
         for key in ("data_digest", "spectral", "prior", "state"):
@@ -193,19 +233,19 @@ def test_files_of_earlier_versions_are_a_version_mismatch(saved_files, tmp_path)
 
 
 def test_a_float_version_is_a_version_mismatch(saved_files, tmp_path):
-    # 3.0 == 3 in Python, but a file's version must be a JSON integer
+    # 4.0 == 4 in Python, but a file's version must be a JSON integer
     model, checkpoint, _ = saved_files
     doc = read_json(model)
-    doc["version"] = 3.0
+    doc["version"] = 4.0
     path = tmp_path / "model-float.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 3, got 3\.0\)"):
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 4, got 4\.0\)"):
         load_model(path)
     doc = read_json(checkpoint)
-    doc["version"] = 6.0
+    doc["version"] = 7.0
     path = tmp_path / "checkpoint-float.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 6, got 6\.0\)"):
+    with pytest.raises(ModelFormatError, match=r"version mismatch \(expected 7, got 7\.0\)"):
         load_checkpoint(path)
 
 

@@ -32,7 +32,13 @@ from specgp.gradient import draw_sample_sets
 from specgp.model_io import model_to_doc
 from specgp.optimizer import data_file_path
 
-from conftest import as_version_one_model, as_version_two_model, fail_writes
+from conftest import (
+    as_tiled_prior,
+    as_version_one_model,
+    as_version_three_model,
+    as_version_two_model,
+    fail_writes,
+)
 
 
 def tiny_problem(seed=0, n=30, d=1, m=1, p=3):
@@ -435,12 +441,37 @@ def test_interrupted_checkpoint_of_a_new_run_keeps_the_old_data_file(tmp_path, m
         fail_writes(patch, at=2)
         with pytest.raises(OSError, match="disk full"):
             train(other_data, init, prior, cfg, first)
-    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    assert {name: after[name] for name in before} == before
-    assert len(after) == 3  # and the new run's data file, named by no checkpoint
+    # the new run's data file, which no checkpoint names, is removed
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
     resumed = resume_training(path, iterations=40)
     np.testing.assert_array_equal(resumed.state.M, straight.state.M)
     np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+
+
+def test_interrupted_checkpoint_of_a_same_data_rerun_keeps_the_shared_data_file(
+    tmp_path, monkeypatch
+):
+    # a rerun on the same data rewrites the data file the old checkpoint
+    # names, then fails writing its first checkpoint: that file stays
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    path = str(tmp_path / "checkpoint.json")
+    sched = StepSchedule(0.1, 0.6)
+    straight = train(data, init, prior, cfg, train_config(40, schedule=sched, seed=5))
+    first = train_config(20, schedule=sched, seed=5, checkpoint_every=10, checkpoint_path=path)
+    train(data, init, prior, cfg, first)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert len(before) == 2
+
+    with monkeypatch.context() as patch:
+        fail_writes(patch, at=2)
+        with pytest.raises(OSError, match="disk full"):
+            train(data, init, prior, cfg, first)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    resumed = resume_training(path, iterations=40)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert [r.gradient_norm for r in resumed.trace] == [r.gradient_norm for r in straight.trace]
 
 
 def test_resuming_a_moved_checkpoint_writes_beside_it(tmp_path):
@@ -526,8 +557,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     # runs; version 3 keeps one full accumulator and no adaptive key; all
     # three embed a version 1 model; version 4 embeds a version 2 model,
     # whose weights are interleaved; version 5 embeds a version 3 model with
-    # the data, which version 6 keeps in its own file; so files of every
-    # older version are refused
+    # the data, which version 6 keeps in its own file; version 6 stores the
+    # m·d tiled frequency variances, version 7 the lengthscales; so files of
+    # every older version are refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
@@ -537,7 +569,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["version"] == 6 and "model" not in doc
+    assert doc["version"] == 7 and "model" not in doc
+    assert len(doc["prior"]["lengthscales"]) == cfg.d
+    version_six = as_tiled_prior(doc, 6)
     assert set(doc["train_config"]) == {"seed", "train"}
     assert "adaptive" not in doc["train_config"]["train"]
     assert set(doc["optimizer"]) == {"accumulator"}
@@ -549,6 +583,7 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     doc["model"] = model_doc
     version_five = json.loads(json.dumps(doc))
     version_five["version"] = 5
+    version_five["model"] = as_version_three_model(model_doc)
     version_four = json.loads(json.dumps(doc))
     version_four["version"] = 4
     version_four["model"] = as_version_two_model(model_doc)
@@ -566,7 +601,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     version_one["train_config"]["plan"] = {
         "n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7,
     }
-    for old in (version_five, version_four, version_three, version_two, version_one):
+    for old in (
+        version_six, version_five, version_four, version_three, version_two, version_one,
+    ):
         with open(path, "w") as handle:
             json.dump(old, handle)
         with pytest.raises(ModelFormatError, match="version mismatch"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specgp import ContractError, PartitionedDataset, assign_blocks, kmeans_partition
+from specgp.partition import _repair_empty
 
 
 def wcss(part):
@@ -50,6 +51,19 @@ def test_one_point_per_block():
     np.testing.assert_array_equal(np.sort(part.block_sizes()), np.ones(8, dtype=int))
     for k, (Xk, _) in enumerate(part.blocks):
         np.testing.assert_allclose(part.centroids[k], Xk[0], rtol=1e-12)
+
+
+def test_repair_fills_every_empty_cluster():
+    # with 1 <= p <= n, while a cluster is empty another holds at least 2
+    # points, so every empty cluster gets one, even when all but one are empty
+    X = np.random.default_rng(9).normal(size=(5, 2))
+    labels, centroids = _repair_empty(np.zeros(5, dtype=int), np.zeros((5, 2)), X)
+    np.testing.assert_array_equal(np.sort(labels), np.arange(5))
+    # each stolen point becomes its cluster's centroid
+    np.testing.assert_array_equal(centroids[labels[labels > 0]], X[labels > 0])
+    # identical rows, one block per row: seeding gives one centroid p times
+    part = kmeans_partition(np.ones((4, 2)), np.arange(4.0), p=4, seed=0)
+    assert part.block_sizes().sum() == 4
 
 
 def test_partition_disjoint_and_exhaustive():

@@ -144,6 +144,14 @@ def test_predict_point_matches_batch():
             predict_batch(X_bad, model, pcfg)
 
 
+def test_empty_batch_gives_empty_float_arrays():
+    model = make_model(seed=3)
+    for gamma in (0.0, 0.3):
+        pcfg = PredictConfig(n_samples=8, gamma_mix=gamma, seed=5)
+        for out in predict_batch(np.zeros((0, 2)), model, pcfg):
+            assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_collapsed_posterior_recovers_offset_prediction():
     # M ~ 0: every sample equals b, so the Monte-Carlo mean reproduces the
     # deterministic conditional at alpha = b regardless of r

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,27 +29,41 @@ def random_state(rng, dim, scale=0.3):
 
 
 def random_prior(rng, cfg):
-    return PriorSpec(theta_prior_variance=rng.uniform(0.2, 2.0, size=cfg.theta_dim))
+    # lengthscales whose frequency variances 1 / (4 pi^2 l^2) lie in about [0.2, 2]
+    return PriorSpec(rng.uniform(0.11, 0.36, size=cfg.d))
 
 
 def test_prior_spec_validation_and_layout():
     cfg = make_cfg(d=2, m=3)
-    with pytest.raises(ContractError):
-        PriorSpec(theta_prior_variance=np.zeros(cfg.theta_dim))
-    prior = PriorSpec(theta_prior_variance=np.ones(cfg.theta_dim))
+    # 1e-200 and 1e200 are finite, but their frequency variances are not
+    # finite and positive
+    bad_values = (
+        np.zeros(2), [1.0, -1.0], [1.0, np.inf], [1.0, np.nan], [1e-200, 1.0], [1.0, 1e200],
+        [[0.5, 2.0]], 0.5, [],
+    )
+    for bad in bad_values:
+        with pytest.raises(ContractError, match="lengthscales"):
+            PriorSpec(bad)
+    lengthscales = np.array([0.5, 2.0])
+    prior = PriorSpec(lengthscales)
+    lengthscales[0] = 9.0  # the prior holds its own copy
+    np.testing.assert_array_equal(prior.lengthscales, [0.5, 2.0])
     var = prior.variances(cfg)
-    assert var.shape == (cfg.alpha_dim,)
-    np.testing.assert_array_equal(var[: cfg.theta_dim], 1.0)
+    assert prior.d == 2 and var.shape == (cfg.alpha_dim,)
+    np.testing.assert_array_equal(var[: cfg.theta_dim], np.tile(prior.frequency_variance, cfg.m))
     np.testing.assert_array_equal(var[cfg.theta_dim :], cfg.lambda_diag)
 
 
 def test_prior_from_lengthscales():
     cfg = make_cfg(d=2, m=3)
-    prior = PriorSpec.from_lengthscales([0.5, 2.0], cfg)
+    prior = PriorSpec([0.5, 2.0])
     per_dim = 1.0 / (4 * np.pi**2 * np.array([0.5, 2.0]) ** 2)
     np.testing.assert_allclose(
-        prior.theta_prior_variance, np.tile(per_dim, cfg.m), rtol=1e-12
+        prior.variances(cfg)[: cfg.theta_dim], np.tile(per_dim, cfg.m), rtol=1e-12
     )
+    # replace() derives the frequency variances again from the new lengthscales
+    moved = replace(prior, lengthscales=[1.0, 1.0])
+    np.testing.assert_array_equal(moved.frequency_variance, 1.0 / (4.0 * np.pi**2))
 
 
 def test_prior_for_inputs_uses_column_stds():
@@ -56,19 +71,44 @@ def test_prior_for_inputs_uses_column_stds():
     rng = np.random.default_rng(0)
     X = np.column_stack([3.0 * rng.normal(size=200), np.full(200, 7.0)])
     prior = PriorSpec.for_inputs(X, cfg)
+    # a constant column falls back to a lengthscale of 1
+    np.testing.assert_array_equal(prior.lengthscales, [X[:, 0].std(), 1.0])
     expected_first = 1.0 / (4 * np.pi**2 * X[:, 0].std() ** 2)
-    expected_const = 1.0 / (4 * np.pi**2)  # constant column falls back to 1.0
-    np.testing.assert_allclose(prior.theta_prior_variance[0], expected_first, rtol=1e-12)
-    np.testing.assert_allclose(prior.theta_prior_variance[1], expected_const, rtol=1e-12)
+    expected_const = 1.0 / (4 * np.pi**2)
+    np.testing.assert_allclose(prior.frequency_variance[0], expected_first, rtol=1e-12)
+    np.testing.assert_allclose(prior.frequency_variance[1], expected_const, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [200, 1, 0])
+def test_prior_variances_are_the_tiled_frequency_variances_bit_for_bit(n):
+    # the diagonal that files of model version 3 stored, then lambda, as it
+    # was computed: np.tile(1 / (4 pi^2 std^2), m), with a constant column
+    # (and every column of X with no rows) at a lengthscale of 1
+    cfg = make_cfg(d=3, m=4)
+    rng = np.random.default_rng(1)
+    X = np.column_stack([3.0 * rng.normal(size=n), np.full(n, 7.0), rng.uniform(size=n)])
+    spread = X.std(axis=0) if n else np.zeros(cfg.d)
+    spread = np.where(spread > 0, spread, 1.0)
+    oracle = np.concatenate(
+        [
+            np.tile(1.0 / (4.0 * np.pi**2 * spread**2), cfg.m),
+            np.full(cfg.num_features, cfg.lambda_diag),
+        ]
+    )
+    prior = PriorSpec.for_inputs(X, cfg)
+    assert prior.lengthscales[1] == 1.0
+    assert prior.variances(cfg).tobytes() == oracle.tobytes()
 
 
 def test_sample_theta_statistics():
-    cfg = make_cfg(d=1, m=2)
-    prior = PriorSpec(theta_prior_variance=np.array([0.5, 2.0]))
+    cfg = make_cfg(d=2, m=2)
+    # frequency variances 0.5 and 2.0
+    prior = PriorSpec(1.0 / (2.0 * np.pi * np.sqrt([0.5, 2.0])))
     rng = np.random.default_rng(1)
-    draws = np.array([prior.sample_theta(rng) for _ in range(4000)])
-    np.testing.assert_allclose(draws.var(axis=0), [0.5, 2.0], rtol=0.15)
-    np.testing.assert_allclose(draws.mean(axis=0), [0.0, 0.0], atol=0.1)
+    draws = np.array([prior.sample_theta(rng, cfg.m) for _ in range(4000)])
+    assert draws.shape == (4000, cfg.theta_dim)
+    np.testing.assert_allclose(draws.var(axis=0), [0.5, 2.0, 0.5, 2.0], rtol=0.15)
+    np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.1)
 
 
 def test_state_rejects_singular_and_ill_conditioned_m():
@@ -278,3 +318,5 @@ def test_initial_state_shape_and_determinism():
     assert np.any(s1.b[: cfg.theta_dim] != 0.0)
     s3 = initial_state(prior, cfg, seed=43)
     assert np.any(s3.b != s1.b)
+    with pytest.raises(ContractError, match="prior has 2 lengthscales, the config needs 3"):
+        initial_state(prior, make_cfg(d=3, m=3))
