@@ -3,11 +3,15 @@
 Each test point is served by the block of its nearest centroid.  For one
 predict call, ``r`` posterior draws ``alpha_i = M z_i + b``, taken as the
 arrays ``theta`` ``(r, m d)`` and ``s`` ``(r, 2m)``, are shared by every
-test point in the batch.  Per block that the batch hits, the local
-Gram matrices of a chunk of draws are factorized in one stacked call and
-one batched conditional gives the moments of every (draw, point) pair of
-the block from the chunk's ``(r_c, 2m, t_k)`` cosine and sine features;
-chunks hold at most ``_CHUNK_ELEMENTS`` feature entries, so memory stays
+test point in the batch.  Per block that the batch hits, the chunk's
+``(r_c, 2m, t_k)`` cosine and sine features of the block's ``t_k`` test
+points border the local Gram matrices of a chunk of ``r_c`` draws, which
+are factorized in one stacked call (see :mod:`specgp.localmodel`), and one
+batched conditional reads the moments of every (draw, point) pair of the
+block off those factors.  A chunk keeps
+``r_c * (2m (n_k + t_k) + K^2)`` elements, its block and test-point
+feature stacks and its bordered factors of order
+``K = 2m + 1 + min(t_k, 2m)``, within ``_CHUNK_ELEMENTS``, so memory stays
 bounded for any ``r``.  The moments are mixed across draws as
 
     mean_hat = (1/r) sum_i mean_i
@@ -28,14 +32,15 @@ import numpy as np
 
 from .errors import ContractError
 from .features import feature_matrix
-from .localmodel import build_local_gram, conditional_moments
+from .localmodel import build_local_gram, conditional_moments, factor_order
 from .model_io import TrainedModel
 from .partition import assign_blocks
 from .variational import transform
 
 _NEGATIVE_VAR_TOL = 1e-10
-# A chunk of r_c draws keeps r_c * 2m * (n_k + t_k), the size of its block and
-# test-point feature stacks, within this many elements (512 KiB of float64).
+# A chunk of r_c draws keeps r_c * (2m * (n_k + t_k) + K^2), the size of its
+# block and test-point feature stacks and of its bordered factors of order K,
+# within this many elements (512 KiB of float64).
 # Stacking all r draws at once raised the peak resident memory of the
 # benchmark's predicting process by about 8% for at most 16% more throughput.
 _CHUNK_ELEMENTS = 2**16
@@ -93,13 +98,14 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     for k, rows in by_block.items():
         X_k, y_k = model.partition.blocks[k]
         X_rows = X_star[rows]
-        chunk = max(1, _CHUNK_ELEMENTS // (cfg.num_features * (X_k.shape[0] + rows.size)))
+        features = cfg.num_features * (X_k.shape[0] + rows.size)
+        chunk = max(1, _CHUNK_ELEMENTS // (features + factor_order(rows.size, cfg) ** 2))
         for start in range(0, r, chunk):
             theta_c = theta[start : start + chunk]
-            chol, phi_y = build_local_gram(X_k, y_k, theta_c, cfg, block_id=k)
             phi_star = feature_matrix(X_rows, theta_c, cfg)
+            factor = build_local_gram(X_k, y_k, theta_c, phi_star, cfg, block_id=k)
             mean, variance = conditional_moments(
-                chol, phi_y, phi_star, s[start : start + chunk], gamma_mix, cfg.noise_variance
+                factor, phi_star, s[start : start + chunk], gamma_mix, cfg.noise_variance
             )
             sum_mean[rows] += mean.sum(axis=0)
             sum_second[rows] += (variance + mean**2).sum(axis=0)

@@ -64,6 +64,16 @@ class PriorSpec:
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "frequency_variance", var)
 
+    def __eq__(self, other):
+        # Written out because the generated one would compare the arrays
+        # inside a tuple, which raises for d > 1.
+        if not isinstance(other, PriorSpec):
+            return NotImplemented
+        return np.array_equal(self.lengthscales, other.lengthscales)
+
+    def __hash__(self):
+        return hash(self.lengthscales.tobytes())
+
     @property
     def d(self) -> int:
         return self.lengthscales.size

@@ -273,11 +273,12 @@ def test_ac8_mixing_identities_hold_in_closed_form():
         X = rng.uniform(-1.0, 1.0, size=(n_k, d))
         y = rng.standard_normal(n_k)
         theta = rng.standard_normal(cfg.theta_dim)
-        chol, phi_y = sg.build_local_gram(X, y, theta, cfg)
         x_star = rng.uniform(-1.0, 1.0, size=d)
         phi = sg.basis_vector(x_star, theta, cfg)
+        factor = sg.build_local_gram(X, y, theta, phi[:, None], cfg)
+        k = cfg.num_features
+        chol, half_mu = factor[:k, :k], factor[k, :k]
 
-        half_mu = np.linalg.solve(chol, phi_y)
         mu_bar = np.linalg.solve(chol.T, half_mu)
         local_mean = float(phi @ mu_bar)
         half_phi = np.linalg.solve(chol, phi)
@@ -286,7 +287,7 @@ def test_ac8_mixing_identities_hold_in_closed_form():
 
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
             mean, variance = conditional_moments(
-                chol, phi_y, phi[:, None], mu_bar, gamma, cfg.noise_variance
+                factor, phi[:, None], mu_bar, gamma, cfg.noise_variance
             )
             assert abs(mean[0] - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
             recovered = variance[0] + gamma**2 * cfg.noise_variance * quad

@@ -2,6 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specgp import (
     NumericalError,
@@ -11,7 +12,7 @@ from specgp import (
     build_local_gram,
     feature_matrix,
 )
-from specgp.localmodel import _cholesky, conditional_moments
+from specgp.localmodel import _cholesky, conditional_moments, factor_order
 
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
@@ -21,13 +22,21 @@ def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
 Moments = namedtuple("Moments", "mean variance")
 
 
-def conditional(x_star, local, theta, s, gamma_mix, cfg):
+def conditional(x_star, block, theta, s, gamma_mix, cfg):
     """Mean and variance for one draw at one point: the batched conditional
-    on a single ``basis_vector`` column ``(2m, 1)``; ``local`` is a
-    ``(chol, phi_y)`` pair."""
+    on a single ``basis_vector`` column ``(2m, 1)``; ``block`` is ``(X, y)``."""
     phi = basis_vector(x_star, theta, cfg)[:, None]
-    mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
+    factor = build_local_gram(*block, theta, phi, cfg)
+    mean, variance = conditional_moments(factor, phi, s, gamma_mix, cfg.noise_variance)
     return Moments(float(mean[0]), float(variance[0]))
+
+
+def gram_factor(X, y, theta, cfg):
+    """``(L, w)`` with ``Gamma = L L^T`` and ``w = L^{-1} Phi y``, read off the
+    factor bordered by no test point."""
+    k = cfg.num_features
+    factor = build_local_gram(X, y, theta, np.zeros((k, 0)), cfg)
+    return factor[:k, :k], factor[k, :k]
 
 
 def gram_solve(chol, rhs):
@@ -38,7 +47,7 @@ def gram_solve(chol, rhs):
 def dense_gram(Phi, cfg):
     """``Phi Phi^T + noise_variance * Lambda^{-1}`` formed directly."""
     ridge = cfg.noise_variance * cfg.m / cfg.signal_variance
-    return Phi @ Phi.T + ridge * np.eye(cfg.num_features)
+    return Phi @ np.swapaxes(Phi, -1, -2) + ridge * np.eye(cfg.num_features)
 
 
 def with_low_eigenvalue(low):
@@ -57,10 +66,10 @@ def random_block(rng, cfg, n_k):
 
 def test_empty_block_gram_is_scaled_identity():
     cfg = make_cfg(d=2, m=3, ss2=1.5, sn2=0.25)
-    chol, phi_y = build_local_gram(np.zeros((0, 2)), np.zeros(0), np.zeros(cfg.theta_dim), cfg)
+    chol, w = gram_factor(np.zeros((0, 2)), np.zeros(0), np.zeros(cfg.theta_dim), cfg)
     ridge = cfg.noise_variance * cfg.m / cfg.signal_variance
     np.testing.assert_allclose(chol @ chol.T, ridge * np.eye(cfg.num_features), atol=1e-15)
-    np.testing.assert_array_equal(phi_y, np.zeros(cfg.num_features))
+    np.testing.assert_array_equal(w, np.zeros(cfg.num_features))
     np.testing.assert_allclose(chol, np.sqrt(ridge) * np.eye(cfg.num_features), atol=1e-12)
 
 
@@ -69,12 +78,12 @@ def test_gram_dense_product_oracle():
     for _ in range(20):
         cfg = make_cfg(m=int(rng.integers(1, 5)))
         X, y, theta = random_block(rng, cfg, int(rng.integers(1, 25)))
-        chol, phi_y = build_local_gram(X, y, theta, cfg, block_id=3)
+        chol, w = gram_factor(X, y, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
         expected = dense_gram(Phi, cfg)
         rel = np.linalg.norm(chol @ chol.T - expected) / np.linalg.norm(expected)
         assert rel <= 1e-12
-        np.testing.assert_allclose(phi_y, Phi @ y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(chol @ w, Phi @ y, rtol=1e-12, atol=1e-12)
 
 
 def test_gram_symmetry_and_cholesky_reconstruction():
@@ -82,7 +91,7 @@ def test_gram_symmetry_and_cholesky_reconstruction():
     for _ in range(20):
         cfg = make_cfg(m=int(rng.integers(1, 5)))
         X, y, theta = random_block(rng, cfg, 15)
-        chol, _ = build_local_gram(X, y, theta, cfg)
+        chol, _ = gram_factor(X, y, theta, cfg)
         # a lower-triangular factor with a positive diagonal: L L^T is
         # symmetric positive definite
         np.testing.assert_array_equal(np.triu(chol, 1), 0.0)
@@ -100,7 +109,7 @@ def test_matrix_inversion_lemma_identity():
         cfg = make_cfg(m=int(rng.integers(1, 5)), sn2=float(rng.uniform(0.05, 0.5)))
         n_k = int(rng.integers(1, 31))
         X, y, theta = random_block(rng, cfg, n_k)
-        chol, _ = build_local_gram(X, y, theta, cfg)
+        chol, _ = gram_factor(X, y, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
         left = (np.eye(n_k) - Phi.T @ gram_solve(chol, Phi)) / cfg.noise_variance
         right = np.linalg.inv(
@@ -114,15 +123,14 @@ def test_conditional_gamma_one_degenerate():
     cfg = make_cfg()
     rng = np.random.default_rng(6)
     X, y, theta = random_block(rng, cfg, 10)
-    local = build_local_gram(X, y, theta, cfg)
     s = rng.normal(size=cfg.num_features)
     x_star = rng.normal(size=cfg.d)
-    mom = conditional(x_star, local, theta, s, 1.0, cfg)
+    mom = conditional(x_star, (X, y), theta, s, 1.0, cfg)
     phi = basis_vector(x_star, theta, cfg)
     assert mom.mean == pytest.approx(float(phi @ s), rel=1e-12)
     assert mom.variance == 0.0
     # gamma=-1 also kills the variance but flips the mixing sign
-    mom_neg = conditional(x_star, local, theta, s, -1.0, cfg)
+    mom_neg = conditional(x_star, (X, y), theta, s, -1.0, cfg)
     assert mom_neg.variance == 0.0
 
 
@@ -130,12 +138,11 @@ def test_conditional_gamma_zero_ignores_s():
     cfg = make_cfg()
     rng = np.random.default_rng(7)
     X, y, theta = random_block(rng, cfg, 10)
-    local = build_local_gram(X, y, theta, cfg)
     x_star = rng.normal(size=cfg.d)
     s1 = rng.normal(size=cfg.num_features)
     s2 = rng.normal(size=cfg.num_features)
-    m1 = conditional(x_star, local, theta, s1, 0.0, cfg)
-    m2 = conditional(x_star, local, theta, s2, 0.0, cfg)
+    m1 = conditional(x_star, (X, y), theta, s1, 0.0, cfg)
+    m2 = conditional(x_star, (X, y), theta, s2, 0.0, cfg)
     assert m1.mean == m2.mean
     assert m1.variance == m2.variance
 
@@ -146,11 +153,10 @@ def test_conditional_moment_formulas():
     for _ in range(10):
         cfg = make_cfg(m=int(rng.integers(1, 4)))
         X, y, theta = random_block(rng, cfg, 12)
-        local = build_local_gram(X, y, theta, cfg)
         s = rng.normal(size=cfg.num_features)
         x_star = rng.normal(size=cfg.d)
         gm = float(rng.uniform(-1, 1))
-        mom = conditional(x_star, local, theta, s, gm, cfg)
+        mom = conditional(x_star, (X, y), theta, s, gm, cfg)
         phi = basis_vector(x_star, theta, cfg)
         Phi = feature_matrix(X, theta, cfg)
         ginv = np.linalg.inv(dense_gram(Phi, cfg))
@@ -166,9 +172,8 @@ def test_conditional_variance_nonnegative_gamma_sweep():
         for _ in range(10):
             cfg = make_cfg(m=int(rng.integers(1, 5)))
             X, y, theta = random_block(rng, cfg, int(rng.integers(0, 21)))
-            local = build_local_gram(X, y, theta, cfg)
             s = rng.normal(size=cfg.num_features)
-            mom = conditional(rng.normal(size=cfg.d), local, theta, s, gm, cfg)
+            mom = conditional(rng.normal(size=cfg.d), (X, y), theta, s, gm, cfg)
             assert mom.variance >= 0.0
 
 
@@ -179,15 +184,14 @@ def test_marginalization_identities():
     for _ in range(20):
         cfg = make_cfg(m=int(rng.integers(1, 4)))
         X, y, theta = random_block(rng, cfg, int(rng.integers(1, 15)))
-        local = build_local_gram(X, y, theta, cfg)
-        chol, phi_y = local
+        chol, w = gram_factor(X, y, theta, cfg)
         x_star = rng.normal(size=cfg.d)
         phi = basis_vector(x_star, theta, cfg)
-        mu_bar = gram_solve(chol, phi_y)
+        mu_bar = np.linalg.solve(chol.T, w)
         base = float(phi @ mu_bar)
         quad = cfg.noise_variance * float(phi @ gram_solve(chol, phi))
         for gm in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            mom = conditional(x_star, local, theta, mu_bar, gm, cfg)
+            mom = conditional(x_star, (X, y), theta, mu_bar, gm, cfg)
             # mean at s = E[s] equals the closed-form expectation of the mean
             assert mom.mean == pytest.approx(base, rel=1e-8, abs=1e-12)
             # var(gamma) + gamma^2 phi' Sigma_bar phi is gamma-independent
@@ -203,9 +207,8 @@ def test_gamma_zero_equals_dense_gp_restricted_to_block():
         cfg = make_cfg(m=int(rng.integers(1, 4)), sn2=float(rng.uniform(0.05, 0.4)))
         n_k = int(rng.integers(1, 31))
         X, y, theta = random_block(rng, cfg, n_k)
-        local = build_local_gram(X, y, theta, cfg)
         x_star = rng.normal(size=cfg.d)
-        mom = conditional(x_star, local, theta, np.zeros(cfg.num_features), 0.0, cfg)
+        mom = conditional(x_star, (X, y), theta, np.zeros(cfg.num_features), 0.0, cfg)
         K = np.empty((n_k, n_k))
         for i in range(n_k):
             for j in range(n_k):
@@ -224,8 +227,8 @@ def test_conditional_mean_linear_in_targets():
     X, y, theta = random_block(rng, cfg, 9)
     s = np.zeros(cfg.num_features)
     x_star = rng.normal(size=cfg.d)
-    m1 = conditional(x_star, build_local_gram(X, y, theta, cfg), theta, s, 0.0, cfg)
-    m2 = conditional(x_star, build_local_gram(X, 2 * y, theta, cfg), theta, s, 0.0, cfg)
+    m1 = conditional(x_star, (X, y), theta, s, 0.0, cfg)
+    m2 = conditional(x_star, (X, 2 * y), theta, s, 0.0, cfg)
     assert m2.mean == pytest.approx(2 * m1.mean, rel=1e-12)
 
 
@@ -235,7 +238,7 @@ def test_jitter_recovers_singular_psd_matrix():
     gamma = np.ones((3, 3))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(gamma)
-    chol = _cholesky(gamma, block_id=0)
+    chol = _cholesky(gamma, 3, block_id=0)
     np.testing.assert_array_equal(chol, np.linalg.cholesky(gamma + 1e-10 * np.eye(3)))
     recon = chol @ chol.T
     off_diag = ~np.eye(3, dtype=bool)
@@ -246,19 +249,19 @@ def test_jitter_recovers_singular_psd_matrix():
     gamma = with_low_eigenvalue(-5e-8)
     base = np.trace(gamma) / 3
     expected = np.linalg.cholesky(gamma + (1e-7 * base) * np.eye(3))
-    np.testing.assert_array_equal(_cholesky(gamma, block_id=0), expected)
+    np.testing.assert_array_equal(_cholesky(gamma, 3, block_id=0), expected)
 
 
 def test_jitter_escalation_gives_up_on_indefinite_matrix():
     gamma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NumericalError) as err:
-        _cholesky(gamma, block_id=7)
+        _cholesky(gamma, 2, block_id=7)
     assert err.value.block_id == 7
     # the last step is 1e-4 * trace/3: it rescues an eigenvalue of -5e-5
     # but not one of -5e-4
-    _cholesky(with_low_eigenvalue(-5e-5), block_id=7)
+    _cholesky(with_low_eigenvalue(-5e-5), 3, block_id=7)
     with pytest.raises(NumericalError):
-        _cholesky(with_low_eigenvalue(-5e-4), block_id=7)
+        _cholesky(with_low_eigenvalue(-5e-4), 3, block_id=7)
 
 
 def test_stacked_gram_and_conditional_match_per_theta_views():
@@ -268,42 +271,137 @@ def test_stacked_gram_and_conditional_match_per_theta_views():
     thetas = rng.normal(size=(4, cfg.theta_dim))
     s = rng.normal(size=(4, cfg.num_features))
     X_star = rng.normal(size=(5, cfg.d))
-    chols, phi_ys = build_local_gram(X, y, thetas, cfg, block_id=2)
-    assert chols.shape == (4, cfg.num_features, cfg.num_features)
-    assert phi_ys.shape == (4, cfg.num_features)
-    means, variances = conditional_moments(
-        chols, phi_ys, feature_matrix(X_star, thetas, cfg), s, 0.4, cfg.noise_variance
-    )
+    phi_star = feature_matrix(X_star, thetas, cfg)
+    factors = build_local_gram(X, y, thetas, phi_star, cfg, block_id=2)
+    order = factor_order(5, cfg)
+    assert order == cfg.num_features + 6
+    assert factors.shape == (4, order, order)
+    means, variances = conditional_moments(factors, phi_star, s, 0.4, cfg.noise_variance)
     assert means.shape == variances.shape == (4, 5)
     for i, theta in enumerate(thetas):
-        single = build_local_gram(X, y, theta, cfg, block_id=2)
-        np.testing.assert_allclose(chols[i], single[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(phi_ys[i], single[1], rtol=0, atol=1e-12)
+        single = build_local_gram(X, y, theta, phi_star[i], cfg, block_id=2)
+        np.testing.assert_allclose(factors[i], single, rtol=0, atol=1e-12)
         for j, x_star in enumerate(X_star):
-            mom = conditional(x_star, single, theta, s[i], 0.4, cfg)
+            mom = conditional(x_star, (X, y), theta, s[i], 0.4, cfg)
             assert means[i, j] == pytest.approx(mom.mean, rel=0, abs=1e-12)
             assert variances[i, j] == pytest.approx(mom.variance, rel=0, abs=1e-12)
 
 
+def explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg):
+    """The two moments from ``Gamma^{-1}`` itself, per draw of a stack."""
+    data_mean = np.einsum("bit,bij,bj->bt", phi_star, gamma_inv, Phi @ y)
+    quad = np.einsum("bit,bij,bjt->bt", phi_star, gamma_inv, phi_star)
+    basis_mean = np.einsum("bi,bit->bt", s, phi_star)
+    mean = gamma_mix * basis_mean + (1.0 - gamma_mix) * data_mean
+    return mean, (1.0 - gamma_mix**2) * cfg.noise_variance * quad
+
+
+@pytest.mark.parametrize("t", [1, 6, 7, 200])
+def test_both_borders_match_an_explicit_inverse(t):
+    # 2m = 6: one and six test rows border Gamma with phi_*, seven and 200
+    # with the identity
+    rng = np.random.default_rng(20 + t)
+    cfg = make_cfg(m=3)
+    k = cfg.num_features
+    X, y, _ = random_block(rng, cfg, 25)
+    thetas = rng.normal(size=(3, cfg.theta_dim))
+    s = rng.normal(size=(3, k))
+    phi_star = feature_matrix(rng.normal(size=(t, cfg.d)), thetas, cfg)
+    factor = build_local_gram(X, y, thetas, phi_star, cfg, block_id=1)
+    assert factor.shape == (3, k + 1 + min(t, k), k + 1 + min(t, k))
+    Phi = feature_matrix(X, thetas, cfg)
+    gamma_inv = scipy.linalg.inv(dense_gram(Phi, cfg))
+    # the rows under Gamma hold L^{-1} times the border, transposed
+    chol = factor[:, :k, :k]
+    border = phi_star if t <= k else np.broadcast_to(np.eye(k), (3, k, k))
+    np.testing.assert_allclose(
+        chol @ np.swapaxes(factor[:, k + 1 :, :k], -1, -2), border, rtol=0, atol=1e-12
+    )
+    for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
+        mean, variance = conditional_moments(factor, phi_star, s, gamma_mix, cfg.noise_variance)
+        ref_mean, ref_variance = explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(variance, ref_variance, rtol=1e-12, atol=1e-12)
+
+
+def test_jitter_rescues_one_draw_of_a_stack_on_gamma_only():
+    # With ss2 = m the features are cos/sin themselves, and theta = 0 makes
+    # every cosine 1 and every sine 0, so the middle draw's Gamma is
+    # 16 * ones on the cosine block plus a ridge of 1e-17, which 16 absorbs:
+    # its Cholesky meets an exactly zero pivot.  The other draws' Gammas
+    # are well conditioned without the ridge.
+    cfg = make_cfg(d=2, m=2, ss2=2.0, sn2=1e-17)
+    k = cfg.num_features
+    rng = np.random.default_rng(16)
+    X, y = rng.normal(size=(16, 2)), rng.normal(size=16)
+    thetas = rng.normal(size=(3, cfg.theta_dim))
+    thetas[1] = 0.0
+    s = rng.normal(size=(3, k))
+    Phi = feature_matrix(X, thetas, cfg)
+    gamma = dense_gram(Phi, cfg)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gamma[1])
+    jittered = gamma.copy()
+    jittered[1] += 1e-10 * np.trace(gamma[1]) / k * np.eye(k)
+    for t in (1, 2 * k + 1):
+        phi_star = feature_matrix(rng.normal(size=(t, 2)), thetas, cfg)
+        factor = build_local_gram(X, y, thetas, phi_star, cfg, block_id=5)
+        rebuilt = factor @ np.swapaxes(factor, -1, -2)
+        # only the middle draw is jittered, and only on Gamma's diagonal
+        for i in range(3):
+            ref = jittered[i]
+            assert np.linalg.norm(rebuilt[i, :k, :k] - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.abs(np.diag(rebuilt[1, :k, :k] - gamma[1])).min() > 1e-11
+        r_t = np.concatenate(
+            [(Phi @ y)[:, None, :], np.swapaxes(phi_star, -1, -2) if t <= k
+             else np.broadcast_to(np.eye(k), (3, k, k))], axis=-2
+        )
+        # the border rows are untouched (the exact check that the trailing
+        # block gets no jitter is test_stacked_cholesky_jitters_only_the_failing_draw)
+        np.testing.assert_allclose(rebuilt[:, k:, :k], r_t, rtol=0, atol=1e-12)
+        # the moments are those of the jittered Gamma, through an independent
+        # factorization (an explicit inverse of the jittered Gamma, whose
+        # condition number is about 4e10, is not accurate to 1e-12)
+        for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
+            mean, variance = conditional_moments(
+                factor, phi_star, s, gamma_mix, cfg.noise_variance
+            )
+            for i in range(3):
+                cho = scipy.linalg.cho_factor(jittered[i], lower=True)
+                data_mean = phi_star[i].T @ scipy.linalg.cho_solve(cho, Phi[i] @ y)
+                quad = np.sum(phi_star[i] * scipy.linalg.cho_solve(cho, phi_star[i]), axis=0)
+                ref_mean = gamma_mix * (s[i] @ phi_star[i]) + (1.0 - gamma_mix) * data_mean
+                ref_variance = (1.0 - gamma_mix**2) * cfg.noise_variance * quad
+                np.testing.assert_allclose(mean[i], ref_mean, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(variance[i], ref_variance, rtol=1e-12, atol=0)
+
+
 def test_stacked_cholesky_jitters_only_the_failing_draw():
-    # the middle member is the rank-one case above; its neighbours are SPD
+    # order-5 members whose leading 3x3 block is Gamma, bordered by two rows
+    # of the lower triangle (the upper one is never read); the middle
+    # Gamma is the rank-one case above, its neighbours are SPD
     rng = np.random.default_rng(14)
     k = 3
     A = rng.normal(size=(2, k, k))
     spd = A @ np.swapaxes(A, -1, -2) + k * np.eye(k)
-    stack = np.stack([spd[0], np.ones((k, k)), spd[1]])
+    stack = np.zeros((3, k + 2, k + 2))
+    stack[:, :k, :k] = [spd[0], np.ones((k, k)), spd[1]]
+    stack[:, k:, :k] = [[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
+    stack[:, k:, k:] = 10.0 * np.eye(2)
     before = stack.copy()
-    chol = _cholesky(stack, block_id=4)
+    chol = _cholesky(stack, k, block_id=4)
     np.testing.assert_array_equal(stack, before)
     for i in (0, 2):
         np.testing.assert_array_equal(chol[i], np.linalg.cholesky(stack[i]))
-    # the failing member gets the factor it gets on its own
-    np.testing.assert_array_equal(chol[1], _cholesky(stack[1], 4))
-    np.testing.assert_array_equal(chol[1], np.linalg.cholesky(stack[1] + 1e-10 * np.eye(k)))
+    # the failing member gets the factor it gets on its own, with
+    # 1e-10 * trace(Gamma)/3 on Gamma's diagonal and nothing on the border's
+    np.testing.assert_array_equal(chol[1], _cholesky(stack[1], k, 4))
+    jitter = np.diag([1e-10] * k + [0.0, 0.0])
+    np.testing.assert_array_equal(chol[1], np.linalg.cholesky(stack[1] + jitter))
     # any number of leading axes takes the same path
-    np.testing.assert_array_equal(_cholesky(stack[None], 4)[0], chol)
+    np.testing.assert_array_equal(_cholesky(stack[None], k, 4)[0], chol)
     # an indefinite member cannot be rescued by jitter
-    stack[1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    stack[1, :k, :k] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(NumericalError) as err:
-        _cholesky(stack, block_id=4)
+        _cholesky(stack, k, block_id=4)
     assert err.value.block_id == 4

@@ -21,7 +21,7 @@ from specgp import (
     transform,
 )
 from specgp.features import basis_vector
-from specgp.localmodel import conditional_moments
+from specgp.localmodel import conditional_moments, factor_order
 
 
 def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
@@ -38,12 +38,13 @@ def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
     return TrainedModel(state=state, prior=prior, spectral=cfg, partition=partition)
 
 
-def one_point_moments(x, local, theta, s, gamma_mix, cfg):
+def one_point_moments(x, block, theta, s, gamma_mix, cfg, block_id):
     """Predictive mean and variance for one draw at one point, from the
-    scalar ``basis_vector`` features as one column ``(2m, 1)``; ``local`` is a
-    ``(chol, phi_y)`` pair."""
+    scalar ``basis_vector`` features as one column ``(2m, 1)``; ``block`` is
+    ``(X_k, y_k)``."""
     phi = basis_vector(x, theta, cfg)[:, None]
-    mean, variance = conditional_moments(*local, phi, s, gamma_mix, cfg.noise_variance)
+    factor = build_local_gram(*block, theta, phi, cfg, block_id=block_id)
+    mean, variance = conditional_moments(factor, phi, s, gamma_mix, cfg.noise_variance)
     return float(mean[0]), float(variance[0])
 
 
@@ -55,11 +56,10 @@ def loop_reference(X_star, model, pcfg):
     seconds = np.zeros(len(X_star))
     for j, x in enumerate(X_star):
         k = assign_blocks(x[None, :], model.partition)[0]
-        X_k, y_k = model.partition.blocks[k]
+        block = model.partition.blocks[k]
         for z in z_draws:
             theta, s = transform(model.state, z, cfg)
-            local = build_local_gram(X_k, y_k, theta, cfg, block_id=k)
-            mean, variance = one_point_moments(x, local, theta, s, pcfg.gamma_mix, cfg)
+            mean, variance = one_point_moments(x, block, theta, s, pcfg.gamma_mix, cfg, k)
             means[j] += mean
             seconds[j] += variance + mean**2
     means /= pcfg.n_samples
@@ -95,28 +95,46 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
     # r = 10 is not a multiple of 3, so the last 3-draw chunk is short
     model = make_model(seed=14, p=p)
     X_star = np.random.default_rng(15).normal(size=(5, 2))
+    hit = set(np.unique(assign_blocks(X_star, model.partition)).tolist())
     r = 10
     calls = {}
+    factorizations = []
     build = predict_module.build_local_gram
+    cholesky = np.linalg.cholesky
 
-    def recording_build(X_k, y_k, theta, cfg, block_id=0):
+    def recording_build(X_k, y_k, theta, phi_star, cfg, block_id=0):
         calls.setdefault(block_id, []).append(len(theta))
-        return build(X_k, y_k, theta, cfg, block_id=block_id)
+        return build(X_k, y_k, theta, phi_star, cfg, block_id=block_id)
+
+    def counting_cholesky(a, *args, **kwargs):
+        factorizations.append(a.shape[:-2])
+        return cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(predict_module, "build_local_gram", recording_build)
-    # a draw's buffer holds 2m * (n_k + t_k) elements; at p=1 that is 2m * (n + t)
-    per_draw = model.spectral.num_features * (model.partition.blocks[0][0].shape[0] + 5)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    # a draw's buffers hold 2m * (n_k + t_k) feature and K^2 factor elements;
+    # at p=1 that is 2m * (n + t) + K^2
+    cfg = model.spectral
+    n = model.partition.blocks[0][0].shape[0]
+    per_draw = cfg.num_features * (n + 5) + factor_order(5, cfg) ** 2
     cap = draws_per_chunk * per_draw if p == 1 else 1
     for gamma in (0.0, 0.4, -0.3):
         pcfg = PredictConfig(n_samples=r, gamma_mix=gamma, seed=19)
         calls.clear()
+        factorizations.clear()
         whole = predict_batch(X_star, model, pcfg)
+        assert set(calls) == hit
         assert all(sizes == [r] for sizes in calls.values())
+        assert factorizations == [(r,)] * len(hit)
         with monkeypatch.context() as patch:
             patch.setattr(predict_module, "_CHUNK_ELEMENTS", cap)
             calls.clear()
+            factorizations.clear()
             chunked = predict_batch(X_star, model, pcfg)
+        # one entry per block hit, one stacked factorization per chunk
+        assert set(calls) == hit
         assert all(sizes == chunk_sizes for sizes in calls.values())
+        assert factorizations == [(size,) for size in chunk_sizes] * len(hit)
         reference = loop_reference(X_star, model, pcfg)
         for got, want, ref in zip(chunked, whole, reference):
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
@@ -170,9 +188,8 @@ def test_collapsed_posterior_recovers_offset_prediction():
         means, _ = predict_batch(X_star, model, pcfg)
         for j, x in enumerate(X_star):
             k = assign_blocks(x[None, :], model.partition)[0]
-            X_k, y_k = model.partition.blocks[k]
-            local = build_local_gram(X_k, y_k, theta_b, cfg, block_id=k)
-            expected, _ = one_point_moments(x, local, theta_b, s_b, 0.3, cfg)
+            block = model.partition.blocks[k]
+            expected, _ = one_point_moments(x, block, theta_b, s_b, 0.3, cfg, k)
             assert abs(means[j] - expected) <= 1e-4
 
 

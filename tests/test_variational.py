@@ -66,6 +66,17 @@ def test_prior_from_lengthscales():
     np.testing.assert_array_equal(moved.frequency_variance, 1.0 / (4.0 * np.pi**2))
 
 
+def test_priors_compare_and_hash_by_lengthscales():
+    prior = PriorSpec([1.0, 2.0])
+    same = PriorSpec(np.array([1.0, 2.0]))
+    assert prior == same and hash(prior) == hash(same)
+    assert replace(prior, lengthscales=[1.0, 2.0]) == prior
+    for other in (PriorSpec([1.0, 3.0]), PriorSpec([1.0, 2.0, 1.0]), PriorSpec([1.0])):
+        assert prior != other
+    assert prior != (1.0, 2.0)
+    assert len({prior, same, PriorSpec([2.0, 1.0])}) == 2
+
+
 def test_prior_for_inputs_uses_column_stds():
     cfg = make_cfg(d=2, m=2)
     rng = np.random.default_rng(0)
