@@ -207,7 +207,9 @@ def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: f
     if t > k:
         # The rows hold L^{-T}: h^T = phi_*^T L^{-T}.
         h_t = np.swapaxes(phi_star, -1, -2) @ h_t
-    basis_mean = (s[..., None, :] @ phi_star)[..., 0, :]
-    mean = gamma_mix * basis_mean + (1.0 - gamma_mix) * np.sum(h_t * w[..., None, :], axis=-1)
+    mean = (1.0 - gamma_mix) * np.sum(h_t * w[..., None, :], axis=-1)
+    if gamma_mix != 0.0:
+        # At gamma_mix = 0 the basis mean phi_*^T s is multiplied by zero.
+        mean = gamma_mix * (s[..., None, :] @ phi_star)[..., 0, :] + mean
     variance = (1.0 - gamma_mix**2) * noise_variance * np.sum(h_t * h_t, axis=-1)
     return mean, variance

@@ -4,13 +4,16 @@ A model file carries everything prediction needs and nothing loading does
 not read: the spectral configuration, the prior's ``d`` lengthscales, the
 affine posterior parameters ``(M, b)``, the partition (centroids plus the
 row count of each block) and the training data in block order, along with
-the standardization fitted on that data.  Floats are written with Python's
-shortest round-trip representation, so a save/load cycle is lossless at
-double precision.  A file of another version is refused as a version
+the standardization fitted on that data.  Every float array is stored as
+``{"shape": [...], "base64": "..."}``: the base64 text of its raw
+little-endian float64 bytes in row-major order, so a save/load cycle is
+lossless bit for bit and costs no float formatting or parsing.  Scalars
+stay JSON numbers.  A file of another version is refused as a version
 mismatch: version 1 stored row-index lists instead of block sizes,
 version 2 interleaved the weight entries of ``M`` and ``b`` as cos_1,
-sin_1, ... instead of all cosines, then all sines, and version 3 stored
-the m·d tiled frequency variances instead of the lengthscales.
+sin_1, ... instead of all cosines, then all sines, version 3 stored the
+m·d tiled frequency variances instead of the lengthscales, and version 4
+stored every array as nested lists of float text.
 
 Checkpoints (:mod:`specgp.optimizer`) share the posterior fields and, in
 their data file, the partition fields.  Every file is written by
@@ -19,9 +22,11 @@ their data file, the partition fields.  Every file is written by
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +40,7 @@ from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
 
 MODEL_FORMAT = "specgp-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 @dataclass
@@ -72,8 +77,40 @@ class TrainedModel:
             self.standardization = identity_standardization(spectral.d)
 
 
-def _array(a):
-    return np.asarray(a, dtype=float).tolist()
+def array_to_doc(a) -> dict:
+    """The stored form of a float array: its shape and the base64 text of
+    its little-endian float64 bytes in row-major order."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "base64": base64.b64encode(a).decode("ascii")}
+
+
+def array_from_doc(value, name: str, ndim: int) -> np.ndarray:
+    """The ``ndim``-dimensional float array that :func:`array_to_doc` stored
+    as field ``name``, as an owned, writable copy.  A shape that is not a
+    list of ``ndim`` integers >= 0, base64 text that is not strict, or a
+    byte count other than 8 per entry is a :class:`ModelFormatError` naming
+    the field; a missing key is a ``KeyError`` for :func:`field_errors`."""
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"model: {name} must be an object with shape and base64")
+    shape, text = value["shape"], value["base64"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == ndim
+        and all(type(k) is int and k >= 0 for k in shape)
+    ):
+        raise ModelFormatError(f"model: {name}.shape must be a list of {ndim} integers >= 0")
+    if not isinstance(text, str):
+        raise ModelFormatError(f"model: {name}.base64 must be a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ModelFormatError(f"model: {name}.base64 is not strict base64 text") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ModelFormatError(
+            f"model: {name} holds {len(raw)} bytes, its shape {shape} needs {need}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def partition_to_doc(partition: PartitionedDataset) -> dict:
@@ -86,10 +123,10 @@ def partition_to_doc(partition: PartitionedDataset) -> dict:
     y_all = np.concatenate(y_rows) if y_rows else np.zeros(0)
     return {
         "partition": {
-            "centroids": _array(partition.centroids),
+            "centroids": array_to_doc(partition.centroids),
             "block_sizes": partition.block_sizes().tolist(),
         },
-        "data": {"X": _array(X_all), "y": _array(y_all)},
+        "data": {"X": array_to_doc(X_all), "y": array_to_doc(y_all)},
     }
 
 
@@ -103,8 +140,8 @@ def posterior_to_doc(state: VariationalState, prior: PriorSpec, spectral: Spectr
             "signal_variance": spectral.signal_variance,
             "noise_variance": spectral.noise_variance,
         },
-        "prior": {"lengthscales": _array(prior.lengthscales)},
-        "state": {"M": _array(state.M), "b": _array(state.b)},
+        "prior": {"lengthscales": array_to_doc(prior.lengthscales)},
+        "state": {"M": array_to_doc(state.M), "b": array_to_doc(state.b)},
     }
 
 
@@ -117,8 +154,8 @@ def model_to_doc(model: TrainedModel) -> dict:
         **posterior_to_doc(model.state, model.prior, model.spectral),
         **partition_to_doc(model.partition),
         "standardization": {
-            "x_mean": _array(std.x_mean),
-            "x_scale": _array(std.x_scale),
+            "x_mean": array_to_doc(std.x_mean),
+            "x_scale": array_to_doc(std.x_scale),
             "y_mean": std.y_mean,
             "y_scale": std.y_scale,
         },
@@ -133,8 +170,7 @@ def _check_partition(X_all, y_all, centroids, sizes, d) -> None:
     A float or boolean size is rejected, not truncated to an integer."""
     if not isinstance(sizes, list) or not all(type(k) is int and k >= 0 for k in sizes):
         raise ModelFormatError("model: partition.block_sizes must be a list of integers >= 0")
-    n = y_all.shape[0] if y_all.ndim == 1 else -1
-    p = len(sizes)
+    n, p = y_all.shape[0], len(sizes)
     if X_all.shape != (n, d) or centroids.shape != (p, d):
         raise ModelFormatError(
             f"model: need data.X ({n}, {d}) and partition.centroids ({p}, {d}) for "
@@ -231,10 +267,10 @@ def posterior_from_doc(doc: dict):
         signal_variance=doc["spectral"]["signal_variance"],
         noise_variance=doc["spectral"]["noise_variance"],
     )
-    prior = PriorSpec(doc["prior"]["lengthscales"])
+    prior = PriorSpec(array_from_doc(doc["prior"]["lengthscales"], "prior.lengthscales", 1))
     state = VariationalState(
-        np.asarray(doc["state"]["M"], dtype=float),
-        np.asarray(doc["state"]["b"], dtype=float),
+        array_from_doc(doc["state"]["M"], "state.M", 2),
+        array_from_doc(doc["state"]["b"], "state.b", 1),
     )
     return spectral, prior, state
 
@@ -242,16 +278,15 @@ def posterior_from_doc(doc: dict):
 def partition_from_doc(doc: dict, d: int) -> PartitionedDataset:
     """The partition of ``d``-column rows that :func:`partition_to_doc`
     writes, checked; call it under :func:`field_errors`."""
-    X_all = np.asarray(doc["data"]["X"], dtype=float)
-    if X_all.size == 0:
-        X_all = X_all.reshape(0, d)
-    y_all = np.asarray(doc["data"]["y"], dtype=float)
-    centroids = np.asarray(doc["partition"]["centroids"], dtype=float)
+    X_all = array_from_doc(doc["data"]["X"], "data.X", 2)
+    y_all = array_from_doc(doc["data"]["y"], "data.y", 1)
+    centroids = array_from_doc(doc["partition"]["centroids"], "partition.centroids", 2)
     sizes = doc["partition"]["block_sizes"]
     _check_partition(X_all, y_all, centroids, sizes, d)
+    # Each block is a view of the one decoded array.
     ends = np.cumsum(sizes, dtype=int)
     block_indices = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
-    blocks = [(X_all[idx], y_all[idx]) for idx in block_indices]
+    blocks = [(X_all[end - size : end], y_all[end - size : end]) for size, end in zip(sizes, ends)]
     return PartitionedDataset(blocks=blocks, centroids=centroids, block_indices=block_indices)
 
 
@@ -263,8 +298,8 @@ def model_from_doc(doc: dict) -> TrainedModel:
         partition = partition_from_doc(doc, spectral.d)
         std_doc = doc["standardization"]
         standardization = Standardization(
-            x_mean=np.asarray(std_doc["x_mean"], dtype=float),
-            x_scale=np.asarray(std_doc["x_scale"], dtype=float),
+            x_mean=array_from_doc(std_doc["x_mean"], "standardization.x_mean", 1),
+            x_scale=array_from_doc(std_doc["x_scale"], "standardization.x_scale", 1),
             y_mean=float(std_doc["y_mean"]),
             y_scale=float(std_doc["y_scale"]),
         )
@@ -283,48 +318,6 @@ def model_from_doc(doc: dict) -> TrainedModel:
         )
 
 
-# The most numbers one json.dumps call encodes while a document is written.
-# The C encoder holds the text of every number of a call until it returns,
-# so this bounds the writer's memory; 2048 numbers are about 40 KB of text.
-PIECE_NUMBERS = 2048
-
-
-def _numbers(value) -> int:
-    """Numbers in a list, counting each entry as wide as the first."""
-    first = value[0] if value else None
-    return len(value) * (len(first) if isinstance(first, list) else 1)
-
-
-def _json_pieces(value):
-    """``json.dumps(value)`` as consecutive strings, each from one
-    ``json.dumps`` call of at most about :data:`PIECE_NUMBERS` numbers.
-    Objects, whose keys must be strings, go key by key; a longer list goes
-    as slices of whole entries, or entry by entry when one entry alone is
-    longer."""
-    if isinstance(value, dict) and value:
-        opener = "{"
-        for key, item in value.items():
-            yield f"{opener}{json.dumps(key)}: "
-            yield from _json_pieces(item)
-            opener = ", "
-        yield "}"
-    elif isinstance(value, list) and _numbers(value) > PIECE_NUMBERS:
-        opener = "["
-        step = PIECE_NUMBERS // _numbers(value[:1])
-        if step == 0:
-            for item in value:
-                yield opener
-                yield from _json_pieces(item)
-                opener = ", "
-        else:
-            for start in range(0, len(value), step):
-                yield opener + json.dumps(value[start:start + step])[1:-1]
-                opener = ", "
-        yield "]"
-    else:
-        yield json.dumps(value)
-
-
 def write_json_atomic(path, doc, final_path=None) -> str:
     """Write ``doc`` as the bytes of ``json.dumps(doc)`` and return their
     sha256 hex digest.
@@ -332,18 +325,14 @@ def write_json_atomic(path, doc, final_path=None) -> str:
     The file holds its old or its new contents, never a partial file: the
     text goes to the temporary file ``<path>.<pid>.tmp``, which then replaces
     ``path``, or ``final_path(digest)`` when that function is given, in one
-    rename.  The text is encoded piece by piece (:func:`_json_pieces`), so
-    the encoder's memory stays flat in the size of the document.  There is
-    no fsync, so this survives an interrupted process, not a power loss."""
+    rename.  There is no fsync, so this survives an interrupted process,
+    not a power loss."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    digest = hashlib.sha256()
+    raw = json.dumps(doc).encode()
+    hexdigest = hashlib.sha256(raw).hexdigest()
     try:
         with open(tmp, "wb") as handle:
-            for piece in _json_pieces(doc):
-                raw = piece.encode()
-                digest.update(raw)
-                handle.write(raw)
-        hexdigest = digest.hexdigest()
+            handle.write(raw)
         os.replace(tmp, path if final_path is None else final_path(hexdigest))
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -47,6 +47,8 @@ from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import (
     TrainedModel,
+    array_from_doc,
+    array_to_doc,
     field_errors,
     partition_from_doc,
     partition_to_doc,
@@ -61,9 +63,10 @@ MAX_STEP_RETRIES = 5
 _ADAPTIVE_FLOOR = 1e-8
 
 CHECKPOINT_FORMAT = "specgp-checkpoint"
-# 7 stores the prior's lengthscales, 6 its m·d tiled variances; 5 and
+# 8 stores arrays as base64 float64; 7 stored them as float text, 6 also
+# the prior's m·d tiled variances in place of its lengthscales; 5 and
 # earlier embedded a model, data included
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -299,9 +302,9 @@ def _trace_from_rows(rows):
     return [IterationRecord(*(cell(v) for cell, v in zip(cells, row))) for row in rows]
 
 
-def _accumulator_from_doc(values, size: int):
+def _accumulator_from_doc(value, size: int):
     """A stored AdaGrad accumulator: ``size`` finite values >= 0."""
-    acc = np.asarray(values, dtype=float)
+    acc = array_from_doc(value, "optimizer.accumulator", 1)
     if acc.shape != (size,) or not np.all(np.isfinite(acc)) or np.any(acc < 0):
         raise ModelFormatError(f"model: checkpoint accumulator needs {size} finite values >= 0")
     return acc
@@ -366,7 +369,7 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
         "data_digest": opt.data_digest,
         **posterior_to_doc(state, prior, cfg),
         "train_config": train_config_doc(tcfg),
-        "optimizer": {"accumulator": opt.accumulator.tolist()},
+        "optimizer": {"accumulator": array_to_doc(opt.accumulator)},
         "trace": _trace_rows(opt.trace),
     }
     try:

@@ -2,6 +2,7 @@
 are verified end to end (RMSE halving, gamma sweep), built once per session
 because training runs take seconds."""
 
+import base64
 import itertools
 import json
 
@@ -15,13 +16,43 @@ NOISE_SD = 0.1
 LENGTHSCALE = 0.055
 
 
+def stored_array(value):
+    """The float array that a model, checkpoint or data file stores as
+    ``value``, read as the README reads one, without specgp."""
+    raw = base64.b64decode(value["base64"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(value["shape"]).copy()
+
+
+def storing(a):
+    """The stored form of the float array ``a``, written without specgp."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode()}
+
+
+def as_float_text(doc, version):
+    """A copy of the model or checkpoint document ``doc`` at ``version``,
+    with every array stored as files of model version 4 and checkpoint
+    version 7 stored it: nested lists of JSON numbers."""
+
+    def lists(value):
+        if isinstance(value, dict):
+            if set(value) == {"shape", "base64"}:
+                return stored_array(value).tolist()
+            return {key: lists(item) for key, item in value.items()}
+        return value
+
+    old = lists(json.loads(json.dumps(doc)))
+    old["version"] = version
+    return old
+
+
 def as_tiled_prior(doc, version):
     """A copy of the model or checkpoint document ``doc`` at ``version``, with
-    the prior stored as files of model version 3 and checkpoint version 6
-    stored it: the m·d frequency variances ``1 / (4 pi^2 l^2)``, tiled over
-    the m frequencies, in place of the ``d`` lengthscales ``l``."""
-    old = json.loads(json.dumps(doc))
-    old["version"] = version
+    the arrays as float text and the prior stored as files of model version
+    3 and checkpoint version 6 stored it: the m·d frequency variances
+    ``1 / (4 pi^2 l^2)``, tiled over the m frequencies, in place of the
+    ``d`` lengthscales ``l``."""
+    old = as_float_text(doc, version)
     lengthscales = np.asarray(old["prior"].pop("lengthscales"))
     per_dim = 1.0 / (4.0 * np.pi**2 * lengthscales**2)
     old["prior"]["theta_prior_variance"] = np.tile(per_dim, old["spectral"]["m"]).tolist()

@@ -9,7 +9,7 @@ import specgp.config as run_config
 from specgp import GradientSamplePlan, StepSchedule, TrainConfig, load_model, save_model
 from specgp.gradcheck import CheckResult
 
-from conftest import as_version_three_model, fail_writes
+from conftest import as_float_text, as_version_three_model, fail_writes, stored_array, storing
 
 
 def run_cli(argv, capsys):
@@ -643,7 +643,17 @@ def test_version_three_model_exits_three(trained_model_doc, tmp_path, capsys):
     old.write_text(json.dumps(as_version_three_model(doc)))
     code, out, err = run_cli(["evaluate", "--model", str(old), "--data", data], capsys)
     assert (code, out) == (3, "")
-    assert err == "specgp: data: model: version mismatch (expected 4, got 3)\n"
+    assert err == "specgp: data: model: version mismatch (expected 5, got 3)\n"
+
+
+def test_version_four_model_exits_three(trained_model_doc, tmp_path, capsys):
+    # version 4 stored every array as nested lists of float text
+    doc, data = trained_model_doc
+    old = tmp_path / "model-v4.json"
+    old.write_text(json.dumps(as_float_text(doc, 4)))
+    code, out, err = run_cli(["evaluate", "--model", str(old), "--data", data], capsys)
+    assert (code, out) == (3, "")
+    assert err == "specgp: data: model: version mismatch (expected 5, got 4)\n"
 
 
 def test_predict_rejects_mismatched_columns(tmp_path, capsys):
@@ -743,20 +753,46 @@ def trained_model_doc(tmp_path_factory):
         return json.load(handle), data
 
 
+def _edit_array(doc, section, key, edit):
+    """Replace the stored array ``doc[section][key]`` by ``edit`` of it."""
+    doc[section][key] = storing(edit(stored_array(doc[section][key])))
+
+
+def _set(a, index, value):
+    a[index] = value
+    return a
+
+
 def _nan_x(doc):
-    doc["data"]["X"][0][1] = float("nan")
+    _edit_array(doc, "data", "X", lambda X: _set(X, (0, 1), float("nan")))
 
 
 def _nan_y(doc):
-    doc["data"]["y"][-1] = float("nan")
+    _edit_array(doc, "data", "y", lambda y: _set(y, -1, float("nan")))
 
 
 def _nan_centroid(doc):
-    doc["partition"]["centroids"][1][0] = float("nan")
+    _edit_array(doc, "partition", "centroids", lambda c: _set(c, (1, 0), float("nan")))
 
 
 def _too_few_centroids(doc):
-    doc["partition"]["centroids"].pop()
+    _edit_array(doc, "partition", "centroids", lambda c: c[:-1])
+
+
+def _bad_base64_x(doc):
+    doc["data"]["X"]["base64"] = "*" + doc["data"]["X"]["base64"][1:]
+
+
+def _y_one_row_beyond_its_bytes(doc):
+    doc["data"]["y"]["shape"][0] += 1
+
+
+def _negative_centroids_shape(doc):
+    doc["partition"]["centroids"]["shape"][1] = -2
+
+
+def _flat_state_m(doc):
+    doc["state"]["M"]["shape"] = [doc["state"]["M"]["shape"][0] ** 2]
 
 
 def _sizes_one_row_short(doc):
@@ -791,27 +827,26 @@ def _sizes_one_short_of_centroids(doc):
 
 
 def _singular_state(doc):
-    doc["state"]["M"] = [[0.0] * len(row) for row in doc["state"]["M"]]
+    _edit_array(doc, "state", "M", np.zeros_like)
 
 
 def _state_one_short(doc):
     # still square, finite and nonsingular, but one dimension short of the config
-    state = doc["state"]
-    state["M"] = [row[:-1] for row in state["M"][:-1]]
-    state["b"].pop()
+    _edit_array(doc, "state", "M", lambda M: M[:-1, :-1])
+    _edit_array(doc, "state", "b", lambda b: b[:-1])
 
 
 def _prior_one_short(doc):
-    doc["prior"]["lengthscales"].pop()
+    _edit_array(doc, "prior", "lengthscales", lambda ls: ls[:-1])
 
 
 def _x_mean_one_short(doc):
     # would broadcast the remaining mean over every input column
-    doc["standardization"]["x_mean"].pop()
+    _edit_array(doc, "standardization", "x_mean", lambda mean: mean[:-1])
 
 
 def _zero_x_scale(doc):
-    doc["standardization"]["x_scale"][0] = 0.0
+    _edit_array(doc, "standardization", "x_scale", lambda scale: _set(scale, 0, 0.0))
 
 
 def _m_float(doc):
@@ -843,7 +878,8 @@ def _target_name_number(doc):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _sizes_one_row_short,
+        _nan_x, _nan_y, _nan_centroid, _too_few_centroids, _bad_base64_x,
+        _y_one_row_beyond_its_bytes, _negative_centroids_shape, _flat_state_m, _sizes_one_row_short,
         _negative_size, _fractional_size, _boolean_size, _sizes_one_short_of_centroids,
         _state_one_short, _singular_state, _prior_one_short, _x_mean_one_short,
         _zero_x_scale, _m_float, _d_float, _one_feature_name, _repeated_feature_name,
@@ -879,7 +915,7 @@ def test_loader_check_messages_are_not_wrapped_again(
     corrupt(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    n = len(doc["data"]["y"])
+    n = doc["data"]["y"]["shape"][0]
     code, _, err = run_cli(["evaluate", "--model", str(bad), "--data", data], capsys)
     assert code == 3
     assert err == "specgp: data: model: " + message.format(short=n - 1, n=n) + "\n"

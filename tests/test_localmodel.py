@@ -145,6 +145,9 @@ def test_conditional_gamma_zero_ignores_s():
     m2 = conditional(x_star, (X, y), theta, s2, 0.0, cfg)
     assert m1.mean == m2.mean
     assert m1.variance == m2.variance
+    # the basis mean phi_*^T s is not formed at all, so 0 * nan cannot leak in
+    m3 = conditional(x_star, (X, y), theta, np.full(cfg.num_features, np.nan), 0.0, cfg)
+    assert m3 == m1
 
 
 def test_conditional_moment_formulas():

@@ -33,11 +33,14 @@ from specgp.model_io import model_to_doc
 from specgp.optimizer import data_file_path
 
 from conftest import (
+    as_float_text,
     as_tiled_prior,
     as_version_one_model,
     as_version_three_model,
     as_version_two_model,
     fail_writes,
+    stored_array,
+    storing,
 )
 
 
@@ -260,6 +263,12 @@ def _set(*keys_and_value):
     return corrupt
 
 
+def _set_array(*keys_and_edit):
+    """:func:`_set` of a stored array to ``edit`` of its values."""
+    *keys, edit = keys_and_edit
+    return _set(*keys, lambda value: storing(edit(stored_array(value))))
+
+
 def _drop(*keys):
     def corrupt(doc):
         for key in keys[:-1]:
@@ -278,13 +287,13 @@ def _drop(*keys):
         _set("iteration", 3),
         _set("train_config", "train", "iterations", 1),
         _set("trace", lambda rows: [rows[0][:4]] + rows[1:]),
-        _set("optimizer", "accumulator", lambda acc: acc[:-1]),
-        _set("optimizer", "accumulator", lambda acc: [float("nan")] + acc[1:]),
-        _set("optimizer", "accumulator", lambda acc: [-1.0] + acc[1:]),
+        _set_array("optimizer", "accumulator", lambda acc: acc[:-1]),
+        _set_array("optimizer", "accumulator", lambda acc: np.r_[np.nan, acc[1:]]),
+        _set_array("optimizer", "accumulator", lambda acc: np.r_[-1.0, acc[1:]]),
         # the log-variance entries sit at the end of the one accumulator
-        _set("optimizer", "accumulator", lambda acc: acc + [0.5]),
+        _set_array("optimizer", "accumulator", lambda acc: np.r_[acc, 0.5]),
         _set("optimizer", "accumulator", None),
-        _set("optimizer", "accumulator", lambda acc: acc[:-2]),
+        _set_array("optimizer", "accumulator", lambda acc: acc[:-2]),
         _set("train_config", "train", "iterations", 0),
         _set("train_config", "seed", "abc"),
         _set("train_config", "plan", "abc"),
@@ -538,7 +547,9 @@ def test_data_file_faults_are_format_errors_naming_the_file(tmp_path):
 
     # one float edited, keeping the file valid JSON of the same shape
     doc = json.loads(original)
-    doc["data"]["y"][0] += 1.0
+    y = stored_array(doc["data"]["y"])
+    y[0] += 1.0
+    doc["data"]["y"] = storing(y)
     for contents in (json.dumps(doc).encode(), other_data_file.read_bytes()):
         data_file.write_bytes(contents)
         with pytest.raises(ModelFormatError, match=f"data file {re.escape(data_path)} does not"):
@@ -558,8 +569,9 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     # three embed a version 1 model; version 4 embeds a version 2 model,
     # whose weights are interleaved; version 5 embeds a version 3 model with
     # the data, which version 6 keeps in its own file; version 6 stores the
-    # m·d tiled frequency variances, version 7 the lengthscales; so files of
-    # every older version are refused
+    # m·d tiled frequency variances, version 7 the lengthscales; version 7
+    # and all before it stored arrays as float text, version 8 as base64
+    # float64; so files of every older version are refused
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=0)
     path = str(tmp_path / "checkpoint.json")
@@ -569,13 +581,15 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
     )
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["version"] == 7 and "model" not in doc
-    assert len(doc["prior"]["lengthscales"]) == cfg.d
+    assert doc["version"] == 8 and "model" not in doc
+    assert doc["prior"]["lengthscales"]["shape"] == [cfg.d]
     version_six = as_tiled_prior(doc, 6)
     assert set(doc["train_config"]) == {"seed", "train"}
     assert "adaptive" not in doc["train_config"]["train"]
     assert set(doc["optimizer"]) == {"accumulator"}
-    assert len(doc["optimizer"]["accumulator"]) == init.dim * (init.dim + 1) + 2
+    assert doc["optimizer"]["accumulator"]["shape"] == [init.dim * (init.dim + 1) + 2]
+    version_seven = as_float_text(doc, 7)
+    doc = as_float_text(doc, 7)
     accumulator = doc["optimizer"]["accumulator"]
     model_doc = model_to_doc(load_checkpoint(path)[0])
     for key in ("data_digest", "spectral", "prior", "state"):
@@ -602,7 +616,8 @@ def test_version_one_checkpoint_is_a_version_mismatch(tmp_path):
         "n_partition_samples": 4, "n_z_samples": 4, "rng_seed": 7,
     }
     for old in (
-        version_six, version_five, version_four, version_three, version_two, version_one,
+        version_seven, version_six, version_five, version_four,
+        version_three, version_two, version_one,
     ):
         with open(path, "w") as handle:
             json.dump(old, handle)
