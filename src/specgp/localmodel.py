@@ -27,16 +27,23 @@ factors the bordered matrix
     A = [[Gamma_k, .], [R^T, C]],    R = [Phi y_k | B],
 
 whose lower factor is ``[[L, 0], [(L^{-1} R)^T, L_C]]``: its row ``2m`` is
-``w^T`` and the rows below it are ``(L^{-1} B)^T``.  The border ``B`` is
-fixed by ``t``:
+``w^T`` and the rows below it are ``(L^{-1} B)^T``.  The caller picks the
+border ``B`` through ``phi_star``:
 
-* ``t <= 2m``: ``B = phi_*``, so those rows are ``h^T`` itself;
-* ``t > 2m``: ``B = I_{2m}``, so they are ``L^{-T}``, and
-  :func:`conditional_moments` forms ``h^T = phi_*^T L^{-T}`` in one batched
-  matmul.
+* ``phi_star`` of ``t <= 2m`` points: ``B = phi_*``, so those rows are
+  ``h^T`` itself and the factor has order ``2m + 1 + t``;
+* ``phi_star`` of ``t > 2m`` points: ``B = I_{2m}``, so they are ``L^{-T}``
+  and the factor has order ``4m + 1``;
+* ``phi_star=None``: the identity border without test points, of which
+  only the rows ``[2m:, :2m]``, ``w^T`` then ``L^{-T}``, are returned.
+  They serve any test points of the block for the same ``theta``, so
+  prediction keeps them across calls (see :mod:`specgp.predict`).
 
-Either way the order of ``A`` is ``2m + 1 + min(t, 2m)``
-(:func:`factor_order`).  The trailing block is
+:func:`conditional_moments` tells the borders apart by the factor's order
+alone: only a ``phi_*``-bordered factor has ``2m + 1 + t`` columns.  For
+the other two it forms ``h^T = phi_*^T L^{-T}`` in one batched matmul.
+The order of ``A`` is ``2m + 1 + min(t, 2m)`` (:func:`factor_order`), or
+``4m + 1`` for the identity border.  The trailing block is
 ``C = (2 ||R||_F^2 / ridge + 1) I``, with ``ridge`` the diagonal of
 ``noise_variance * Lambda^{-1}``: ``Gamma_k >= ridge I`` gives
 ``R^T Gamma_k^{-1} R <= (||R||_F^2 / ridge) I``, so the Schur complement
@@ -135,9 +142,9 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
     theta : numpy.ndarray, shape (m * d,) or (b, m * d)
         Frequencies used to evaluate the features, or a stack of ``b`` of
         them; the stack is factorized in one call.
-    phi_star : numpy.ndarray, shape (2m, t) or (b, 2m, t)
+    phi_star : numpy.ndarray, shape (2m, t) or (b, 2m, t), or None
         Features of the block's ``t`` test points for the same ``theta``;
-        ``t`` picks the border.
+        ``t`` picks the border.  ``None`` asks for the identity border.
     cfg : SpectralConfig
     block_id : int, optional
         Identifier carried by the :class:`NumericalError` raised when a
@@ -145,14 +152,17 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
 
     Returns
     -------
-    numpy.ndarray, shape (K, K) or (b, K, K)
+    numpy.ndarray, shape (K, K) or (b, K, K); (2m + 1, 2m) or (b, 2m + 1, 2m)
         The lower Cholesky factors of the bordered matrices, with
         ``K = factor_order(t, cfg)``: ``[:2m, :2m]`` is ``L``, row ``2m``
         holds ``w^T`` and the rows below hold ``h^T`` (``t <= 2m``) or
-        ``L^{-T}`` (``t > 2m``) in their first ``2m`` columns.
+        ``L^{-T}`` (``t > 2m``) in their first ``2m`` columns.  For
+        ``phi_star=None``, only those ``2m + 1`` rows and ``2m`` columns,
+        ``w^T`` then ``L^{-T}``.
     """
     k = cfg.num_features
-    t = phi_star.shape[-1]
+    # None borders as any t > 2m does: with the identity.
+    t = k + 1 if phi_star is None else phi_star.shape[-1]
     phi = feature_matrix(X_k, theta, cfg)
     order = factor_order(t, cfg)
     a = np.zeros(phi.shape[:-2] + (order, order))
@@ -172,7 +182,8 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
     trailing = np.arange(k, order)
     c = 2.0 * np.einsum("...ij,...ij->...", border, border) / ridge + 1.0
     a[..., trailing, trailing] = c[..., None]
-    return _cholesky(a, k, block_id)
+    factor = _cholesky(a, k, block_id)
+    return factor[..., k:, :k] if phi_star is None else factor
 
 
 def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: float):
@@ -188,9 +199,9 @@ def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: f
 
     Parameters
     ----------
-    factor : numpy.ndarray, shape (K, K) or (b, K, K)
+    factor : numpy.ndarray, shape (K, K) or (b, K, K); (2m + 1, 2m) or (b, 2m + 1, 2m)
         What :func:`build_local_gram` returned for the same ``theta`` (or
-        stack) and ``phi_star``.
+        stack), and for ``phi_star`` or ``None``.
     phi_star : numpy.ndarray, shape (2m, t) or (b, 2m, t)
         Test-point features, as :func:`~specgp.features.feature_matrix`
         returns them.
@@ -202,10 +213,12 @@ def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: f
     (mean, variance) : pair of numpy.ndarray, shape (t,) or (b, t)
     """
     k, t = phi_star.shape[-2:]
-    w = factor[..., k, :k]
-    h_t = factor[..., k + 1 :, :k]
-    if t > k:
-        # The rows hold L^{-T}: h^T = phi_*^T L^{-T}.
+    order = factor.shape[-1]
+    rows = factor if order == k else factor[..., k:, :k]
+    w = rows[..., 0, :]
+    h_t = rows[..., 1:, :]
+    if order != k + 1 + t:
+        # Not bordered by phi_*: the rows hold L^{-T}, and h^T = phi_*^T L^{-T}.
         h_t = np.swapaxes(phi_star, -1, -2) @ h_t
     mean = (1.0 - gamma_mix) * np.sum(h_t * w[..., None, :], axis=-1)
     if gamma_mix != 0.0:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,13 +43,16 @@ MODEL_FORMAT = "specgp-model"
 MODEL_VERSION = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """Bundle of everything needed to predict: posterior, prior, config,
     partition and the standardization of the training pipeline.
 
     Construction checks that the parts agree in dimension, so the kernels
-    that later use them together need not."""
+    that later use them together need not.  The fields cannot be
+    reassigned, so ``predict_memo``, the factors that
+    :func:`~specgp.predict.predict_batch` keeps across calls, always
+    belongs to the parts it was built from."""
 
     state: VariationalState
     prior: PriorSpec
@@ -58,6 +61,7 @@ class TrainedModel:
     standardization: Optional[Standardization] = None
     feature_names: Optional[list] = None
     target_name: str = "y"
+    predict_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spectral = self.spectral
@@ -74,7 +78,7 @@ class TrainedModel:
                 f"partition has input dimension {self.partition.d}, the config needs {spectral.d}"
             )
         if self.standardization is None:
-            self.standardization = identity_standardization(spectral.d)
+            object.__setattr__(self, "standardization", identity_standardization(spectral.d))
 
 
 def array_to_doc(a) -> dict:

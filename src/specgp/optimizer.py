@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, ModelFormatError, NumericalError
-from .features import SpectralConfig
+from .features import SpectralConfig, _is_integer
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import (
     TrainedModel,
@@ -104,6 +104,10 @@ class TrainConfig:
     elbo_samples: int = 16
 
     def __post_init__(self):
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # a numpy integer would not survive json.dumps in a checkpoint
+        object.__setattr__(self, "seed", int(self.seed))
         if self.iterations < 1:
             raise ContractError("iterations must be >= 1")
         if self.checkpoint_every < 0 or self.elbo_every < 0:

@@ -3,12 +3,33 @@
 Each test point is served by the block of its nearest centroid.  For one
 predict call, ``r`` posterior draws ``alpha_i = M z_i + b``, taken as the
 arrays ``theta`` ``(r, m d)`` and ``s`` ``(r, 2m)``, are shared by every
-test point in the batch.  Per block that the batch hits, the chunk's
-``(r_c, 2m, t_k)`` cosine and sine features of the block's ``t_k`` test
-points border the local Gram matrices of a chunk of ``r_c`` draws, which
-are factorized in one stacked call (see :mod:`specgp.localmodel`), and one
-batched conditional reads the moments of every (draw, point) pair of the
-block off those factors.  A chunk keeps
+test point in the batch.  They depend only on the model and
+``(seed, n_samples)`` (:func:`posterior_draws`), and so does each block's
+identity-border factor (see :mod:`specgp.localmodel`): its rows ``w^T``
+and ``L^{-T}`` per draw serve any test points of the block.
+
+*The memo.*  A model keeps one memo entry, keyed by ``(seed, n_samples)``:
+the draws ``(theta, s)`` and, per block, filled on the block's first hit,
+the ``(r, 2m + 1, 2m)`` rows of its identity-border factors, built in draw
+chunks of at most ``_CHUNK_ELEMENTS`` elements.  ``gamma_mix`` only enters
+:func:`~specgp.localmodel.conditional_moments`, so it is not part of the
+key.  A call with another key replaces the entry.  The entry is used only
+when all of it, ``p r (2m + 1) 2m + r D`` elements, fits
+``_MEMO_ELEMENTS``, which is decided from the model and the config alone:
+
+* within that budget, a call featurizes its test points and reads each
+  block's moments off the memo's rows with one batched ``phi_*^T L^{-T}``
+  matmul per chunk of draws;
+* above it, a call stores nothing, leaves the entry as it is, and per
+  block that the batch hits factors the chunk's local Gram matrices
+  bordered by the ``(r_c, 2m, t_k)`` features of the block's ``t_k`` test
+  points (the identity when ``t_k > 2m``) in one stacked call.
+
+A given model and config thus always take the same path with the same
+chunks, so a call gives the same bits with the memo warm or cold and for a
+saved-then-loaded model.  The memo trusts that nothing changes a model's
+arrays in place; :class:`~specgp.model_io.TrainedModel`'s fields cannot be
+reassigned.  On the per-call path, a chunk keeps
 ``r_c * (2m (n_k + t_k) + K^2)`` elements, its block and test-point
 feature stacks and its bordered factors of order
 ``K = 2m + 1 + min(t_k, 2m)``, within ``_CHUNK_ELEMENTS``, so memory stays
@@ -31,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .features import feature_matrix
+from .features import _is_integer, feature_matrix
 from .localmodel import build_local_gram, conditional_moments, factor_order
 from .model_io import TrainedModel
 from .partition import assign_blocks
@@ -44,6 +65,11 @@ _NEGATIVE_VAR_TOL = 1e-10
 # Stacking all r draws at once raised the peak resident memory of the
 # benchmark's predicting process by about 8% for at most 16% more throughput.
 _CHUNK_ELEMENTS = 2**16
+# A model's memo entry is used only if its draws and the identity-border rows
+# of every block, p * r * (2m + 1) * 2m + r * D elements, fit in this many
+# (2 MiB of float64).  Uncached, the identity border costs more than the
+# phi_* border for t <= 2m points (+65% on a wide-features single-row call).
+_MEMO_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -55,6 +81,9 @@ class PredictConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.n_samples < 1:
             raise ContractError("n_samples must be >= 1")
         if not np.isfinite(self.gamma_mix) or abs(self.gamma_mix) > 1.0:
@@ -67,11 +96,66 @@ def posterior_draws(model: TrainedModel, pcfg: PredictConfig) -> np.ndarray:
     return rng.standard_normal((pcfg.n_samples, model.state.dim))
 
 
+def _memo_entry(model: TrainedModel, pcfg: PredictConfig):
+    """The model's memo entry ``(theta, s, rows by block)`` for ``pcfg``,
+    replacing any entry of another key, or None when the entry would not
+    fit ``_MEMO_ELEMENTS`` (see the module docstring)."""
+    cfg = model.spectral
+    r, k = pcfg.n_samples, cfg.num_features
+    if model.partition.p * r * (k + 1) * k + r * cfg.alpha_dim > _MEMO_ELEMENTS:
+        return None
+    key = (pcfg.seed, r)
+    memo = model.predict_memo
+    if key not in memo:
+        memo.clear()
+        theta, s = transform(model.state, posterior_draws(model, pcfg), cfg)
+        memo[key] = (theta, s, {})
+    return memo[key]
+
+
+def _identity_rows(X_k, y_k, theta, cfg, block_id):
+    """The ``(r, 2m + 1, 2m)`` identity-border rows of one block for all
+    ``r`` draws, factored in chunks of at most ``_CHUNK_ELEMENTS``."""
+    k = cfg.num_features
+    rows = np.empty((theta.shape[0], k + 1, k))
+    chunk = max(1, _CHUNK_ELEMENTS // (k * X_k.shape[0] + (2 * k + 1) ** 2))
+    for start in range(0, theta.shape[0], chunk):
+        c = slice(start, start + chunk)
+        rows[c] = build_local_gram(X_k, y_k, theta[c], None, cfg, block_id=block_id)
+    return rows
+
+
+def _block_chunks(model: TrainedModel, k, X_rows, theta, memo_rows):
+    """``(draw slice, factor, phi_star)`` per chunk of draws for the test
+    rows ``X_rows`` of block ``k``: the memo's rows when ``memo_rows`` is a
+    dict (filled for ``k`` on first use), else a per-call factor."""
+    cfg = model.spectral
+    X_k, y_k = model.partition.blocks[k]
+    t = X_rows.shape[0]
+    if memo_rows is None:
+        per_draw = cfg.num_features * (X_k.shape[0] + t) + factor_order(t, cfg) ** 2
+    else:
+        if k not in memo_rows:
+            memo_rows[k] = _identity_rows(X_k, y_k, theta, cfg, k)
+        # phi_star and h^T, each 2m * t per draw
+        per_draw = 2 * cfg.num_features * t
+    chunk = max(1, _CHUNK_ELEMENTS // per_draw)
+    for start in range(0, theta.shape[0], chunk):
+        c = slice(start, start + chunk)
+        phi_star = feature_matrix(X_rows, theta[c], cfg)
+        if memo_rows is None:
+            factor = build_local_gram(X_k, y_k, theta[c], phi_star, cfg, block_id=k)
+        else:
+            factor = memo_rows[k][c]
+        yield c, factor, phi_star
+
+
 def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     """Predictive mean and variance for each row of ``X_star`` (model space).
 
     This is where test inputs enter, so their shape and finiteness are
-    checked here once; the kernels below trust them.
+    checked here once; the kernels below trust them.  Repeated calls on
+    one model reuse its memo (see the module docstring).
 
     Returns
     -------
@@ -87,25 +171,22 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
         raise ContractError("X_star contains non-finite entries")
     t = X_star.shape[0]
     cfg = model.spectral
-    gamma_mix = pcfg.gamma_mix
     labels = assign_blocks(X_star, model.partition)
     by_block = {int(k): np.flatnonzero(labels == k) for k in np.unique(labels)}
     r = pcfg.n_samples
-    theta, s = transform(model.state, posterior_draws(model, pcfg), cfg)
+    entry = _memo_entry(model, pcfg)
+    if entry is None:
+        theta, s = transform(model.state, posterior_draws(model, pcfg), cfg)
+        memo_rows = None
+    else:
+        theta, s, memo_rows = entry
 
     sum_mean = np.zeros(t)
     sum_second = np.zeros(t)  # accumulates var_i + mean_i^2
     for k, rows in by_block.items():
-        X_k, y_k = model.partition.blocks[k]
-        X_rows = X_star[rows]
-        features = cfg.num_features * (X_k.shape[0] + rows.size)
-        chunk = max(1, _CHUNK_ELEMENTS // (features + factor_order(rows.size, cfg) ** 2))
-        for start in range(0, r, chunk):
-            theta_c = theta[start : start + chunk]
-            phi_star = feature_matrix(X_rows, theta_c, cfg)
-            factor = build_local_gram(X_k, y_k, theta_c, phi_star, cfg, block_id=k)
+        for c, factor, phi_star in _block_chunks(model, k, X_star[rows], theta, memo_rows):
             mean, variance = conditional_moments(
-                factor, phi_star, s[start : start + chunk], gamma_mix, cfg.noise_variance
+                factor, phi_star, s[c], pcfg.gamma_mix, cfg.noise_variance
             )
             sum_mean[rows] += mean.sum(axis=0)
             sum_second[rows] += (variance + mean**2).sum(axis=0)

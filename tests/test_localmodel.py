@@ -408,3 +408,33 @@ def test_stacked_cholesky_jitters_only_the_failing_draw():
     with pytest.raises(NumericalError) as err:
         _cholesky(stack, k, block_id=4)
     assert err.value.block_id == 4
+
+
+@pytest.mark.parametrize("t", [1, 6, 7])
+def test_identity_rows_without_test_points(t):
+    # phi_star=None returns the border rows [2m:, :2m] of the identity-border
+    # factor, the same bits as a factor bordered for t > 2m test points; at
+    # t <= 2m = 6, conditional_moments reads them as L^{-T}, not as h^T
+    rng = np.random.default_rng(40 + t)
+    cfg = make_cfg(m=3)
+    k = cfg.num_features
+    X, y, _ = random_block(rng, cfg, 25)
+    thetas = rng.normal(size=(3, cfg.theta_dim))
+    s = rng.normal(size=(3, k))
+    rows = build_local_gram(X, y, thetas, None, cfg, block_id=1)
+    assert rows.shape == (3, k + 1, k)
+    wide = feature_matrix(rng.normal(size=(k + 1, cfg.d)), thetas, cfg)
+    np.testing.assert_array_equal(rows, build_local_gram(X, y, thetas, wide, cfg)[:, k:, :k])
+    np.testing.assert_array_equal(rows[0], build_local_gram(X, y, thetas[0], None, cfg))
+    phi_star = feature_matrix(rng.normal(size=(t, cfg.d)), thetas, cfg)
+    factor = build_local_gram(X, y, thetas, phi_star, cfg)
+    Phi = feature_matrix(X, thetas, cfg)
+    gamma_inv = scipy.linalg.inv(dense_gram(Phi, cfg))
+    for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
+        mean, variance = conditional_moments(rows, phi_star, s, gamma_mix, cfg.noise_variance)
+        ref_mean, ref_variance = explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(variance, ref_variance, rtol=1e-12, atol=1e-12)
+        bordered = conditional_moments(factor, phi_star, s, gamma_mix, cfg.noise_variance)
+        np.testing.assert_allclose(mean, bordered[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(variance, bordered[1], rtol=1e-12, atol=1e-14)

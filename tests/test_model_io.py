@@ -5,6 +5,7 @@ field, files of earlier versions are refused, and the writer's bytes are
 those of ``json.dumps``."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import re
@@ -15,6 +16,7 @@ import pytest
 from specgp import (
     GradientSamplePlan,
     PartitionedDataset,
+    PredictConfig,
     PriorSpec,
     SpectralConfig,
     Standardization,
@@ -25,6 +27,7 @@ from specgp import (
     initial_state,
     kmeans_partition,
     load_model,
+    predict_batch,
     save_model,
     train,
 )
@@ -178,6 +181,33 @@ def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
     assert [idx.tolist() for idx in loaded.partition.block_indices] == [
         idx.tolist() for idx in rows
     ]
+
+
+def test_model_fields_cannot_be_reassigned():
+    # predict_batch keeps factors in predict_memo, so a swapped field must not
+    # meet a memo built from the old one
+    rng = np.random.default_rng(9)
+    cfg = SpectralConfig(d=2, m=2, signal_variance=1.0, noise_variance=0.2)
+    X, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+    prior = PriorSpec.for_inputs(X, cfg)
+    model = TrainedModel(
+        state=initial_state(prior, cfg, seed=0), prior=prior, spectral=cfg,
+        partition=kmeans_partition(X, y, p=2, seed=0),
+    )
+    # the default standardization is set once, at construction
+    assert model.standardization.x_mean.tolist() == [0.0, 0.0]
+    other = initial_state(prior, cfg, seed=1)
+    for name, value in (
+        ("state", other), ("partition", model.partition), ("spectral", cfg),
+        ("prior", prior), ("standardization", None), ("predict_memo", {}),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    predict_batch(X[:3], model, PredictConfig(n_samples=4, gamma_mix=0.0))
+    assert model.predict_memo
+    assert "predict_memo" not in repr(model)
+    # a model built from another's parts starts with an empty memo
+    assert dataclasses.replace(model, state=other).predict_memo == {}
 
 
 def test_save_and_load_keep_the_lengthscales_bit_for_bit(tmp_path):

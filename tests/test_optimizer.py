@@ -114,6 +114,27 @@ def test_train_config_validation():
         train_config(5, elbo_samples=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3", None])
+def test_train_config_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    with pytest.raises(ContractError, match="seed"):
+        train_config(5, seed=seed)
+
+
+def test_train_config_takes_numpy_integer_seeds(tmp_path):
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=1)
+    path = str(tmp_path / "checkpoint.json")
+    options = {"checkpoint_every": 2, "checkpoint_path": path}
+    states = [
+        train(data, init, prior, cfg, train_config(3, seed=seed, **options)).state
+        for seed in (np.int64(4), np.uint16(4), 4)
+    ]
+    assert type(train_config(3, seed=np.int64(4)).seed) is int
+    for state in states[:2]:
+        np.testing.assert_array_equal(state.M, states[2].M)
+        np.testing.assert_array_equal(state.b, states[2].b)
+
+
 def test_zero_gradient_is_fixed_point():
     cfg, data, prior = tiny_problem()
     init = initial_state(prior, cfg, seed=1)

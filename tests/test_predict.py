@@ -13,11 +13,13 @@ from specgp import (
     assign_blocks,
     build_local_gram,
     kmeans_partition,
+    load_model,
     mnlp,
     mnlp_variance_floor,
     posterior_draws,
     predict_batch,
     rmse,
+    save_model,
     transform,
 )
 from specgp.features import basis_vector
@@ -76,6 +78,23 @@ def test_predict_config_validation():
         PredictConfig(n_samples=64, gamma_mix=float("nan"))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3", None])
+def test_predict_config_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    with pytest.raises(ContractError, match="seed"):
+        PredictConfig(n_samples=4, gamma_mix=0.0, seed=seed)
+
+
+def test_predict_config_takes_numpy_integer_seeds():
+    model = make_model(seed=2)
+    X_star = np.zeros((1, 2))
+    for seed in (np.int64(3), np.uint32(3), 3):
+        pcfg = PredictConfig(n_samples=4, gamma_mix=0.0, seed=seed)
+        got = predict_batch(X_star, model, pcfg)
+        want = predict_batch(X_star, model, PredictConfig(4, 0.0, seed=3))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_batch_matches_independent_loop():
     model = make_model(seed=1)
     rng = np.random.default_rng(2)
@@ -92,7 +111,10 @@ def test_batch_matches_independent_loop():
     "p, draws_per_chunk, chunk_sizes", [(3, 1, [1] * 10), (1, 3, [3, 3, 3, 1])]
 )
 def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, chunk_sizes):
-    # r = 10 is not a multiple of 3, so the last 3-draw chunk is short
+    # r = 10 is not a multiple of 3, so the last 3-draw chunk is short.  Both
+    # factor sources are chunked: the memo's identity-border rows (the model
+    # fits the memo budget) and the per-call phi_*-bordered factors (the
+    # budget patched to zero)
     model = make_model(seed=14, p=p)
     X_star = np.random.default_rng(15).normal(size=(5, 2))
     hit = set(np.unique(assign_blocks(X_star, model.partition)).tolist())
@@ -110,35 +132,203 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
         factorizations.append(a.shape[:-2])
         return cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(predict_module, "build_local_gram", recording_build)
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    # a draw's buffers hold 2m * (n_k + t_k) feature and K^2 factor elements;
-    # at p=1 that is 2m * (n + t) + K^2
-    cfg = model.spectral
-    n = model.partition.blocks[0][0].shape[0]
-    per_draw = cfg.num_features * (n + 5) + factor_order(5, cfg) ** 2
-    cap = draws_per_chunk * per_draw if p == 1 else 1
-    for gamma in (0.0, 0.4, -0.3):
-        pcfg = PredictConfig(n_samples=r, gamma_mix=gamma, seed=19)
+    def predict(pcfg):
+        model.predict_memo.clear()
         calls.clear()
         factorizations.clear()
-        whole = predict_batch(X_star, model, pcfg)
-        assert set(calls) == hit
-        assert all(sizes == [r] for sizes in calls.values())
-        assert factorizations == [(r,)] * len(hit)
+        return predict_batch(X_star, model, pcfg)
+
+    monkeypatch.setattr(predict_module, "build_local_gram", recording_build)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    # a draw's buffers hold 2m * n_k block feature and K^2 factor elements,
+    # plus 2m * t_k test-point feature elements per call; at p=1 that is
+    # 2m * n + K^2 with K = 4m + 1 for the memo and 2m * (n + t) + K^2 with
+    # K = factor_order(t) per call
+    cfg = model.spectral
+    n = model.partition.blocks[0][0].shape[0]
+    k = cfg.num_features
+    per_draw = {
+        "memo": k * n + (2 * k + 1) ** 2,
+        "per_call": k * (n + 5) + factor_order(5, cfg) ** 2,
+    }
+    for source, budget in (("memo", predict_module._MEMO_ELEMENTS), ("per_call", 0)):
+        monkeypatch.setattr(predict_module, "_MEMO_ELEMENTS", budget)
+        cap = draws_per_chunk * per_draw[source] if p == 1 else 1
+        for gamma in (0.0, 0.4, -0.3):
+            pcfg = PredictConfig(n_samples=r, gamma_mix=gamma, seed=19)
+            whole = predict(pcfg)
+            assert set(calls) == hit
+            assert all(sizes == [r] for sizes in calls.values())
+            assert factorizations == [(r,)] * len(hit)
+            with monkeypatch.context() as patch:
+                patch.setattr(predict_module, "_CHUNK_ELEMENTS", cap)
+                chunked = predict(pcfg)
+            # one entry per block hit, one stacked factorization per chunk
+            assert set(calls) == hit
+            assert all(sizes == chunk_sizes for sizes in calls.values())
+            assert factorizations == [(size,) for size in chunk_sizes] * len(hit)
+            assert bool(model.predict_memo) == (source == "memo")
+            reference = loop_reference(X_star, model, pcfg)
+            for got, want, ref in zip(chunked, whole, reference):
+                np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+                np.testing.assert_allclose(got, ref, atol=1e-12, rtol=0)
+
+
+def memo_elements(model):
+    return sum(
+        theta.size + s.size + sum(rows.size for rows in by_block.values())
+        for theta, s, by_block in model.predict_memo.values()
+    )
+
+
+def memo_need(model, r):
+    """Elements of a full memo entry: p r (2m + 1) 2m + r D."""
+    cfg = model.spectral
+    k = cfg.num_features
+    return model.partition.p * r * (k + 1) * k + r * cfg.alpha_dim
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The ``phi_star`` argument of each ``build_local_gram`` call, and the
+    stack shape of each ``np.linalg.cholesky`` call, in order."""
+    calls = {"build": [], "cholesky": []}
+    build = predict_module.build_local_gram
+    cholesky = np.linalg.cholesky
+
+    def recording_build(X_k, y_k, theta, phi_star, cfg, block_id=0):
+        calls["build"].append(phi_star)
+        return build(X_k, y_k, theta, phi_star, cfg, block_id=block_id)
+
+    def counting_cholesky(a, *args, **kwargs):
+        calls["cholesky"].append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(predict_module, "build_local_gram", recording_build)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return calls
+
+
+def test_warm_cold_and_loaded_memo_predict_the_same_bits(tmp_path, build_calls):
+    model = make_model(seed=21, p=4)
+    X_star = np.random.default_rng(22).normal(size=(9, 2))
+    pcfg = PredictConfig(n_samples=16, gamma_mix=0.3, seed=23)
+    assert memo_need(model, 16) <= predict_module._MEMO_ELEMENTS
+    cold = predict_batch(X_star, model, pcfg)
+    hit = np.unique(assign_blocks(X_star, model.partition)).size
+    assert len(build_calls["build"]) == hit
+    assert all(phi_star is None for phi_star in build_calls["build"])
+    build_calls["build"].clear()
+    build_calls["cholesky"].clear()
+    warm = predict_batch(X_star, model, pcfg)
+    # the warm call factors nothing
+    assert build_calls == {"build": [], "cholesky": []}
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert not loaded.predict_memo
+    fresh = predict_batch(X_star, loaded, pcfg)
+    for a, b, c in zip(cold, warm, fresh):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+    # one row at a time goes through the same memo rows
+    for j, x in enumerate(X_star):
+        one = predict_batch(x[None, :], model, pcfg)
+        assert one[0][0] == pytest.approx(cold[0][j], rel=1e-12, abs=1e-14)
+        assert one[1][0] == pytest.approx(cold[1][j], rel=1e-12, abs=1e-14)
+
+
+def test_memo_and_per_call_paths_agree_to_roundoff(monkeypatch):
+    # one block; at t = 1 and t = 2m = 4 test rows the memo reads the
+    # identity border and the per-call path the phi_* border, at t = 9 both
+    # read the identity border
+    model = make_model(seed=24, n=40, p=1)
+    rng = np.random.default_rng(25)
+    pcfg = PredictConfig(n_samples=32, gamma_mix=0.2, seed=26)
+    for t in (1, 4, 9):
+        X_star = rng.normal(size=(t, 2))
+        memo = predict_batch(X_star, model, pcfg)
+        assert model.predict_memo
         with monkeypatch.context() as patch:
-            patch.setattr(predict_module, "_CHUNK_ELEMENTS", cap)
-            calls.clear()
-            factorizations.clear()
-            chunked = predict_batch(X_star, model, pcfg)
-        # one entry per block hit, one stacked factorization per chunk
-        assert set(calls) == hit
-        assert all(sizes == chunk_sizes for sizes in calls.values())
-        assert factorizations == [(size,) for size in chunk_sizes] * len(hit)
-        reference = loop_reference(X_star, model, pcfg)
-        for got, want, ref in zip(chunked, whole, reference):
-            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(got, ref, atol=1e-12, rtol=0)
+            patch.setattr(predict_module, "_MEMO_ELEMENTS", 0)
+            per_call = predict_batch(X_star, make_model(seed=24, n=40, p=1), pcfg)
+        for got, want in zip(memo, per_call):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_gamma_mix_reuses_the_memo_entry(build_calls):
+    model = make_model(seed=27, p=3)
+    X_star = np.random.default_rng(28).normal(size=(6, 2))
+    predict_batch(X_star, model, PredictConfig(n_samples=12, gamma_mix=0.0, seed=29))
+    (key, entry), = model.predict_memo.items()
+    assert key == (29, 12)
+    build_calls["build"].clear()
+    for gamma in (0.5, -0.7, 1.0):
+        predict_batch(X_star, model, PredictConfig(n_samples=12, gamma_mix=gamma, seed=29))
+        assert build_calls["build"] == []
+        (key_now, entry_now), = model.predict_memo.items()
+        assert key_now == key and entry_now is entry
+
+
+def test_a_new_seed_or_sample_count_replaces_the_memo_entry(build_calls):
+    model = make_model(seed=30, p=3)
+    X_star = np.random.default_rng(31).normal(size=(6, 2))
+    hit = np.unique(assign_blocks(X_star, model.partition)).size
+    for seed, r in ((1, 8), (2, 8), (2, 9), (1, 8)):
+        build_calls["build"].clear()
+        predict_batch(X_star, model, PredictConfig(n_samples=r, gamma_mix=0.0, seed=seed))
+        assert list(model.predict_memo) == [(seed, r)]
+        # the replaced entry is rebuilt from scratch
+        assert len(build_calls["build"]) == hit
+        theta, s, by_block = model.predict_memo[(seed, r)]
+        assert theta.shape[0] == s.shape[0] == r
+        assert all(rows.shape == (r, 5, 4) for rows in by_block.values())
+
+
+def test_over_budget_predicts_per_call_and_keeps_the_entry(monkeypatch, build_calls):
+    model = make_model(seed=32, p=3)
+    X_star = np.random.default_rng(33).normal(size=(7, 2))
+    labels = assign_blocks(X_star, model.partition)
+    hit = np.unique(labels)
+    cfg = model.spectral
+    small = PredictConfig(n_samples=8, gamma_mix=0.0, seed=34)
+    large = PredictConfig(n_samples=9, gamma_mix=0.0, seed=34)
+    # the budget fits exactly the 8-draw entry, so the 9-draw one is over
+    monkeypatch.setattr(predict_module, "_MEMO_ELEMENTS", memo_need(model, 8))
+    predict_batch(X_star, model, small)
+    assert memo_elements(model) <= predict_module._MEMO_ELEMENTS
+    (entry,) = model.predict_memo.values()
+    build_calls["build"].clear()
+    build_calls["cholesky"].clear()
+    predict_batch(X_star, model, large)
+    # today's pattern: one phi_*-bordered stack of all 9 draws per block hit
+    counts = [int(np.sum(labels == k)) for k in hit]
+    assert [phi.shape for phi in build_calls["build"]] == [(9, 4, t) for t in counts]
+    assert build_calls["cholesky"] == [
+        (9, factor_order(t, cfg), factor_order(t, cfg)) for t in counts
+    ]
+    # the over-budget call stored nothing and evicted nothing
+    assert list(model.predict_memo) == [(34, 8)]
+    assert model.predict_memo[(34, 8)] is entry
+
+
+def test_memo_never_exceeds_its_budget(monkeypatch):
+    model = make_model(seed=35, n=60, p=5)
+    # the centroids hit every block
+    X_star = model.partition.centroids
+    for r in (4, 16, 64):
+        need = memo_need(model, r)
+        assert need <= predict_module._MEMO_ELEMENTS
+        pcfg = PredictConfig(n_samples=r, gamma_mix=0.0, seed=36)
+        for budget, stored in ((need, need), (need - 1, 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(predict_module, "_MEMO_ELEMENTS", budget)
+                fresh = make_model(seed=35, n=60, p=5)
+                predict_batch(X_star, fresh, pcfg)
+                assert memo_elements(fresh) == stored <= budget
+        # one model across sample counts holds the latest entry alone
+        predict_batch(X_star, model, pcfg)
+        assert memo_elements(model) == need
 
 
 def test_predict_point_matches_batch():
