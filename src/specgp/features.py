@@ -70,6 +70,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _set_counts(config, lows: dict) -> None:
+    """Check that each named field of the frozen dataclass ``config`` is an
+    integer (:func:`_is_integer`) at least its entry in ``lows``, and store
+    it as a Python ``int``: a numpy integer would not survive ``json.dumps``.
+    """
+    for name, low in lows.items():
+        value = getattr(config, name)
+        if not _is_integer(value) or value < low:
+            raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     """Dimensions and variance hyperparameters of the feature model.

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .features import TWO_PI, SpectralConfig, feature_matrix
+from .features import TWO_PI, SpectralConfig, _set_counts, feature_matrix
 from .variational import (
     PriorSpec,
     VariationalState,
@@ -72,10 +72,7 @@ class GradientSamplePlan:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_partition_samples < 1:
-            raise ContractError("n_partition_samples must be >= 1")
-        if self.n_z_samples < 1:
-            raise ContractError("n_z_samples must be >= 1")
+        _set_counts(self, {"n_partition_samples": 1, "n_z_samples": 1})
 
 
 def _residuals(y, X, theta, s, cfg: SpectralConfig):

@@ -50,7 +50,8 @@ class TrainedModel:
 
     Construction checks that the parts agree in dimension, so the kernels
     that later use them together need not.  The fields cannot be
-    reassigned, so ``predict_memo``, the factors that
+    reassigned and the arrays of the state and the partition are
+    read-only, so ``predict_memo``, the factors that
     :func:`~specgp.predict.predict_batch` keeps across calls, always
     belongs to the parts it was built from."""
 

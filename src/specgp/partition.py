@@ -46,11 +46,19 @@ class PartitionedDataset:
         in the package reads them after construction: model files store
         ``block_sizes()``, and prediction assigns test points by
         ``centroids``.
+
+    The block arrays and ``centroids`` are held as read-only views, so
+    nothing derived from them (a model's prediction memo) can go stale; the
+    arrays passed in stay writable.
     """
 
     blocks: list
     centroids: np.ndarray
     block_indices: list
+
+    def __post_init__(self):
+        self.blocks = [(_read_only(X_k), _read_only(y_k)) for X_k, y_k in self.blocks]
+        self.centroids = _read_only(self.centroids)
 
     @property
     def p(self) -> int:
@@ -62,6 +70,12 @@ class PartitionedDataset:
 
     def block_sizes(self) -> np.ndarray:
         return np.array([X.shape[0] for X, _ in self.blocks], dtype=int)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _nearest_centroid(X: np.ndarray, centroids: np.ndarray, dist: np.ndarray) -> np.ndarray:

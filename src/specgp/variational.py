@@ -38,6 +38,9 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 # considered numerically singular and may not be constructed.
 RCOND_MIN = 1e-13
 
+# transform maps a stack of draws in groups of this many (see there).
+DRAW_GROUP = 8
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -110,7 +113,9 @@ class VariationalState:
     ``rcond`` is the exact ``1 / (||M||_1 ||M^{-1}||_1)``, 0 if a norm
     overflows; a zero pivot or ``rcond <= 1e-13`` (``RCOND_MIN``, the one
     singularity threshold) raises :class:`NumericalError`.  Training halves
-    any step that would build such a state."""
+    any step that would build such a state.  ``M``, ``b`` and
+    ``inverse_transpose`` are read-only copies, so nothing derived from a
+    state (a model's prediction memo) can go stale."""
 
     __slots__ = ("M", "b", "rcond", "inverse_transpose")
 
@@ -137,6 +142,8 @@ class VariationalState:
                 f"M is numerically singular (rcond={self.rcond:.3e} <= {RCOND_MIN:g})"
             )
         self.inverse_transpose = inv.T
+        for array in (M, b, self.inverse_transpose):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -162,12 +169,28 @@ def transform(state: VariationalState, z, cfg: SpectralConfig):
     """Map a standard normal draw (or a stack) to ``alpha = M z + b``, split
     into frequencies ``theta`` ``([b,] m d)`` and weights ``s`` ``([b,] 2m)``.
 
-    Each part is a C-contiguous copy that owns its memory.
+    A stack is mapped in groups of ``DRAW_GROUP`` consecutive draws, the
+    full groups in one batched matmul and the remainder as a product of its
+    own, so a draw's bits depend only on the draws of its group: the rows
+    of a stack whose length is a multiple of ``DRAW_GROUP`` are the first
+    rows of any longer stack that extends it.  A single product over the
+    whole stack is not prefix-stable: BLAS rounds a column differently
+    with the number of columns.  Up to ``DRAW_GROUP`` draws are the plain
+    ``M z^T`` product, which a full group's batched matmul matches bit for
+    bit.  Each part is a C-contiguous copy that owns its memory.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != state.dim:
         raise ContractError(f"z must have shape ([b,] {state.dim}), got {z.shape}")
-    alpha = (state.M @ z.T).T + state.b
+    if z.ndim == 1 or z.shape[0] <= DRAW_GROUP:
+        alpha = (state.M @ z.T).T + state.b
+    else:
+        head = z.shape[0] // DRAW_GROUP * DRAW_GROUP
+        groups = np.swapaxes(z[:head].reshape(-1, DRAW_GROUP, state.dim), 1, 2)
+        alpha = np.empty(z.shape)
+        alpha[:head] = np.swapaxes(state.M @ groups, 1, 2).reshape(head, state.dim)
+        alpha[head:] = (state.M @ z[head:].T).T
+        alpha += state.b
     return alpha[..., : cfg.theta_dim].copy(), alpha[..., cfg.theta_dim :].copy()
 
 

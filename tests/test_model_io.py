@@ -405,13 +405,19 @@ def test_edge_values_round_trip_bit_for_bit(tmp_path):
     assert stored_array(read_json(model_path)["data"]["X"]).tobytes() == X.tobytes()
 
 
-def test_loaded_arrays_are_owned_and_writable(saved_files):
+def test_loaded_arrays_are_owned_float64(saved_files):
+    # the state's and the partition's arrays are read-only, as for any
+    # model, and view memory the model owns; the others are writable
     model = load_model(saved_files[0])
-    arrays = [model.state.M, model.state.b, model.prior.lengthscales, model.partition.centroids]
-    arrays += [a for block in model.partition.blocks for a in block]
-    arrays += [model.standardization.x_mean, model.standardization.x_scale]
-    for a in arrays:
-        assert a.flags.writeable and a.dtype == np.float64
+    frozen = [model.state.M, model.state.b, model.partition.centroids]
+    frozen += [a for block in model.partition.blocks for a in block]
+    free = [model.prior.lengthscales, model.standardization.x_mean]
+    free += [model.standardization.x_scale]
+    for a in frozen + free:
+        assert a.dtype == np.float64
+        assert (a if a.base is None else a.base).flags.owndata
+    assert not any(a.flags.writeable for a in frozen)
+    assert all(a.flags.writeable for a in free)
     X_0 = model.partition.blocks[0][0]
     assert all(X_k.base is X_0.base for X_k, _ in model.partition.blocks)
     assert X_0.base.flags.owndata

@@ -114,6 +114,32 @@ def test_train_config_validation():
         train_config(5, elbo_samples=0)
 
 
+@pytest.mark.parametrize("name", ["iterations", "checkpoint_every", "elbo_every", "elbo_samples"])
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2", None])
+def test_train_config_refuses_counts_that_are_not_integers(name, value):
+    options = {"iterations": 5, "checkpoint_path": "unused.json", name: value}
+    with pytest.raises(ContractError, match=name):
+        train_config(**options)
+
+
+def test_train_config_stores_numpy_integer_counts_as_int():
+    counts = {"iterations": 5, "checkpoint_every": 2, "elbo_every": 3, "elbo_samples": 4}
+    tcfg = train_config(
+        checkpoint_path="unused.json", **{name: np.int64(v) for name, v in counts.items()}
+    )
+    assert {name: getattr(tcfg, name) for name in counts} == counts
+    assert all(type(getattr(tcfg, name)) is int for name in counts)
+    plan = GradientSamplePlan(np.int64(2), np.uint8(3))
+    assert (plan.n_partition_samples, plan.n_z_samples) == (2, 3)
+    assert type(plan.n_partition_samples) is int and type(plan.n_z_samples) is int
+
+
+@pytest.mark.parametrize("counts", [(2, 2.5), (2.0, 2), (True, 2), (2, False), (2, "2"), (0, 2)])
+def test_gradient_sample_plan_refuses_counts_that_are_not_integers_at_least_one(counts):
+    with pytest.raises(ContractError, match="n_"):
+        GradientSamplePlan(*counts)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3", None])
 def test_train_config_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
     with pytest.raises(ContractError, match="seed"):

@@ -194,3 +194,23 @@ def test_partitioned_dataset_accessors():
         part.block_sizes(), [len(Xk) for Xk, _ in part.blocks]
     )
     assert isinstance(part, PartitionedDataset)
+
+
+def test_partition_arrays_are_read_only_views():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    part = kmeans_partition(X, y, p=3, seed=1)
+    arrays = [part.centroids] + [a for block in part.blocks for a in block]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] += 1.0
+    # a dataset built by hand holds read-only views; the caller's arrays
+    # stay writable
+    X_k, y_k, centroids = X[:5].copy(), y[:5].copy(), X[:1].copy()
+    by_hand = PartitionedDataset(
+        blocks=[(X_k, y_k)], centroids=centroids, block_indices=[np.arange(5)]
+    )
+    assert all(a.flags.writeable for a in (X_k, y_k, centroids))
+    assert not any(a.flags.writeable for a in (*by_hand.blocks[0], by_hand.centroids))
+    assert np.shares_memory(by_hand.blocks[0][0], X_k)

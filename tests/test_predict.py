@@ -78,6 +78,23 @@ def test_predict_config_validation():
         PredictConfig(n_samples=64, gamma_mix=float("nan"))
 
 
+@pytest.mark.parametrize("n_samples", [0, 1.5, True, np.float64(2.0), "3", None])
+def test_predict_config_refuses_a_sample_count_that_is_not_an_integer_at_least_one(n_samples):
+    with pytest.raises(ContractError, match="n_samples"):
+        PredictConfig(n_samples=n_samples, gamma_mix=0.0)
+
+
+def test_predict_config_takes_numpy_integer_sample_counts():
+    model = make_model(seed=2)
+    X_star = np.zeros((1, 2))
+    pcfg = PredictConfig(n_samples=np.int64(4), gamma_mix=0.0, seed=3)
+    assert type(pcfg.n_samples) is int and pcfg.n_samples == 4
+    got = predict_batch(X_star, model, pcfg)
+    want = predict_batch(X_star, make_model(seed=2), PredictConfig(4, 0.0, seed=3))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3", None])
 def test_predict_config_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
     with pytest.raises(ContractError, match="seed"):
@@ -142,15 +159,18 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     # a draw's buffers hold 2m * n_k block feature and K^2 factor elements,
     # plus 2m * t_k test-point feature elements per call; at p=1 that is
-    # 2m * n + K^2 with K = 4m + 1 for the memo and 2m * (n + t) + K^2 with
-    # K = factor_order(t) per call
+    # 2m * n + 2 K^2 with K = 4m + 1 for the memo, which holds each
+    # bordered matrix and its factor, within _IDENTITY_CHUNK_ELEMENTS, and
+    # 2m * (n + t) + K^2 with K = factor_order(t) per call, within
+    # _CHUNK_ELEMENTS
     cfg = model.spectral
     n = model.partition.blocks[0][0].shape[0]
     k = cfg.num_features
     per_draw = {
-        "memo": k * n + (2 * k + 1) ** 2,
+        "memo": k * n + 2 * (2 * k + 1) ** 2,
         "per_call": k * (n + 5) + factor_order(5, cfg) ** 2,
     }
+    chunk_budget = {"memo": "_IDENTITY_CHUNK_ELEMENTS", "per_call": "_CHUNK_ELEMENTS"}
     for source, budget in (("memo", predict_module._MEMO_ELEMENTS), ("per_call", 0)):
         monkeypatch.setattr(predict_module, "_MEMO_ELEMENTS", budget)
         cap = draws_per_chunk * per_draw[source] if p == 1 else 1
@@ -161,7 +181,7 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
             assert all(sizes == [r] for sizes in calls.values())
             assert factorizations == [(r,)] * len(hit)
             with monkeypatch.context() as patch:
-                patch.setattr(predict_module, "_CHUNK_ELEMENTS", cap)
+                patch.setattr(predict_module, chunk_budget[source], cap)
                 chunked = predict(pcfg)
             # one entry per block hit, one stacked factorization per chunk
             assert set(calls) == hit
@@ -261,7 +281,7 @@ def test_gamma_mix_reuses_the_memo_entry(build_calls):
     X_star = np.random.default_rng(28).normal(size=(6, 2))
     predict_batch(X_star, model, PredictConfig(n_samples=12, gamma_mix=0.0, seed=29))
     (key, entry), = model.predict_memo.items()
-    assert key == (29, 12)
+    assert key == 29
     build_calls["build"].clear()
     for gamma in (0.5, -0.7, 1.0):
         predict_batch(X_star, model, PredictConfig(n_samples=12, gamma_mix=gamma, seed=29))
@@ -271,18 +291,20 @@ def test_gamma_mix_reuses_the_memo_entry(build_calls):
 
 
 def test_a_new_seed_or_sample_count_replaces_the_memo_entry(build_calls):
+    # a new seed or a larger count replaces the entry; a smaller count of
+    # the same seed reads the first rows of the one it holds
     model = make_model(seed=30, p=3)
     X_star = np.random.default_rng(31).normal(size=(6, 2))
     hit = np.unique(assign_blocks(X_star, model.partition)).size
-    for seed, r in ((1, 8), (2, 8), (2, 9), (1, 8)):
+    for seed, r, held in ((1, 8, 8), (2, 8, 8), (2, 9, 9), (2, 5, 9), (1, 8, 8)):
         build_calls["build"].clear()
         predict_batch(X_star, model, PredictConfig(n_samples=r, gamma_mix=0.0, seed=seed))
-        assert list(model.predict_memo) == [(seed, r)]
+        assert list(model.predict_memo) == [seed]
         # the replaced entry is rebuilt from scratch
-        assert len(build_calls["build"]) == hit
-        theta, s, by_block = model.predict_memo[(seed, r)]
-        assert theta.shape[0] == s.shape[0] == r
-        assert all(rows.shape == (r, 5, 4) for rows in by_block.values())
+        assert len(build_calls["build"]) == (hit if held == r else 0)
+        theta, s, by_block = model.predict_memo[seed]
+        assert theta.shape[0] == s.shape[0] == held
+        assert all(rows.shape == (held, 5, 4) for rows in by_block.values())
 
 
 def test_over_budget_predicts_per_call_and_keeps_the_entry(monkeypatch, build_calls):
@@ -308,8 +330,77 @@ def test_over_budget_predicts_per_call_and_keeps_the_entry(monkeypatch, build_ca
         (9, factor_order(t, cfg), factor_order(t, cfg)) for t in counts
     ]
     # the over-budget call stored nothing and evicted nothing
-    assert list(model.predict_memo) == [(34, 8)]
-    assert model.predict_memo[(34, 8)] is entry
+    assert list(model.predict_memo) == [34]
+    assert model.predict_memo[34] is entry
+    assert entry[0].shape[0] == 8
+
+
+@pytest.mark.parametrize("chunk_elements", [predict_module._IDENTITY_CHUNK_ELEMENTS, 800])
+def test_a_smaller_count_reads_a_larger_entry_bit_for_bit(tmp_path, monkeypatch, build_calls,
+                                                          chunk_elements):
+    # the entry holds 256 draws; a call of fewer reads its first rows and
+    # gives the bits of a fresh model and of a loaded one, whose entries
+    # are built at the call's count.  At 800 elements the identity rows
+    # are built three or four draws at a time, so the last chunk of a
+    # smaller entry is cut short where the larger entry's is not
+    monkeypatch.setattr(predict_module, "_IDENTITY_CHUNK_ELEMENTS", chunk_elements)
+    model = make_model(seed=37, p=4)
+    X_star = np.random.default_rng(38).normal(size=(11, 2))
+    assert memo_need(model, 256) <= predict_module._MEMO_ELEMENTS
+    # the centroids hit every block, so every block's rows hold 256 draws
+    predict_batch(model.partition.centroids, model, PredictConfig(256, 0.0, seed=39))
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    for r in (1, 7, 13, 64, 200):
+        pcfg = PredictConfig(n_samples=r, gamma_mix=0.3, seed=39)
+        build_calls["build"].clear()
+        held = predict_batch(X_star, model, pcfg)
+        assert build_calls["build"] == []
+        theta, s, by_block = model.predict_memo[39]
+        assert theta.shape[0] == s.shape[0] == 256
+        assert all(rows.shape[0] == 256 for rows in by_block.values())
+        for other in (make_model(seed=37, p=4), load_model(path)):
+            fresh = predict_batch(X_star, other, pcfg)
+            assert other.predict_memo[39][0].shape[0] == r
+            for a, b in zip(held, fresh):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_no_chunk_reads_past_the_call_count(monkeypatch):
+    # at 40 elements a single-row block reads the memo 5 draws at a time,
+    # so 13 draws are read as 5, 5 and 3 though the entry holds 256
+    model = make_model(seed=40, p=3)
+    X_star = model.partition.centroids
+    predict_batch(X_star, model, PredictConfig(256, 0.0, seed=41))
+    seen = []
+    moments = predict_module.conditional_moments
+
+    def recording_moments(factor, phi_star, s, gamma_mix, noise_variance):
+        seen.append((factor.shape[0], phi_star.shape[0], s.shape[0]))
+        return moments(factor, phi_star, s, gamma_mix, noise_variance)
+
+    monkeypatch.setattr(predict_module, "conditional_moments", recording_moments)
+    monkeypatch.setattr(predict_module, "_CHUNK_ELEMENTS", 40)
+    predict_batch(X_star, model, PredictConfig(13, 0.0, seed=41))
+    assert model.predict_memo[41][0].shape[0] == 256
+    assert seen == [(size, size, size) for size in (5, 5, 3)] * model.partition.p
+
+
+def test_model_arrays_cannot_be_edited_in_place():
+    # the memo would go stale if they could
+    model = make_model(seed=42, p=3)
+    X_star = np.random.default_rng(43).normal(size=(4, 2))
+    pcfg = PredictConfig(n_samples=8, gamma_mix=0.0, seed=44)
+    before = predict_batch(X_star, model, pcfg)
+    arrays = [model.state.M, model.state.b, model.state.inverse_transpose]
+    arrays += [model.partition.centroids]
+    arrays += [a for block in model.partition.blocks for a in block]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] += 1.0
+    after = predict_batch(X_star, make_model(seed=42, p=3), pcfg)
+    for a, b in zip(before, after):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_memo_never_exceeds_its_budget(monkeypatch):

@@ -16,7 +16,7 @@ from specgp import (
     kl_term_gradient,
     transform,
 )
-from specgp.variational import second_moments
+from specgp.variational import DRAW_GROUP, second_moments
 
 
 def make_cfg(d=2, m=2, ss2=1.4, sn2=0.2):
@@ -188,6 +188,52 @@ def test_transform_matvec_oracle():
     np.testing.assert_allclose(alpha, manual, atol=1e-12)
     with pytest.raises(ContractError):
         transform(state, z[:-1], cfg)
+
+
+def test_transform_of_at_most_one_group_is_the_plain_product():
+    cfg = make_cfg(d=4, m=8)
+    rng = np.random.default_rng(4)
+    D = cfg.alpha_dim
+    state = random_state(rng, D)
+    z = rng.normal(size=(DRAW_GROUP, D))
+    for r in range(1, DRAW_GROUP + 1):
+        alpha = np.concatenate(transform(state, z[:r], cfg), axis=-1)
+        np.testing.assert_array_equal(alpha, (state.M @ z[:r].T).T + state.b)
+    np.testing.assert_array_equal(
+        np.concatenate(transform(state, z[0], cfg)), state.M @ z[0] + state.b
+    )
+
+
+@pytest.mark.parametrize("d, m", [(2, 5), (4, 16)])
+def test_transform_draws_are_prefix_stable_in_whole_groups(d, m):
+    # D = 20 and 96: the rows of a stack padded to whole groups are the
+    # first rows of a longer stack, bit for bit, for every length
+    cfg = make_cfg(d=d, m=m)
+    rng = np.random.default_rng(5)
+    D = cfg.alpha_dim
+    state = random_state(rng, D)
+    z = rng.normal(size=(304, D))
+    longest = np.concatenate(transform(state, z, cfg), axis=-1)
+    for r in range(1, 301):
+        padded = -(-r // DRAW_GROUP) * DRAW_GROUP
+        alpha = np.concatenate(transform(state, z[:padded], cfg), axis=-1)
+        np.testing.assert_array_equal(alpha[:r], longest[:r])
+
+
+def test_state_arrays_are_read_only():
+    rng = np.random.default_rng(6)
+    state = random_state(rng, 4)
+    M_before, b_before = state.M.copy(), state.b.copy()
+    for array in (state.M, state.b, state.inverse_transpose):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] += 1.0
+    np.testing.assert_array_equal(state.M, M_before)
+    np.testing.assert_array_equal(state.b, b_before)
+    # the state holds its own copies: the caller's arrays stay writable
+    M, b = M_before.copy(), b_before.copy()
+    VariationalState(M, b)
+    assert M.flags.writeable and b.flags.writeable
 
 
 def test_second_moments_match_dense_covariance():
