@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError
-from .features import SpectralConfig, feature_matrix
+from .features import SpectralConfig, _as_count, feature_matrix
 from .variational import PriorSpec
 
 _MISSING_TOKENS = {"", "nan", "na", "null", "none"}
@@ -192,8 +192,7 @@ def split_indices(n: int, train_fraction: float, seed: int = 0):
     train side always keeps at least one row; ``train_fraction = 1``
     leaves the test side empty.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    n, seed = _as_count("n", n, 1), _as_count("seed", seed, 0)
     if not 0.0 < train_fraction <= 1.0:
         raise ContractError(f"train_fraction must be in (0, 1], got {train_fraction}")
     order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
@@ -229,12 +228,9 @@ def synth_ssgp(
         vector ``alpha`` (cosines, then sines), so ``y`` equals
         ``feature_matrix(X, theta, cfg).T @ s`` up to roundoff.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    n, seed = _as_count("n", n, 1), _as_count("seed", seed, 0)
     if not (np.isfinite(noise) and noise >= 0):
         raise ContractError(f"noise must be finite and >= 0, got {noise!r}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # noise_variance is irrelevant to feature evaluation; 1.0 is a placeholder.
     cfg = SpectralConfig(d=d, m=m_true, signal_variance=signal_variance, noise_variance=1.0)

@@ -70,16 +70,20 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _as_count(name: str, value, low: int) -> int:
+    """``value`` as a Python ``int`` if it is an integer (:func:`_is_integer`)
+    at least ``low``, else :class:`ContractError`; a numpy integer would not
+    survive ``json.dumps``."""
+    if not _is_integer(value) or value < low:
+        raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _set_counts(config, lows: dict) -> None:
-    """Check that each named field of the frozen dataclass ``config`` is an
-    integer (:func:`_is_integer`) at least its entry in ``lows``, and store
-    it as a Python ``int``: a numpy integer would not survive ``json.dumps``.
-    """
+    """Store each named field of the frozen dataclass ``config`` as
+    :func:`_as_count` of it, at least its entry in ``lows``."""
     for name, low in lows.items():
-        value = getattr(config, name)
-        if not _is_integer(value) or value < low:
-            raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(config, name, int(value))
+        object.__setattr__(config, name, _as_count(name, getattr(config, name), low))
 
 
 @dataclass(frozen=True)

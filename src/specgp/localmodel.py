@@ -21,29 +21,24 @@ to the block; ``|gamma_mix| = 1`` collapses the variance to zero because
 the conditional then degenerates onto the sampled weights.
 
 ``w`` and ``h`` come out of one Cholesky factorization, with no triangular
-solve.  For the ``t`` test points of a block, :func:`build_local_gram`
-factors the bordered matrix
+solve.  :func:`build_local_gram` factors the bordered matrix
 
     A = [[Gamma_k, .], [R^T, C]],    R = [Phi y_k | B],
 
 whose lower factor is ``[[L, 0], [(L^{-1} R)^T, L_C]]``: its row ``2m`` is
-``w^T`` and the rows below it are ``(L^{-1} B)^T``.  The caller picks the
-border ``B`` through ``phi_star``:
+``w^T`` and the rows below it are ``(L^{-1} B)^T``.  There are two borders
+``B``, and the caller picks one:
 
-* ``phi_star`` of ``t <= 2m`` points: ``B = phi_*``, so those rows are
-  ``h^T`` itself and the factor has order ``2m + 1 + t``;
-* ``phi_star`` of ``t > 2m`` points: ``B = I_{2m}``, so they are ``L^{-T}``
-  and the factor has order ``4m + 1``;
-* ``phi_star=None``: the identity border without test points, of which
-  only the rows ``[2m:, :2m]``, ``w^T`` then ``L^{-T}``, are returned.
-  They serve any test points of the block for the same ``theta``, so
-  prediction keeps them across calls (see :mod:`specgp.predict`).
+* the features ``phi_*`` of ``t`` test points, so those rows are ``h^T``
+  itself and ``A`` has order ``2m + 1 + t``;
+* the identity ``I_{2m}`` (``phi_star=None``), so they are ``L^{-T}``,
+  ``A`` has order ``4m + 1``, and ``h^T = phi_*^T L^{-T}`` for any test
+  points of the block takes one more matmul.
 
-:func:`conditional_moments` tells the borders apart by the factor's order
-alone: only a ``phi_*``-bordered factor has ``2m + 1 + t`` columns.  For
-the other two it forms ``h^T = phi_*^T L^{-T}`` in one batched matmul.
-The order of ``A`` is ``2m + 1 + min(t, 2m)`` (:func:`factor_order`), or
-``4m + 1`` for the identity border.  The trailing block is
+The identity border's rows serve any test points of the block for the
+same ``theta``.  Which border a call uses is decided in
+:mod:`specgp.predict`; :func:`conditional_moments` takes ``w`` and
+``h^T`` from either.  The trailing block is
 ``C = (2 ||R||_F^2 / ridge + 1) I``, with ``ridge`` the diagonal of
 ``noise_variance * Lambda^{-1}``: ``Gamma_k >= ridge I`` gives
 ``R^T Gamma_k^{-1} R <= (||R||_F^2 / ridge) I``, so the Schur complement
@@ -116,15 +111,10 @@ def _cholesky(a: np.ndarray, k: int, block_id: int) -> np.ndarray:
     return chol
 
 
-def factor_order(t: int, cfg: SpectralConfig) -> int:
-    """Order ``2m + 1 + min(t, 2m)`` of the bordered matrix that
-    :func:`build_local_gram` factors for ``t`` test points."""
-    return cfg.num_features + 1 + min(t, cfg.num_features)
-
-
 def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: int = 0):
-    """Assemble and factorize the bordered ``Gamma_k`` of one data block, per
-    ``theta`` of a stack (see the module docstring).
+    """Assemble and factorize ``Gamma_k`` of one data block bordered by
+    ``phi_star``, or by the identity when it is None, per ``theta`` of a
+    stack (see the module docstring).
 
     The inputs are trusted: the block comes from a validated partition
     (``kmeans_partition`` or a loaded model), ``theta`` from a validated
@@ -143,8 +133,8 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
         Frequencies used to evaluate the features, or a stack of ``b`` of
         them; the stack is factorized in one call.
     phi_star : numpy.ndarray, shape (2m, t) or (b, 2m, t), or None
-        Features of the block's ``t`` test points for the same ``theta``;
-        ``t`` picks the border.  ``None`` asks for the identity border.
+        Features of the block's ``t`` test points for the same ``theta``,
+        the border; ``None`` borders with the identity ``I_{2m}``.
     cfg : SpectralConfig
     block_id : int, optional
         Identifier carried by the :class:`NumericalError` raised when a
@@ -152,19 +142,16 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
 
     Returns
     -------
-    numpy.ndarray, shape (K, K) or (b, K, K); (2m + 1, 2m) or (b, 2m + 1, 2m)
-        The lower Cholesky factors of the bordered matrices, with
-        ``K = factor_order(t, cfg)``: ``[:2m, :2m]`` is ``L``, row ``2m``
-        holds ``w^T`` and the rows below hold ``h^T`` (``t <= 2m``) or
-        ``L^{-T}`` (``t > 2m``) in their first ``2m`` columns.  For
-        ``phi_star=None``, only those ``2m + 1`` rows and ``2m`` columns,
-        ``w^T`` then ``L^{-T}``.
+    numpy.ndarray, shape (K, K) or (b, K, K)
+        The lower Cholesky factors of the bordered matrices, of order
+        ``K = 2m + 1 + t``, or ``4m + 1`` for the identity border:
+        ``[:2m, :2m]`` is ``L``, row ``2m`` holds ``w^T`` and the rows
+        below hold ``h^T`` (``phi_star``) or ``L^{-T}`` (``None``) in their
+        first ``2m`` columns.
     """
     k = cfg.num_features
-    # None borders as any t > 2m does: with the identity.
-    t = k + 1 if phi_star is None else phi_star.shape[-1]
     phi = feature_matrix(X_k, theta, cfg)
-    order = factor_order(t, cfg)
+    order = k + 1 + (k if phi_star is None else phi_star.shape[-1])
     a = np.zeros(phi.shape[:-2] + (order, order))
     gamma = a[..., :k, :k]
     np.matmul(phi, np.swapaxes(phi, -1, -2), out=gamma)
@@ -175,22 +162,21 @@ def build_local_gram(X_k, y_k, theta, phi_star, cfg: SpectralConfig, block_id: i
     # R^T: the row (Phi y_k)^T, then the border's rows.
     border = a[..., k:, :k]
     np.matmul(phi, y_k, out=border[..., 0, :])
-    if t <= k:
-        border[..., 1:, :] = np.swapaxes(phi_star, -1, -2)
-    else:
+    if phi_star is None:
         border[..., 1 + diag, diag] = 1.0
+    else:
+        border[..., 1:, :] = np.swapaxes(phi_star, -1, -2)
     trailing = np.arange(k, order)
     c = 2.0 * np.einsum("...ij,...ij->...", border, border) / ridge + 1.0
     a[..., trailing, trailing] = c[..., None]
-    factor = _cholesky(a, k, block_id)
-    return factor[..., k:, :k] if phi_star is None else factor
+    return _cholesky(a, k, block_id)
 
 
-def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: float):
-    """Mixed predictive moments at ``t`` test points, per factor of a stack.
+def conditional_moments(w, h_t, phi_star, s, gamma_mix: float, noise_variance: float):
+    """Mixed predictive moments at ``t`` test points, per draw of a stack.
 
-    ``w`` and ``h`` are read off the bordered factor (the module docstring
-    gives the layout); then
+    From ``w`` and ``h^T`` (the module docstring gives both and how the
+    factor of :func:`build_local_gram` yields them),
 
         mean     = gamma_mix * phi_*^T s + (1 - gamma_mix) * h^T w
         variance = (1 - gamma_mix^2) * noise_variance * ||h||^2,
@@ -199,12 +185,13 @@ def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: f
 
     Parameters
     ----------
-    factor : numpy.ndarray, shape (K, K) or (b, K, K); (2m + 1, 2m) or (b, 2m + 1, 2m)
-        What :func:`build_local_gram` returned for the same ``theta`` (or
-        stack), and for ``phi_star`` or ``None``.
+    w : numpy.ndarray, shape (2m,) or (b, 2m)
+        ``L^{-1} Phi y_k``.
+    h_t : numpy.ndarray, shape (t, 2m) or (b, t, 2m)
+        ``(L^{-1} phi_*)^T``.
     phi_star : numpy.ndarray, shape (2m, t) or (b, 2m, t)
         Test-point features, as :func:`~specgp.features.feature_matrix`
-        returns them.
+        returns them; only the basis mean reads them.
     s : numpy.ndarray, shape (2m,) or (b, 2m)
         Weight draws, in the order of the feature rows.
 
@@ -212,14 +199,6 @@ def conditional_moments(factor, phi_star, s, gamma_mix: float, noise_variance: f
     -------
     (mean, variance) : pair of numpy.ndarray, shape (t,) or (b, t)
     """
-    k, t = phi_star.shape[-2:]
-    order = factor.shape[-1]
-    rows = factor if order == k else factor[..., k:, :k]
-    w = rows[..., 0, :]
-    h_t = rows[..., 1:, :]
-    if order != k + 1 + t:
-        # Not bordered by phi_*: the rows hold L^{-T}, and h^T = phi_*^T L^{-T}.
-        h_t = np.swapaxes(phi_star, -1, -2) @ h_t
     mean = (1.0 - gamma_mix) * np.sum(h_t * w[..., None, :], axis=-1)
     if gamma_mix != 0.0:
         # At gamma_mix = 0 the basis mean phi_*^T s is multiplied by zero.

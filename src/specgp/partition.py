@@ -24,22 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .features import _as_count
 
 # Rows per chunk when computing point-to-centroid distances; keeps the
 # distance buffer around chunk * p doubles regardless of n.
 _CHUNK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionedDataset:
     """Training data split into blocks, plus the centroids that define them.
 
     Attributes
     ----------
-    blocks : list of (X_i, y_i) tuples
+    blocks : tuple of (X_i, y_i) tuples
         Per-block inputs ``(n_i, d)`` and targets ``(n_i,)``.
     centroids : numpy.ndarray, shape (p, d)
-    block_indices : list of numpy.ndarray
+    block_indices : tuple of numpy.ndarray
         Row indices of each block's points.  From :func:`kmeans_partition`
         they index the ``X`` it was given; for a loaded model they are the
         consecutive ranges of the model file's block-ordered data.  Nothing
@@ -47,18 +48,21 @@ class PartitionedDataset:
         ``block_sizes()``, and prediction assigns test points by
         ``centroids``.
 
-    The block arrays and ``centroids`` are held as read-only views, so
-    nothing derived from them (a model's prediction memo) can go stale; the
-    arrays passed in stay writable.
+    The fields cannot be reassigned, ``blocks`` and ``block_indices`` are
+    tuples, and the block arrays and ``centroids`` are held as read-only
+    views, so nothing derived from them (a model's prediction memo) can go
+    stale; the sequences and arrays passed in stay as they are.
     """
 
-    blocks: list
+    blocks: tuple
     centroids: np.ndarray
-    block_indices: list
+    block_indices: tuple
 
     def __post_init__(self):
-        self.blocks = [(_read_only(X_k), _read_only(y_k)) for X_k, y_k in self.blocks]
-        self.centroids = _read_only(self.centroids)
+        blocks = tuple((_read_only(X_k), _read_only(y_k)) for X_k, y_k in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "centroids", _read_only(self.centroids))
+        object.__setattr__(self, "block_indices", tuple(self.block_indices))
 
     @property
     def p(self) -> int:
@@ -157,7 +161,7 @@ def kmeans_partition(
     p : int
         Number of blocks; must satisfy ``1 <= p <= n``.
     seed : int
-        Drives both the k-means++ seeding and nothing else; identical
+        Drives the k-means++ seeding, the only random step; identical
         inputs and seed give identical blocks.
     max_iters : int
         Upper bound on Lloyd iterations.
@@ -177,10 +181,10 @@ def kmeans_partition(
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ContractError("X and y must be finite")
     n = X.shape[0]
-    if not 1 <= p <= n:
+    p = _as_count("p", p, 1)
+    max_iters, seed = _as_count("max_iters", max_iters, 1), _as_count("seed", seed, 0)
+    if p > n:
         raise ContractError(f"p must satisfy 1 <= p <= n={n}, got {p}")
-    if max_iters < 1:
-        raise ContractError("max_iters must be >= 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = _kmeanspp_seed(X, p, rng)

@@ -11,35 +11,38 @@ one stream per seed (:func:`posterior_draws`), taken up to a multiple of
 ``DRAW_GROUP`` rows, which :func:`transform` maps a group at a time, and
 cut back to ``r``.
 
+*The border.*  Of the two borders of
+:func:`~specgp.localmodel.build_local_gram`, a block's ``t_k`` test
+points of a call are served by the ``phi_*`` border, with ``h^T`` read
+off the factor, only when the call does not use the memo (below) and
+``t_k <= 2m``; otherwise by the identity border, with
+``h^T = phi_*^T L^{-T}``.  This is the one place that rule lives.
+
 *The memo.*  A model keeps one memo entry, keyed by the seed alone: the
 draws ``(theta, s)`` of the largest ``n_samples`` seen and, per block,
-filled on the block's first hit, the ``(r, 2m + 1, 2m)`` rows of its
-identity-border factors for all of them, built in draw chunks of at most
-``_IDENTITY_CHUNK_ELEMENTS`` elements.  A call of ``n_samples`` up to the
-entry's reads its first ``n_samples`` draws and rows.  ``gamma_mix`` only
-enters :func:`~specgp.localmodel.conditional_moments`, so it is not part
-of the key.  A call with another seed, or with more draws than the entry
-holds, replaces the entry.  The memo is used only when an entry of the
-call's ``n_samples``, ``p r (2m + 1) 2m + r D`` elements, fits
+filled on the block's first hit, the ``(r, 2m + 1, 2m)`` rows ``w^T`` and
+``L^{-T}`` of its identity-border factors for all of them, built in draw
+chunks of at most ``_IDENTITY_CHUNK_ELEMENTS`` elements.  A call of
+``n_samples`` up to the entry's reads its first ``n_samples`` draws and
+rows.  ``gamma_mix`` only enters
+:func:`~specgp.localmodel.conditional_moments`, so it is not part of the
+key.  A call with another seed, or with more draws than the entry holds,
+replaces the entry.  The memo is used only when an entry of the call's
+``n_samples``, ``p r (2m + 1) 2m + r D`` elements, fits
 ``_MEMO_ELEMENTS`` (8 MiB of float64), which is decided from the model and
-the config alone:
-
-* within that budget, a call featurizes its test points and reads each
-  block's moments off the memo's rows with one batched ``phi_*^T L^{-T}``
-  matmul per chunk of draws;
-* above it, a call stores nothing, leaves the entry as it is, and per
-  block that the batch hits factors the chunk's local Gram matrices
-  bordered by the ``(r_c, 2m, t_k)`` features of the block's ``t_k`` test
-  points (the identity when ``t_k > 2m``) in one stacked call.
+the config alone.  Above that budget a call stores nothing, leaves the
+entry as it is, and per block that the batch hits factors each chunk's
+bordered local Gram matrices in one stacked call.
 
 A given model and config thus always take the same path with the same
 chunks, so a call gives the same bits with the memo warm or cold, built
 at its ``n_samples`` or at a larger one, and for a saved-then-loaded
 model.  The memo trusts that nothing changes a model's arrays:
-:class:`~specgp.model_io.TrainedModel`'s fields cannot be reassigned, and
-the arrays of its state and partition are read-only.  On the per-call
-path, a chunk keeps ``r_c * (2m (n_k + t_k) + K^2)`` elements, its block
-and test-point feature stacks and its bordered factors of order
+:class:`~specgp.model_io.TrainedModel`'s fields cannot be reassigned, nor
+can its partition's, and the arrays of its state and partition are
+read-only.  On the per-call path, a chunk keeps
+``r_c * (2m (n_k + t_k) + K^2)`` elements, its block and test-point
+feature stacks and its bordered factors of order
 ``K = 2m + 1 + min(t_k, 2m)``, within ``_CHUNK_ELEMENTS``, so memory stays
 bounded for any ``r``.  The moments are mixed across draws as
 
@@ -61,7 +64,7 @@ import numpy as np
 
 from .errors import ContractError
 from .features import _set_counts, feature_matrix
-from .localmodel import build_local_gram, conditional_moments, factor_order
+from .localmodel import build_local_gram, conditional_moments
 from .model_io import TrainedModel
 from .partition import assign_blocks
 from .variational import DRAW_GROUP, transform
@@ -149,35 +152,41 @@ def _identity_rows(X_k, y_k, theta, cfg, block_id):
     chunk = max(1, _IDENTITY_CHUNK_ELEMENTS // per_draw)
     for start in range(0, theta.shape[0], chunk):
         c = slice(start, start + chunk)
-        rows[c] = build_local_gram(X_k, y_k, theta[c], None, cfg, block_id=block_id)
+        rows[c] = build_local_gram(X_k, y_k, theta[c], None, cfg, block_id=block_id)[:, k:, :k]
     return rows
 
 
 def _block_chunks(model: TrainedModel, k, X_rows, theta, r, memo_rows):
-    """``(draw slice, factor, phi_star)`` per chunk of the first ``r`` draws
-    for the test rows ``X_rows`` of block ``k``: the memo's rows when
-    ``memo_rows`` is a dict (filled for ``k``, over all of ``theta``, on
-    first use), else a per-call factor.  No slice reaches past ``r``,
-    though the memo may hold more draws."""
+    """``(draw slice, w, h^T, phi_star)`` per chunk of the first ``r`` draws
+    for the test rows ``X_rows`` of block ``k``, on the border the module
+    docstring's rule picks: the memo's rows when ``memo_rows`` is a dict
+    (filled for ``k``, over all of ``theta``, on first use), else a
+    per-call factor.  No slice reaches past ``r``, though the memo may
+    hold more draws."""
     cfg = model.spectral
+    two_m = cfg.num_features
     X_k, y_k = model.partition.blocks[k]
     t = X_rows.shape[0]
+    # the border rule of the module docstring
+    phi_border = memo_rows is None and t <= two_m
     if memo_rows is None:
-        per_draw = cfg.num_features * (X_k.shape[0] + t) + factor_order(t, cfg) ** 2
+        per_draw = two_m * (X_k.shape[0] + t) + (two_m + 1 + min(t, two_m)) ** 2
     else:
         if k not in memo_rows:
             memo_rows[k] = _identity_rows(X_k, y_k, theta, cfg, k)
         # phi_star and h^T, each 2m * t per draw
-        per_draw = 2 * cfg.num_features * t
+        per_draw = 2 * two_m * t
     chunk = max(1, _CHUNK_ELEMENTS // per_draw)
     for start in range(0, r, chunk):
         c = slice(start, min(start + chunk, r))
         phi_star = feature_matrix(X_rows, theta[c], cfg)
         if memo_rows is None:
-            factor = build_local_gram(X_k, y_k, theta[c], phi_star, cfg, block_id=k)
+            border = phi_star if phi_border else None
+            rows = build_local_gram(X_k, y_k, theta[c], border, cfg, block_id=k)[:, two_m:, :two_m]
         else:
-            factor = memo_rows[k][c]
-        yield c, factor, phi_star
+            rows = memo_rows[k][c]
+        h_t = rows[:, 1:] if phi_border else np.swapaxes(phi_star, -1, -2) @ rows[:, 1:]
+        yield c, rows[:, 0], h_t, phi_star
 
 
 def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
@@ -214,9 +223,9 @@ def predict_batch(X_star, model: TrainedModel, pcfg: PredictConfig):
     sum_mean = np.zeros(t)
     sum_second = np.zeros(t)  # accumulates var_i + mean_i^2
     for k, rows in by_block.items():
-        for c, factor, phi_star in _block_chunks(model, k, X_star[rows], theta, r, memo_rows):
+        for c, w, h_t, phi_star in _block_chunks(model, k, X_star[rows], theta, r, memo_rows):
             mean, variance = conditional_moments(
-                factor, phi_star, s[c], pcfg.gamma_mix, cfg.noise_variance
+                w, h_t, phi_star, s[c], pcfg.gamma_mix, cfg.noise_variance
             )
             sum_mean[rows] += mean.sum(axis=0)
             sum_second[rows] += (variance + mean**2).sum(axis=0)

@@ -113,9 +113,10 @@ class VariationalState:
     ``rcond`` is the exact ``1 / (||M||_1 ||M^{-1}||_1)``, 0 if a norm
     overflows; a zero pivot or ``rcond <= 1e-13`` (``RCOND_MIN``, the one
     singularity threshold) raises :class:`NumericalError`.  Training halves
-    any step that would build such a state.  ``M``, ``b`` and
-    ``inverse_transpose`` are read-only copies, so nothing derived from a
-    state (a model's prediction memo) can go stale."""
+    any step that would build such a state.  Its attributes cannot be
+    reassigned, and ``M``, ``b`` and ``inverse_transpose`` are read-only
+    copies, so nothing derived from a state (a model's prediction memo)
+    can go stale."""
 
     __slots__ = ("M", "b", "rcond", "inverse_transpose")
 
@@ -128,22 +129,25 @@ class VariationalState:
             raise ContractError(f"b must have shape ({M.shape[0]},), got {b.shape}")
         if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
             raise ContractError("M and b must be finite")
-        self.M = M
-        self.b = b
         try:
             inv = np.linalg.inv(M)
         except np.linalg.LinAlgError:
             raise NumericalError("M is numerically singular (zero LU pivot)") from None
         with np.errstate(all="ignore"):
             rcond = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(inv, 1))
-        self.rcond = float(rcond) if np.isfinite(rcond) else 0.0
-        if self.rcond <= RCOND_MIN:
-            raise NumericalError(
-                f"M is numerically singular (rcond={self.rcond:.3e} <= {RCOND_MIN:g})"
-            )
-        self.inverse_transpose = inv.T
-        for array in (M, b, self.inverse_transpose):
+        rcond = float(rcond) if np.isfinite(rcond) else 0.0
+        if rcond <= RCOND_MIN:
+            raise NumericalError(f"M is numerically singular (rcond={rcond:.3e} <= {RCOND_MIN:g})")
+        for array in (M, b, inv):
             array.setflags(write=False)
+        init = object.__setattr__
+        init(self, "M", M)
+        init(self, "b", b)
+        init(self, "rcond", rcond)
+        init(self, "inverse_transpose", inv.T)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VariationalState attributes cannot be reassigned ({name!r})")
 
     @property
     def dim(self) -> int:

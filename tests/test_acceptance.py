@@ -287,7 +287,7 @@ def test_ac8_mixing_identities_hold_in_closed_form():
 
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
             mean, variance = conditional_moments(
-                factor, phi[:, None], mu_bar, gamma, cfg.noise_variance
+                half_mu, factor[k + 1 :, :k], phi[:, None], mu_bar, gamma, cfg.noise_variance
             )
             assert abs(mean[0] - local_mean) <= 1e-8 * max(1.0, abs(local_mean))
             recovered = variance[0] + gamma**2 * cfg.noise_variance * quad

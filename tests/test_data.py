@@ -146,6 +146,15 @@ def test_split_indices_edge_cases():
         split_indices(10, 1.5)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((2.5, 0.5), "n"), ((True, 1.0), "n"), ((10, 0.5, 1.5), "seed"), ((10, 0.5, -1), "seed")],
+)
+def test_split_indices_refuses_counts_and_seeds_that_are_not_integers(args, name):
+    with pytest.raises(ContractError, match=name):
+        split_indices(*args)
+
+
 def test_standardization_normalizes_training_portion():
     rng = np.random.default_rng(1)
     X = rng.normal(loc=3.0, scale=2.5, size=(200, 2))
@@ -270,3 +279,12 @@ def test_synth_validation():
     for noise in (float("nan"), float("inf")):
         with pytest.raises(ContractError, match="finite"):
             synth_ssgp(n=5, d=1, m_true=1, noise=noise)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"n": 2.5}, "n"), ({"n": True}, "n"), ({"seed": 1.5}, "seed"), ({"seed": "1"}, "seed")],
+)
+def test_synth_refuses_counts_and_seeds_that_are_not_integers(kwargs, name):
+    with pytest.raises(ContractError, match=name):
+        synth_ssgp(**{"n": 5, "d": 1, "m_true": 1, "noise": 0.1, **kwargs})

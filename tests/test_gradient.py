@@ -508,8 +508,7 @@ def test_elbo_noiseless_fit_data_term():
     theta, s = b[: cfg.theta_dim], b[cfg.theta_dim :]
     X = rng.normal(size=(8, 1))
     y = feature_matrix(X, theta, cfg).T @ s
-    data = make_dataset(rng, cfg, [1])
-    data.blocks[0] = (X, y)
+    data = one_block(X, y)
     state = VariationalState(1e-9 * np.eye(D), b)
     _, parts = elbo_estimate(16, data, state, prior, cfg, seed=0, return_parts=True)
     expected = -0.5 * 8 * np.log(2 * np.pi * cfg.noise_variance)
@@ -527,8 +526,7 @@ def test_elbo_below_quadrature_marginal_likelihood():
     n = 8
     X = rng.normal(size=(n, 1))
     y = rng.normal(size=n)
-    data = make_dataset(rng, cfg, [1])
-    data.blocks[0] = (X, y)
+    data = one_block(X, y)
 
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     total = 0.0

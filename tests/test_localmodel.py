@@ -12,7 +12,7 @@ from specgp import (
     build_local_gram,
     feature_matrix,
 )
-from specgp.localmodel import _cholesky, conditional_moments, factor_order
+from specgp.localmodel import _cholesky, conditional_moments
 
 
 def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
@@ -22,12 +22,22 @@ def make_cfg(d=2, m=3, ss2=1.2, sn2=0.3):
 Moments = namedtuple("Moments", "mean variance")
 
 
+def moments_off(factor, phi_star, s, gamma_mix, cfg, identity=False):
+    """``conditional_moments`` on ``w`` and ``h^T`` read off a factor of
+    ``build_local_gram`` bordered by ``phi_star`` or, when ``identity``, by
+    the identity."""
+    k = cfg.num_features
+    rows = factor[..., k:, :k]
+    h_t = np.swapaxes(phi_star, -1, -2) @ rows[..., 1:, :] if identity else rows[..., 1:, :]
+    return conditional_moments(rows[..., 0, :], h_t, phi_star, s, gamma_mix, cfg.noise_variance)
+
+
 def conditional(x_star, block, theta, s, gamma_mix, cfg):
     """Mean and variance for one draw at one point: the batched conditional
     on a single ``basis_vector`` column ``(2m, 1)``; ``block`` is ``(X, y)``."""
     phi = basis_vector(x_star, theta, cfg)[:, None]
     factor = build_local_gram(*block, theta, phi, cfg)
-    mean, variance = conditional_moments(factor, phi, s, gamma_mix, cfg.noise_variance)
+    mean, variance = moments_off(factor, phi, s, gamma_mix, cfg)
     return Moments(float(mean[0]), float(variance[0]))
 
 
@@ -276,10 +286,9 @@ def test_stacked_gram_and_conditional_match_per_theta_views():
     X_star = rng.normal(size=(5, cfg.d))
     phi_star = feature_matrix(X_star, thetas, cfg)
     factors = build_local_gram(X, y, thetas, phi_star, cfg, block_id=2)
-    order = factor_order(5, cfg)
-    assert order == cfg.num_features + 6
+    order = cfg.num_features + 6
     assert factors.shape == (4, order, order)
-    means, variances = conditional_moments(factors, phi_star, s, 0.4, cfg.noise_variance)
+    means, variances = moments_off(factors, phi_star, s, 0.4, cfg)
     assert means.shape == variances.shape == (4, 5)
     for i, theta in enumerate(thetas):
         single = build_local_gram(X, y, theta, phi_star[i], cfg, block_id=2)
@@ -301,8 +310,8 @@ def explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg):
 
 @pytest.mark.parametrize("t", [1, 6, 7, 200])
 def test_both_borders_match_an_explicit_inverse(t):
-    # 2m = 6: one and six test rows border Gamma with phi_*, seven and 200
-    # with the identity
+    # either border serves any t, on both sides of 2m = 6: phi_* gives a
+    # factor of order 2m + 1 + t, the identity (None) one of order 4m + 1
     rng = np.random.default_rng(20 + t)
     cfg = make_cfg(m=3)
     k = cfg.num_features
@@ -310,21 +319,27 @@ def test_both_borders_match_an_explicit_inverse(t):
     thetas = rng.normal(size=(3, cfg.theta_dim))
     s = rng.normal(size=(3, k))
     phi_star = feature_matrix(rng.normal(size=(t, cfg.d)), thetas, cfg)
-    factor = build_local_gram(X, y, thetas, phi_star, cfg, block_id=1)
-    assert factor.shape == (3, k + 1 + min(t, k), k + 1 + min(t, k))
     Phi = feature_matrix(X, thetas, cfg)
     gamma_inv = scipy.linalg.inv(dense_gram(Phi, cfg))
-    # the rows under Gamma hold L^{-1} times the border, transposed
-    chol = factor[:, :k, :k]
-    border = phi_star if t <= k else np.broadcast_to(np.eye(k), (3, k, k))
-    np.testing.assert_allclose(
-        chol @ np.swapaxes(factor[:, k + 1 :, :k], -1, -2), border, rtol=0, atol=1e-12
-    )
-    for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
-        mean, variance = conditional_moments(factor, phi_star, s, gamma_mix, cfg.noise_variance)
-        ref_mean, ref_variance = explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg)
-        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(variance, ref_variance, rtol=1e-12, atol=1e-12)
+    identity = np.broadcast_to(np.eye(k), (3, k, k))
+    for border, order in ((phi_star, k + 1 + t), (None, 2 * k + 1)):
+        factor = build_local_gram(X, y, thetas, border, cfg, block_id=1)
+        assert factor.shape == (3, order, order)
+        # the rows under Gamma hold L^{-1} times the border, transposed
+        chol = factor[:, :k, :k]
+        np.testing.assert_allclose(
+            chol @ np.swapaxes(factor[:, k + 1 :, :k], -1, -2),
+            identity if border is None else border,
+            rtol=0,
+            atol=1e-12,
+        )
+        for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
+            mean, variance = moments_off(factor, phi_star, s, gamma_mix, cfg, border is None)
+            ref_mean, ref_variance = explicit_moments(
+                gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg
+            )
+            np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(variance, ref_variance, rtol=1e-12, atol=1e-12)
 
 
 def test_jitter_rescues_one_draw_of_a_stack_on_gamma_only():
@@ -346,9 +361,10 @@ def test_jitter_rescues_one_draw_of_a_stack_on_gamma_only():
         np.linalg.cholesky(gamma[1])
     jittered = gamma.copy()
     jittered[1] += 1e-10 * np.trace(gamma[1]) / k * np.eye(k)
-    for t in (1, 2 * k + 1):
+    for t, identity in ((1, False), (2 * k + 1, True)):
         phi_star = feature_matrix(rng.normal(size=(t, 2)), thetas, cfg)
-        factor = build_local_gram(X, y, thetas, phi_star, cfg, block_id=5)
+        border = None if identity else phi_star
+        factor = build_local_gram(X, y, thetas, border, cfg, block_id=5)
         rebuilt = factor @ np.swapaxes(factor, -1, -2)
         # only the middle draw is jittered, and only on Gamma's diagonal
         for i in range(3):
@@ -356,8 +372,8 @@ def test_jitter_rescues_one_draw_of_a_stack_on_gamma_only():
             assert np.linalg.norm(rebuilt[i, :k, :k] - ref) <= 1e-14 * np.linalg.norm(ref)
         assert np.abs(np.diag(rebuilt[1, :k, :k] - gamma[1])).min() > 1e-11
         r_t = np.concatenate(
-            [(Phi @ y)[:, None, :], np.swapaxes(phi_star, -1, -2) if t <= k
-             else np.broadcast_to(np.eye(k), (3, k, k))], axis=-2
+            [(Phi @ y)[:, None, :], np.broadcast_to(np.eye(k), (3, k, k)) if identity
+             else np.swapaxes(phi_star, -1, -2)], axis=-2
         )
         # the border rows are untouched (the exact check that the trailing
         # block gets no jitter is test_stacked_cholesky_jitters_only_the_failing_draw)
@@ -366,9 +382,7 @@ def test_jitter_rescues_one_draw_of_a_stack_on_gamma_only():
         # factorization (an explicit inverse of the jittered Gamma, whose
         # condition number is about 4e10, is not accurate to 1e-12)
         for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
-            mean, variance = conditional_moments(
-                factor, phi_star, s, gamma_mix, cfg.noise_variance
-            )
+            mean, variance = moments_off(factor, phi_star, s, gamma_mix, cfg, identity)
             for i in range(3):
                 cho = scipy.linalg.cho_factor(jittered[i], lower=True)
                 data_mean = phi_star[i].T @ scipy.linalg.cho_solve(cho, Phi[i] @ y)
@@ -412,29 +426,27 @@ def test_stacked_cholesky_jitters_only_the_failing_draw():
 
 @pytest.mark.parametrize("t", [1, 6, 7])
 def test_identity_rows_without_test_points(t):
-    # phi_star=None returns the border rows [2m:, :2m] of the identity-border
-    # factor, the same bits as a factor bordered for t > 2m test points; at
-    # t <= 2m = 6, conditional_moments reads them as L^{-T}, not as h^T
+    # phi_star=None factors the identity border without any test point; its
+    # rows [2m:, :2m], w^T then L^{-T}, serve t points on either side of
+    # 2m = 6 through h^T = phi_*^T L^{-T}, as the prediction memo keeps them
     rng = np.random.default_rng(40 + t)
     cfg = make_cfg(m=3)
     k = cfg.num_features
     X, y, _ = random_block(rng, cfg, 25)
     thetas = rng.normal(size=(3, cfg.theta_dim))
     s = rng.normal(size=(3, k))
-    rows = build_local_gram(X, y, thetas, None, cfg, block_id=1)
-    assert rows.shape == (3, k + 1, k)
-    wide = feature_matrix(rng.normal(size=(k + 1, cfg.d)), thetas, cfg)
-    np.testing.assert_array_equal(rows, build_local_gram(X, y, thetas, wide, cfg)[:, k:, :k])
-    np.testing.assert_array_equal(rows[0], build_local_gram(X, y, thetas[0], None, cfg))
+    full = build_local_gram(X, y, thetas, None, cfg, block_id=1)
+    assert full.shape == (3, 2 * k + 1, 2 * k + 1)
+    np.testing.assert_array_equal(full[0], build_local_gram(X, y, thetas[0], None, cfg))
     phi_star = feature_matrix(rng.normal(size=(t, cfg.d)), thetas, cfg)
     factor = build_local_gram(X, y, thetas, phi_star, cfg)
     Phi = feature_matrix(X, thetas, cfg)
     gamma_inv = scipy.linalg.inv(dense_gram(Phi, cfg))
     for gamma_mix in (-1.0, 0.0, 0.3, 1.0):
-        mean, variance = conditional_moments(rows, phi_star, s, gamma_mix, cfg.noise_variance)
+        mean, variance = moments_off(full, phi_star, s, gamma_mix, cfg, identity=True)
         ref_mean, ref_variance = explicit_moments(gamma_inv, Phi, y, phi_star, s, gamma_mix, cfg)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(variance, ref_variance, rtol=1e-12, atol=1e-12)
-        bordered = conditional_moments(factor, phi_star, s, gamma_mix, cfg.noise_variance)
+        bordered = moments_off(factor, phi_star, s, gamma_mix, cfg)
         np.testing.assert_allclose(mean, bordered[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(variance, bordered[1], rtol=1e-12, atol=1e-14)

@@ -214,3 +214,51 @@ def test_partition_arrays_are_read_only_views():
     assert all(a.flags.writeable for a in (X_k, y_k, centroids))
     assert not any(a.flags.writeable for a in (*by_hand.blocks[0], by_hand.centroids))
     assert np.shares_memory(by_hand.blocks[0][0], X_k)
+
+
+def test_partition_blocks_and_fields_cannot_be_replaced():
+    # a replaced block or a reassigned centroids array would leave a model's
+    # prediction memo stale, and a reassigned array would be writable
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    part = kmeans_partition(X, y, p=3, seed=1)
+    assert isinstance(part.blocks, tuple) and isinstance(part.block_indices, tuple)
+    X_0, y_0 = part.blocks[0]
+    with pytest.raises(TypeError):
+        part.blocks[0] = (X_0, y_0 + 1.0)
+    with pytest.raises(TypeError):
+        part.block_indices[0] = np.arange(3)
+    for name, value in (("centroids", X[:3].copy()), ("blocks", ()), ("block_indices", ())):
+        with pytest.raises(AttributeError):
+            setattr(part, name, value)
+    assert not part.centroids.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"p": 2.5}, "p"),
+        ({"p": True}, "p"),
+        ({"p": np.float64(3.0)}, "p"),
+        ({"max_iters": 1.5}, "max_iters"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": "1"}, "seed"),
+    ],
+)
+def test_kmeans_partition_refuses_counts_and_seeds_that_are_not_integers(kwargs, name):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(20, 2))
+    args = {"p": 3, **kwargs}
+    with pytest.raises(ContractError, match=name):
+        kmeans_partition(X, X[:, 0], **args)
+
+
+def test_kmeans_partition_takes_numpy_integer_counts_and_seeds():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(20, 2))
+    want = kmeans_partition(X, X[:, 0], p=3, seed=4, max_iters=5)
+    got = kmeans_partition(X, X[:, 0], p=np.int64(3), seed=np.uint32(4), max_iters=np.int32(5))
+    assert got.p == 3
+    np.testing.assert_array_equal(got.centroids, want.centroids)

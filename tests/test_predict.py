@@ -23,7 +23,7 @@ from specgp import (
     transform,
 )
 from specgp.features import basis_vector
-from specgp.localmodel import conditional_moments, factor_order
+from specgp.localmodel import conditional_moments
 
 
 def make_model(seed=0, n=24, d=2, m=2, p=3, m_scale=0.4):
@@ -44,9 +44,11 @@ def one_point_moments(x, block, theta, s, gamma_mix, cfg, block_id):
     """Predictive mean and variance for one draw at one point, from the
     scalar ``basis_vector`` features as one column ``(2m, 1)``; ``block`` is
     ``(X_k, y_k)``."""
+    k = cfg.num_features
     phi = basis_vector(x, theta, cfg)[:, None]
     factor = build_local_gram(*block, theta, phi, cfg, block_id=block_id)
-    mean, variance = conditional_moments(factor, phi, s, gamma_mix, cfg.noise_variance)
+    w, h_t = factor[k, :k], factor[k + 1 :, :k]
+    mean, variance = conditional_moments(w, h_t, phi, s, gamma_mix, cfg.noise_variance)
     return float(mean[0]), float(variance[0])
 
 
@@ -130,19 +132,23 @@ def test_batch_matches_independent_loop():
 def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, chunk_sizes):
     # r = 10 is not a multiple of 3, so the last 3-draw chunk is short.  Both
     # factor sources are chunked: the memo's identity-border rows (the model
-    # fits the memo budget) and the per-call phi_*-bordered factors (the
-    # budget patched to zero)
+    # fits the memo budget) and the per-call factors (the budget patched to
+    # zero), bordered by phi_* for a block's t_k <= 2m = 4 test rows and by
+    # the identity above
     model = make_model(seed=14, p=p)
     X_star = np.random.default_rng(15).normal(size=(5, 2))
-    hit = set(np.unique(assign_blocks(X_star, model.partition)).tolist())
+    labels = assign_blocks(X_star, model.partition)
+    hit = set(np.unique(labels).tolist())
     r = 10
     calls = {}
+    borders = {}
     factorizations = []
     build = predict_module.build_local_gram
     cholesky = np.linalg.cholesky
 
     def recording_build(X_k, y_k, theta, phi_star, cfg, block_id=0):
         calls.setdefault(block_id, []).append(len(theta))
+        borders.setdefault(block_id, set()).add(None if phi_star is None else phi_star.shape[-1])
         return build(X_k, y_k, theta, phi_star, cfg, block_id=block_id)
 
     def counting_cholesky(a, *args, **kwargs):
@@ -152,6 +158,7 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
     def predict(pcfg):
         model.predict_memo.clear()
         calls.clear()
+        borders.clear()
         factorizations.clear()
         return predict_batch(X_star, model, pcfg)
 
@@ -161,15 +168,18 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
     # plus 2m * t_k test-point feature elements per call; at p=1 that is
     # 2m * n + 2 K^2 with K = 4m + 1 for the memo, which holds each
     # bordered matrix and its factor, within _IDENTITY_CHUNK_ELEMENTS, and
-    # 2m * (n + t) + K^2 with K = factor_order(t) per call, within
-    # _CHUNK_ELEMENTS
+    # 2m * (n + t) + K^2 per call, within _CHUNK_ELEMENTS, where t = 5 > 2m
+    # takes the identity border, K = 4m + 1
     cfg = model.spectral
     n = model.partition.blocks[0][0].shape[0]
     k = cfg.num_features
     per_draw = {
         "memo": k * n + 2 * (2 * k + 1) ** 2,
-        "per_call": k * (n + 5) + factor_order(5, cfg) ** 2,
+        "per_call": k * (n + 5) + (2 * k + 1) ** 2,
     }
+    counts = {b: int(np.sum(labels == b)) for b in hit}
+    per_call_borders = {b: {t if t <= k else None} for b, t in counts.items()}
+    want_borders = {"memo": {b: {None} for b in hit}, "per_call": per_call_borders}
     chunk_budget = {"memo": "_IDENTITY_CHUNK_ELEMENTS", "per_call": "_CHUNK_ELEMENTS"}
     for source, budget in (("memo", predict_module._MEMO_ELEMENTS), ("per_call", 0)):
         monkeypatch.setattr(predict_module, "_MEMO_ELEMENTS", budget)
@@ -179,6 +189,7 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
             whole = predict(pcfg)
             assert set(calls) == hit
             assert all(sizes == [r] for sizes in calls.values())
+            assert borders == want_borders[source]
             assert factorizations == [(r,)] * len(hit)
             with monkeypatch.context() as patch:
                 patch.setattr(predict_module, chunk_budget[source], cap)
@@ -186,6 +197,7 @@ def test_chunked_prediction_matches_unchunked(monkeypatch, p, draws_per_chunk, c
             # one entry per block hit, one stacked factorization per chunk
             assert set(calls) == hit
             assert all(sizes == chunk_sizes for sizes in calls.values())
+            assert borders == want_borders[source]
             assert factorizations == [(size,) for size in chunk_sizes] * len(hit)
             assert bool(model.predict_memo) == (source == "memo")
             reference = loop_reference(X_star, model, pcfg)
@@ -309,10 +321,13 @@ def test_a_new_seed_or_sample_count_replaces_the_memo_entry(build_calls):
 
 def test_over_budget_predicts_per_call_and_keeps_the_entry(monkeypatch, build_calls):
     model = make_model(seed=32, p=3)
-    X_star = np.random.default_rng(33).normal(size=(7, 2))
+    rng = np.random.default_rng(33)
+    # seven random rows, then six at the first centroid: that block gets
+    # more than 2m = 4 test rows
+    X_star = np.vstack([rng.normal(size=(7, 2)), np.repeat(model.partition.centroids[:1], 6, 0)])
     labels = assign_blocks(X_star, model.partition)
     hit = np.unique(labels)
-    cfg = model.spectral
+    k = model.spectral.num_features
     small = PredictConfig(n_samples=8, gamma_mix=0.0, seed=34)
     large = PredictConfig(n_samples=9, gamma_mix=0.0, seed=34)
     # the budget fits exactly the 8-draw entry, so the 9-draw one is over
@@ -323,11 +338,15 @@ def test_over_budget_predicts_per_call_and_keeps_the_entry(monkeypatch, build_ca
     build_calls["build"].clear()
     build_calls["cholesky"].clear()
     predict_batch(X_star, model, large)
-    # today's pattern: one phi_*-bordered stack of all 9 draws per block hit
-    counts = [int(np.sum(labels == k)) for k in hit]
-    assert [phi.shape for phi in build_calls["build"]] == [(9, 4, t) for t in counts]
+    # one stacked Cholesky of all 9 draws per block hit, bordered by the
+    # block's phi_* for t_k <= 2m test rows and by the identity (None) above
+    counts = [int(np.sum(labels == b)) for b in hit]
+    assert max(counts) > k >= min(counts)
+    assert [None if phi is None else phi.shape for phi in build_calls["build"]] == [
+        (9, k, t) if t <= k else None for t in counts
+    ]
     assert build_calls["cholesky"] == [
-        (9, factor_order(t, cfg), factor_order(t, cfg)) for t in counts
+        (9, k + 1 + min(t, k), k + 1 + min(t, k)) for t in counts
     ]
     # the over-budget call stored nothing and evicted nothing
     assert list(model.predict_memo) == [34]
@@ -375,15 +394,15 @@ def test_no_chunk_reads_past_the_call_count(monkeypatch):
     seen = []
     moments = predict_module.conditional_moments
 
-    def recording_moments(factor, phi_star, s, gamma_mix, noise_variance):
-        seen.append((factor.shape[0], phi_star.shape[0], s.shape[0]))
-        return moments(factor, phi_star, s, gamma_mix, noise_variance)
+    def recording_moments(w, h_t, phi_star, s, gamma_mix, noise_variance):
+        seen.append((w.shape[0], h_t.shape[0], phi_star.shape[0], s.shape[0]))
+        return moments(w, h_t, phi_star, s, gamma_mix, noise_variance)
 
     monkeypatch.setattr(predict_module, "conditional_moments", recording_moments)
     monkeypatch.setattr(predict_module, "_CHUNK_ELEMENTS", 40)
     predict_batch(X_star, model, PredictConfig(13, 0.0, seed=41))
     assert model.predict_memo[41][0].shape[0] == 256
-    assert seen == [(size, size, size) for size in (5, 5, 3)] * model.partition.p
+    assert seen == [(size,) * 4 for size in (5, 5, 3)] * model.partition.p
 
 
 def test_model_arrays_cannot_be_edited_in_place():

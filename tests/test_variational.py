@@ -236,6 +236,18 @@ def test_state_arrays_are_read_only():
     assert M.flags.writeable and b.flags.writeable
 
 
+def test_state_attributes_cannot_be_reassigned():
+    # a reassigned array would be writable and leave a model's prediction
+    # memo stale
+    rng = np.random.default_rng(7)
+    state = random_state(rng, 4)
+    other = random_state(rng, 4)
+    for name in ("M", "b", "rcond", "inverse_transpose"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, getattr(other, name))
+    np.testing.assert_array_equal(state.inverse_transpose, np.linalg.inv(state.M).T)
+
+
 def test_second_moments_match_dense_covariance():
     rng = np.random.default_rng(3)
     for _ in range(10):
