@@ -19,6 +19,7 @@ import numpy as np
 
 from . import config as run_config
 from .data import (
+    DEFAULT_SYNTH_LENGTHSCALE,
     Dataset,
     Standardization,
     identity_standardization,
@@ -28,7 +29,6 @@ from .data import (
     synth_ssgp,
 )
 from .errors import ContractError, DataError, NumericalError
-from .features import SpectralConfig
 from .gradcheck import run_all
 from .model_io import load_model, save_model
 from .optimizer import TRACE_COLUMNS, train
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--noise", type=float, required=True, help="noise standard deviation")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--signal-variance", type=float, default=1.0)
-    p_synth.add_argument("--lengthscale", type=float, default=None)
+    p_synth.add_argument("--lengthscale", type=float, default=DEFAULT_SYNTH_LENGTHSCALE)
     p_synth.add_argument("--output", required=True, help="CSV path")
     p_synth.add_argument(
         "--truth-output", help="ground truth JSON path (default: <output>.truth.json)"
@@ -186,20 +186,9 @@ def cmd_train(args) -> int:
     X_train = std.apply_x(X_train_raw)
     y_train = std.apply_y(y_train_raw)
 
-    cfg = SpectralConfig(
-        d=dataset.d,
-        m=doc["spectral"]["m"],
-        signal_variance=doc["spectral"]["signal_variance"],
-        noise_variance=doc["spectral"]["noise_variance"],
-    )
-    part = kmeans_partition(
-        X_train,
-        y_train,
-        p=doc["partition"]["p"],
-        seed=doc["seed"],
-        max_iters=doc["partition"]["max_iters"],
-        balance=doc["partition"]["balance"],
-    )
+    cfg = run_config.spectral_config_from(doc, dataset.d)
+    # the partition keys are kmeans_partition's arguments
+    part = kmeans_partition(X_train, y_train, seed=doc["seed"], **doc["partition"])
     prior = PriorSpec.for_inputs(X_train, cfg)
     init = initial_state(prior, cfg, seed=doc["seed"])
     result = train(part, init, prior, cfg, tcfg)
@@ -336,9 +325,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     truth_path = args.truth_output or f"{args.output}.truth.json"
     _check_output_directories(args.output, truth_path)
-    kwargs = {}
-    if args.lengthscale is not None:
-        kwargs["lengthscale"] = args.lengthscale
     dataset, truth = synth_ssgp(
         n=args.n,
         d=args.d,
@@ -346,7 +332,7 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed,
         signal_variance=args.signal_variance,
-        **kwargs,
+        lengthscale=args.lengthscale,
     )
     save_csv(args.output, dataset)
     serializable = {

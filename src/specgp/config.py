@@ -1,13 +1,13 @@
 """Run configuration: one JSON document covering the whole pipeline.
 
-Every key is defined once, in ``KEYS``: its section, name, default, JSON
-type and bound.  The defaults, the document check and the CLI overrides
-(each config flag's argparse ``dest`` is its key) all come from that
-table.  A document is checked before any data or model file is read:
-unknown keys, non-object sections, a missing or wrong ``version``, wrong
-types (a boolean is never a number, an integer key takes JSON integers
-only) and values out of bounds are usage errors.  The component
-constructors check their own arguments as well, for Python callers.
+Every key is defined once, in ``KEYS``: its section, name, default and the
+component field it sets, whose :class:`~specgp.errors.Rule` it reads (a
+key that sets no such field states its own).  The defaults, the document
+check and the CLI overrides (each config flag's argparse ``dest`` is its
+key) all come from that table.  A document is checked before any data or
+model file is read: unknown keys, non-object sections, a missing or wrong
+``version``, wrong types (a boolean is never a number, an integer key takes
+JSON integers only) and values out of bounds are usage errors.
 """
 
 from __future__ import annotations
@@ -15,74 +15,65 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ContractError, DataError
+from .data import TRAIN_FRACTION
+from .errors import FLAG, POSITIVE_INT, ContractError, DataError, Rule, checked
+from .features import SpectralConfig
 from .gradient import GradientSamplePlan
 from .optimizer import StepSchedule, TrainConfig
 from .predict import PredictConfig
 
 CONFIG_VERSION = 1
 
-_IS_TYPE = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "string or null": lambda v: v is None or isinstance(v, str),
-}
-
 
 @dataclass(frozen=True)
 class Key:
-    """One config key; ``bound`` is an interval such as ``"(0, 1]"``."""
+    """One config key.  A key that sets a field of the component ``owner``
+    (the field named ``field``, or else ``name``) reads that field's rule from
+    ``owner.RULES``; a key with no owner states its own ``rule``."""
 
     section: str | None
     name: str
     default: object
-    type: str
-    bound: str | None = None
+    owner: type | None = None
+    field: str | None = None
+    rule: Rule | None = None
+
+    def __post_init__(self):
+        if self.owner is not None:
+            object.__setattr__(self, "field", self.field or self.name)
+            object.__setattr__(self, "rule", self.owner.RULES[self.field])
 
     @property
     def path(self) -> str:
         return f"{self.section}.{self.name}" if self.section else self.name
 
-    def check(self, value):
-        if not _IS_TYPE[self.type](value):
-            raise ContractError(f"config: {self.path}: expected {self.type}, got {value!r}")
-        if self.bound is not None:
-            low, high = (float(end) for end in self.bound[1:-1].split(","))
-            above = value > low if self.bound[0] == "(" else value >= low
-            below = value < high if self.bound[-1] == ")" else value <= high
-            if not (above and below):
-                raise ContractError(
-                    f"config: {self.path}: must be in {self.bound}, got {value!r}"
-                )
-        return value
-
 
 KEYS = {
     key.path: key
     for key in (
-        Key(None, "seed", 0, "integer", "[0, inf)"),
-        Key(None, "split_fraction", 0.95, "number", "(0, 1]"),
-        Key(None, "standardize", True, "boolean"),
-        Key("spectral", "m", 10, "integer", "[1, inf)"),
-        Key("spectral", "signal_variance", 1.0, "number", "(0, inf)"),
-        Key("spectral", "noise_variance", 0.01, "number", "(0, inf)"),
-        Key("partition", "p", 8, "integer", "[1, inf)"),
-        Key("partition", "balance", False, "boolean"),
-        Key("partition", "max_iters", 100, "integer", "[1, inf)"),
-        Key("train", "iterations", 300, "integer", "[1, inf)"),
-        Key("train", "partition_samples", 4, "integer", "[1, inf)"),
-        Key("train", "z_samples", 8, "integer", "[1, inf)"),
-        Key("train", "base_step", 0.1, "number", "(0, inf)"),
-        Key("train", "decay_power", 0.51, "number", "(0.5, 1]"),
-        Key("train", "learn_variances", False, "boolean"),
-        Key("train", "checkpoint_every", 0, "integer", "[0, inf)"),
-        Key("train", "checkpoint_path", None, "string or null"),
-        Key("train", "elbo_every", 0, "integer", "[0, inf)"),
-        Key("train", "elbo_samples", 16, "integer", "[1, inf)"),
-        Key("predict", "samples", 64, "integer", "[1, inf)"),
-        Key("predict", "gamma", 0.0, "number", "[-1, 1]"),
-        Key("predict", "mnlp_observed", True, "boolean"),
+        Key(None, "seed", 0, TrainConfig),
+        Key(None, "split_fraction", 0.95, rule=TRAIN_FRACTION),
+        Key(None, "standardize", True, rule=FLAG),
+        Key("spectral", "m", 10, SpectralConfig),
+        Key("spectral", "signal_variance", 1.0, SpectralConfig),
+        Key("spectral", "noise_variance", 0.01, SpectralConfig),
+        # the rules of kmeans_partition's arguments
+        Key("partition", "p", 8, rule=POSITIVE_INT),
+        Key("partition", "balance", False, rule=FLAG),
+        Key("partition", "max_iters", 100, rule=POSITIVE_INT),
+        Key("train", "iterations", 300, TrainConfig),
+        Key("train", "partition_samples", 4, GradientSamplePlan, "n_partition_samples"),
+        Key("train", "z_samples", 8, GradientSamplePlan, "n_z_samples"),
+        Key("train", "base_step", 0.1, StepSchedule),
+        Key("train", "decay_power", 0.51, StepSchedule),
+        Key("train", "learn_variances", False, TrainConfig),
+        Key("train", "checkpoint_every", 0, TrainConfig),
+        Key("train", "checkpoint_path", None, TrainConfig),
+        Key("train", "elbo_every", 0, TrainConfig),
+        Key("train", "elbo_samples", 16, TrainConfig),
+        Key("predict", "samples", 64, PredictConfig, "n_samples"),
+        Key("predict", "gamma", 0.0, PredictConfig, "gamma_mix"),
+        Key("predict", "mnlp_observed", True, rule=FLAG),
     )
 }
 _SECTIONS = {key.section for key in KEYS.values()} - {None}
@@ -91,7 +82,7 @@ _SECTIONS = {key.section for key in KEYS.values()} - {None}
 def _check(path, value):
     if path not in KEYS:
         raise ContractError(f"config: {path}: unknown key")
-    return KEYS[path].check(value)
+    return checked(f"config: {path}", value, KEYS[path].rule)
 
 
 def validate_config(doc) -> dict:
@@ -132,63 +123,57 @@ def load_run_config(path=None, overrides=None) -> dict:
         values.update(validate_config(user))
     for key, value in (overrides or {}).items():
         values[key] = _check(key, value)
-    doc = {"version": CONFIG_VERSION}
-    for key, value in values.items():
-        spec = KEYS[key]
-        (doc.setdefault(spec.section, {}) if spec.section else doc)[spec.name] = value
+    return {"version": CONFIG_VERSION, **_nested(values)}
+
+
+def _nested(values: dict) -> dict:
+    """The document form, in sections, of ``values`` keyed by config path."""
+    doc = {}
+    for path, value in values.items():
+        key = KEYS[path]
+        (doc.setdefault(key.section, {}) if key.section else doc)[key.name] = value
     return doc
 
 
+def _fields(doc: dict, owner: type) -> dict:
+    """The fields of ``owner`` that the keys of the document ``doc`` set."""
+    return {
+        key.field: (doc[key.section] if key.section else doc)[key.name]
+        for key in KEYS.values()
+        if key.owner is owner
+    }
+
+
+def spectral_config_from(doc: dict, d: int) -> SpectralConfig:
+    return SpectralConfig(d=d, **_fields(doc, SpectralConfig))
+
+
 def train_config_from(doc: dict) -> TrainConfig:
-    train = doc["train"]
     return TrainConfig(
-        iterations=train["iterations"],
-        plan=GradientSamplePlan(
-            n_partition_samples=train["partition_samples"],
-            n_z_samples=train["z_samples"],
-        ),
-        schedule=StepSchedule(
-            base_step=train["base_step"],
-            decay_power=train["decay_power"],
-        ),
-        learn_variances=train["learn_variances"],
-        checkpoint_every=train["checkpoint_every"],
-        checkpoint_path=train["checkpoint_path"],
-        seed=doc["seed"],
-        elbo_every=train["elbo_every"],
-        elbo_samples=train["elbo_samples"],
+        plan=GradientSamplePlan(**_fields(doc, GradientSamplePlan)),
+        schedule=StepSchedule(**_fields(doc, StepSchedule)),
+        **_fields(doc, TrainConfig),
     )
+
+
+_TRAIN_OWNERS = (TrainConfig, GradientSamplePlan, StepSchedule)
+_TRAIN_KEYS = [key for key in KEYS.values() if key.owner in _TRAIN_OWNERS]
 
 
 def train_config_doc(tcfg: TrainConfig) -> dict:
     """The run-config form ``{"seed", "train"}`` of ``tcfg``, the inverse of
     :func:`train_config_from`; checkpoints store it."""
-    return {
-        "seed": tcfg.seed,
-        "train": {
-            "iterations": tcfg.iterations,
-            "partition_samples": tcfg.plan.n_partition_samples,
-            "z_samples": tcfg.plan.n_z_samples,
-            "base_step": tcfg.schedule.base_step,
-            "decay_power": tcfg.schedule.decay_power,
-            "learn_variances": tcfg.learn_variances,
-            "checkpoint_every": tcfg.checkpoint_every,
-            "checkpoint_path": tcfg.checkpoint_path,
-            "elbo_every": tcfg.elbo_every,
-            "elbo_samples": tcfg.elbo_samples,
-        },
-    }
-
-
-_TRAIN_PATHS = {path for path, key in KEYS.items() if key.section == "train"} | {"seed"}
+    parts = dict(zip(_TRAIN_OWNERS, (tcfg, tcfg.plan, tcfg.schedule)))
+    return _nested({key.path: getattr(parts[key.owner], key.field) for key in _TRAIN_KEYS})
 
 
 def train_config_read(doc) -> TrainConfig:
     """Read the form that :func:`train_config_doc` writes.  Each value passes
-    its ``KEYS`` check, and every key must be present."""
+    its ``KEYS`` rule, and every key must be present."""
     if not isinstance(doc, dict) or set(doc) != {"seed", "train"}:
         raise ContractError("config: expected an object with exactly seed and train")
-    missing = _TRAIN_PATHS - set(validate_config({"version": CONFIG_VERSION, **doc}))
+    given = validate_config({"version": CONFIG_VERSION, **doc})
+    missing = {key.path for key in _TRAIN_KEYS} - set(given)
     if missing:
         raise ContractError(f"config: {min(missing)}: missing")
     return train_config_from(doc)
@@ -199,8 +184,4 @@ PREDICT_SEED_OFFSET = 1
 
 
 def predict_config_from(doc: dict) -> PredictConfig:
-    return PredictConfig(
-        n_samples=doc["predict"]["samples"],
-        gamma_mix=doc["predict"]["gamma"],
-        seed=doc["seed"] + PREDICT_SEED_OFFSET,
-    )
+    return PredictConfig(**_fields(doc, PredictConfig), seed=doc["seed"] + PREDICT_SEED_OFFSET)

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
-from .features import SpectralConfig, _as_count, feature_matrix
+from .errors import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, DataError, Rule, checked
+from .features import SpectralConfig, feature_matrix
 from .variational import PriorSpec
 
 _MISSING_TOKENS = {"", "nan", "na", "null", "none"}
+TRAIN_FRACTION = Rule("number", "(0, 1]")  # split_indices and the split_fraction key
 
 
 @dataclass
@@ -192,9 +193,8 @@ def split_indices(n: int, train_fraction: float, seed: int = 0):
     train side always keeps at least one row; ``train_fraction = 1``
     leaves the test side empty.
     """
-    n, seed = _as_count("n", n, 1), _as_count("seed", seed, 0)
-    if not 0.0 < train_fraction <= 1.0:
-        raise ContractError(f"train_fraction must be in (0, 1], got {train_fraction}")
+    n, seed = checked("n", n, POSITIVE_INT), checked("seed", seed, NONNEGATIVE_INT)
+    train_fraction = checked("train_fraction", train_fraction, TRAIN_FRACTION)
     order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
     n_train = max(1, int(round(train_fraction * n)))
     return np.sort(order[:n_train]), np.sort(order[n_train:])
@@ -228,13 +228,13 @@ def synth_ssgp(
         vector ``alpha`` (cosines, then sines), so ``y`` equals
         ``feature_matrix(X, theta, cfg).T @ s`` up to roundoff.
     """
-    n, seed = _as_count("n", n, 1), _as_count("seed", seed, 0)
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ContractError(f"noise must be finite and >= 0, got {noise!r}")
+    n, seed = checked("n", n, POSITIVE_INT), checked("seed", seed, NONNEGATIVE_INT)
+    noise = checked("noise", noise, Rule("number", "[0, inf)"))
+    lengthscale = checked("lengthscale", lengthscale, POSITIVE)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # noise_variance is irrelevant to feature evaluation; 1.0 is a placeholder.
     cfg = SpectralConfig(d=d, m=m_true, signal_variance=signal_variance, noise_variance=1.0)
-    theta_true = PriorSpec(np.full(d, float(lengthscale))).sample_theta(rng, m_true)
+    theta_true = PriorSpec(np.full(d, lengthscale)).sample_theta(rng, m_true)
     # The generator draws and sums the weights as cos_1, sin_1, ..., cos_m,
     # sin_m, so every dataset keeps the bytes it was first made with.
     s_drawn = rng.standard_normal(cfg.num_features) * np.sqrt(cfg.lambda_diag)
@@ -252,10 +252,10 @@ def synth_ssgp(
     truth = {
         "theta": theta_true,
         "s": np.concatenate([s_drawn[0::2], s_drawn[1::2]]),
-        "m": m_true,
-        "signal_variance": signal_variance,
+        "m": cfg.m,
+        "signal_variance": cfg.signal_variance,
         "noise": noise,
-        "lengthscale": float(lengthscale),
+        "lengthscale": lengthscale,
         "seed": seed,
     }
     return dataset, truth

@@ -60,30 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import POSITIVE, POSITIVE_INT, ContractError, check_fields
 
 TWO_PI = 2.0 * np.pi
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; floats and booleans are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _as_count(name: str, value, low: int) -> int:
-    """``value`` as a Python ``int`` if it is an integer (:func:`_is_integer`)
-    at least ``low``, else :class:`ContractError`; a numpy integer would not
-    survive ``json.dumps``."""
-    if not _is_integer(value) or value < low:
-        raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _set_counts(config, lows: dict) -> None:
-    """Store each named field of the frozen dataclass ``config`` as
-    :func:`_as_count` of it, at least its entry in ``lows``."""
-    for name, low in lows.items():
-        object.__setattr__(config, name, _as_count(name, getattr(config, name), low))
 
 
 @dataclass(frozen=True)
@@ -108,15 +87,11 @@ class SpectralConfig:
     signal_variance: float
     noise_variance: float
 
+    RULES = {"d": POSITIVE_INT, "m": POSITIVE_INT, "signal_variance": POSITIVE,
+             "noise_variance": POSITIVE}
+
     def __post_init__(self):
-        if not _is_integer(self.d) or self.d < 1:
-            raise ContractError(f"input dimension must be an integer >= 1, got {self.d!r}")
-        if not _is_integer(self.m) or self.m < 1:
-            raise ContractError(f"frequency count must be an integer >= 1, got {self.m!r}")
-        if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
-            raise ContractError(f"signal_variance must be positive, got {self.signal_variance!r}")
-        if not (np.isfinite(self.noise_variance) and self.noise_variance > 0):
-            raise ContractError(f"noise_variance must be positive, got {self.noise_variance!r}")
+        check_fields(self)
 
     @property
     def num_features(self) -> int:

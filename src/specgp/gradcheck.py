@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import NONNEGATIVE_INT, POSITIVE_INT, checked
 from .features import SpectralConfig
 from .gradient import GradientSamplePlan, draw_sample_sets, eta_views, stochastic_gradient
 from .partition import PartitionedDataset
@@ -179,10 +179,8 @@ def check_kl_gradient(seed=0, instances=20, step=DEFAULT_STEP) -> CheckResult:
 
 def run_all(seed=0, instances=20):
     """Run every gradient check; returns the list of results."""
-    if instances < 1:
-        raise ContractError(f"instances must be >= 1, got {instances}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
+    seed = checked("seed", seed, NONNEGATIVE_INT)
+    instances = checked("instances", instances, POSITIVE_INT)
     return [
         check_stochastic_gradient(seed, instances),
         check_kl_gradient(seed, instances),

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .features import TWO_PI, SpectralConfig, _set_counts, feature_matrix
+from .errors import NONNEGATIVE_INT, POSITIVE_INT, check_fields, checked
+from .features import TWO_PI, SpectralConfig, feature_matrix
 from .variational import (
     PriorSpec,
     VariationalState,
@@ -71,8 +71,11 @@ class GradientSamplePlan:
     n_z_samples: int
     rng_seed: int = 0
 
+    RULES = {"n_partition_samples": POSITIVE_INT, "n_z_samples": POSITIVE_INT,
+             "rng_seed": NONNEGATIVE_INT}
+
     def __post_init__(self):
-        _set_counts(self, {"n_partition_samples": 1, "n_z_samples": 1})
+        check_fields(self)
 
 
 def _residuals(y, X, theta, s, cfg: SpectralConfig):
@@ -143,8 +146,7 @@ def draw_sample_sets(plan: GradientSamplePlan, n_blocks: int, dim: int):
     One master seed is split into two independent substreams, so the z
     draws do not depend on how many indices are consumed.
     """
-    if n_blocks < 1:
-        raise ContractError("the partition must contain at least one block")
+    n_blocks = checked("n_blocks", n_blocks, POSITIVE_INT)
     # The two children that ``SeedSequence(plan.rng_seed).spawn(2)`` would
     # give, built directly: the same streams without the parent's own cost.
     index_seq, z_seq = (np.random.SeedSequence(plan.rng_seed, spawn_key=(i,)) for i in (0, 1))
@@ -213,8 +215,7 @@ def elbo_estimate(
     for bit.  With ``return_parts`` the two parts, ``"log_likelihood"`` and
     ``"kl"``, are also returned for monitoring.
     """
-    if n_z < 1:
-        raise ContractError("n_z must be >= 1")
+    n_z, seed = checked("n_z", n_z, POSITIVE_INT), checked("seed", seed, NONNEGATIVE_INT)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_draws = rng.standard_normal((n_z, state.dim))
     theta, s = transform(state, z_draws, cfg)

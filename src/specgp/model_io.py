@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -139,12 +139,7 @@ def posterior_to_doc(state: VariationalState, prior: PriorSpec, spectral: Spectr
     """The ``spectral``, ``prior`` and ``state`` fields that model files and
     checkpoints share."""
     return {
-        "spectral": {
-            "d": spectral.d,
-            "m": spectral.m,
-            "signal_variance": spectral.signal_variance,
-            "noise_variance": spectral.noise_variance,
-        },
+        "spectral": asdict(spectral),
         "prior": {"lengthscales": array_to_doc(prior.lengthscales)},
         "state": {"M": array_to_doc(state.M), "b": array_to_doc(state.b)},
     }
@@ -266,12 +261,8 @@ def field_errors(kind=None):
 def posterior_from_doc(doc: dict):
     """``(spectral, prior, state)`` from the fields that
     :func:`posterior_to_doc` writes; call it under :func:`field_errors`."""
-    spectral = SpectralConfig(
-        d=doc["spectral"]["d"],
-        m=doc["spectral"]["m"],
-        signal_variance=doc["spectral"]["signal_variance"],
-        noise_variance=doc["spectral"]["noise_variance"],
-    )
+    names = (f.name for f in fields(SpectralConfig))
+    spectral = SpectralConfig(**{name: doc["spectral"][name] for name in names})
     prior = PriorSpec(array_from_doc(doc["prior"]["lengthscales"], "prior.lengthscales", 1))
     state = VariationalState(
         array_from_doc(doc["state"]["M"], "state.M", 2),

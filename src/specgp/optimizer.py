@@ -42,8 +42,9 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import FLAG, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Rule, check_fields
 from .errors import ContractError, ModelFormatError, NumericalError
-from .features import SpectralConfig, _set_counts
+from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import (
     TrainedModel,
@@ -77,15 +78,12 @@ class StepSchedule:
     decay_power: float
     adaptive: bool = True  # read by nothing; only True, kept for existing callers
 
+    RULES = {"base_step": POSITIVE, "decay_power": Rule("number", "(0.5, 1]")}
+
     def __post_init__(self):
         if self.adaptive is not True:
             raise ContractError("adaptive must be True: AdaGrad is the only step rule")
-        if not (np.isfinite(self.base_step) and self.base_step > 0):
-            raise ContractError(f"base_step must be positive, got {self.base_step!r}")
-        if not 0.5 < self.decay_power <= 1.0:
-            raise ContractError(
-                f"decay_power must lie in (0.5, 1], got {self.decay_power!r}"
-            )
+        check_fields(self)
 
     def step_size(self, t: int) -> float:
         return self.base_step / (1.0 + t) ** self.decay_power
@@ -103,12 +101,12 @@ class TrainConfig:
     elbo_every: int = 0
     elbo_samples: int = 16
 
+    RULES = {"iterations": POSITIVE_INT, "learn_variances": FLAG,
+             "checkpoint_every": NONNEGATIVE_INT, "checkpoint_path": Rule("string or null"),
+             "seed": NONNEGATIVE_INT, "elbo_every": NONNEGATIVE_INT, "elbo_samples": POSITIVE_INT}
+
     def __post_init__(self):
-        _set_counts(
-            self,
-            {"seed": 0, "iterations": 1, "checkpoint_every": 0, "elbo_every": 0,
-             "elbo_samples": 1},
-        )
+        check_fields(self)
         if self.checkpoint_every > 0 and not self.checkpoint_path:
             raise ContractError("checkpoint_every > 0 requires a checkpoint_path")
 
@@ -436,7 +434,7 @@ def resume_training(path, iterations: Optional[int] = None, gradient_fn=None) ->
     checkpoint's iteration is a :class:`ContractError`.
     """
     model, tcfg, opt = load_checkpoint(path)
-    tcfg = replace(tcfg, checkpoint_path=os.fspath(path))
+    tcfg = replace(tcfg, checkpoint_path=path)
     if iterations is not None:
         tcfg = replace(tcfg, iterations=iterations)
     if tcfg.iterations < opt.iteration:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .features import _as_count
+from .errors import FLAG, NONNEGATIVE_INT, POSITIVE_INT, ContractError, checked
 
 # Rows per chunk when computing point-to-centroid distances; keeps the
 # distance buffer around chunk * p doubles regardless of n.
@@ -38,7 +37,8 @@ class PartitionedDataset:
     Attributes
     ----------
     blocks : tuple of (X_i, y_i) tuples
-        Per-block inputs ``(n_i, d)`` and targets ``(n_i,)``.
+        Per-block inputs ``(n_i, d)`` and targets ``(n_i,)``; at least one
+        block, though a block may hold no rows.
     centroids : numpy.ndarray, shape (p, d)
     block_indices : tuple of numpy.ndarray
         Row indices of each block's points.  From :func:`kmeans_partition`
@@ -60,6 +60,8 @@ class PartitionedDataset:
 
     def __post_init__(self):
         blocks = tuple((_read_only(X_k), _read_only(y_k)) for X_k, y_k in self.blocks)
+        if not blocks:
+            raise ContractError("the partition must contain at least one block")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "centroids", _read_only(self.centroids))
         object.__setattr__(self, "block_indices", tuple(self.block_indices))
@@ -181,8 +183,8 @@ def kmeans_partition(
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ContractError("X and y must be finite")
     n = X.shape[0]
-    p = _as_count("p", p, 1)
-    max_iters, seed = _as_count("max_iters", max_iters, 1), _as_count("seed", seed, 0)
+    p, max_iters = checked("p", p, POSITIVE_INT), checked("max_iters", max_iters, POSITIVE_INT)
+    seed, balance = checked("seed", seed, NONNEGATIVE_INT), checked("balance", balance, FLAG)
     if p > n:
         raise ContractError(f"p must satisfy 1 <= p <= n={n}, got {p}")
 

@@ -62,8 +62,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
-from .features import _set_counts, feature_matrix
+from .errors import NONNEGATIVE_INT, POSITIVE_INT, ContractError, Rule, check_fields
+from .features import feature_matrix
 from .localmodel import build_local_gram, conditional_moments
 from .model_io import TrainedModel
 from .partition import assign_blocks
@@ -101,10 +101,11 @@ class PredictConfig:
     gamma_mix: float
     seed: int = 0
 
+    RULES = {"n_samples": POSITIVE_INT, "gamma_mix": Rule("number", "[-1, 1]"),
+             "seed": NONNEGATIVE_INT}
+
     def __post_init__(self):
-        _set_counts(self, {"seed": 0, "n_samples": 1})
-        if not np.isfinite(self.gamma_mix) or abs(self.gamma_mix) > 1.0:
-            raise ContractError(f"gamma_mix must lie in [-1, 1], got {self.gamma_mix!r}")
+        check_fields(self)
 
 
 def posterior_draws(model: TrainedModel, pcfg: PredictConfig) -> np.ndarray:

@@ -921,6 +921,31 @@ def test_loader_check_messages_are_not_wrapped_again(
     assert err == "specgp: data: model: " + message.format(short=n - 1, n=n) + "\n"
 
 
+def _no_blocks(doc):
+    # no rows, in no blocks
+    doc["partition"]["block_sizes"] = []
+    d = doc["spectral"]["d"]
+    doc["data"]["X"], doc["data"]["y"] = storing(np.empty((0, d))), storing(np.empty(0))
+    doc["partition"]["centroids"] = storing(np.empty((0, d)))
+
+
+@pytest.mark.parametrize("command", ["predict", "partition-info"])
+def test_a_model_with_no_blocks_exits_three(trained_model_doc, tmp_path, capsys, command):
+    doc, data = trained_model_doc
+    doc = json.loads(json.dumps(doc))
+    _no_blocks(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, "--model", str(bad)]
+    if command == "predict":
+        argv += ["--data", data, "--output", str(tmp_path / "out.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("specgp: data: model: ") and err.count("\n") == 1
+    assert "at least one block" in err
+
+
 def test_train_refuses_a_repeated_column_name(tmp_path, capsys):
     # a model trained on such a file could never be loaded, so nothing is
     # trained and no model is written

@@ -277,7 +277,7 @@ def test_synth_validation():
         synth_ssgp(n=5, d=1, m_true=1, noise=-0.1)
     # nan would write noiseless targets and inf -inf targets
     for noise in (float("nan"), float("inf")):
-        with pytest.raises(ContractError, match="finite"):
+        with pytest.raises(ContractError, match="noise"):
             synth_ssgp(n=5, d=1, m_true=1, noise=noise)
 
 

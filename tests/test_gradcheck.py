@@ -4,7 +4,8 @@ the stochastic gradient, or in the feature map it is built on, is caught."""
 import pytest
 
 import specgp.gradient as gradient
-from specgp.gradcheck import check_stochastic_gradient
+from specgp import ContractError
+from specgp.gradcheck import check_stochastic_gradient, run_all
 
 REL = 1e-4
 
@@ -34,3 +35,12 @@ def test_gradcheck_fails_a_perturbed_feature_map(monkeypatch):
     )
     result = check_stochastic_gradient(seed=0, instances=5)
     assert not result.passed, f"max rel err {result.max_rel_err:.3e}"
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"instances": 2.5}, {"instances": True}, {"seed": 1.5}],
+    ids=["fractional-instances", "boolean-instances", "fractional-seed"],
+)
+def test_run_all_refuses_counts_and_seeds_that_are_not_integers(kwargs):
+    with pytest.raises(ContractError, match=next(iter(kwargs))):
+        run_all(**kwargs)

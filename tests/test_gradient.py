@@ -416,6 +416,18 @@ def test_elbo_deterministic_and_finite():
         elbo_estimate(0, data, state, prior, cfg)
 
 
+@pytest.mark.parametrize(
+    "n_z, seed, name", [(1.5, 0, "n_z"), (True, 0, "n_z"), (8, -1, "seed"), (8, 1.5, "seed")]
+)
+def test_elbo_refuses_draw_counts_and_seeds_that_are_not_integers(n_z, seed, name):
+    cfg = make_cfg()
+    rng = np.random.default_rng(13)
+    data = make_dataset(rng, cfg, [6, 9])
+    state, prior = random_state(rng, cfg.alpha_dim), random_prior(rng, cfg)
+    with pytest.raises(ContractError, match=name):
+        elbo_estimate(n_z, data, state, prior, cfg, seed=seed)
+
+
 def data_term_oracle(y, X, theta, s, cfg):
     """``g_alpha`` and ``||v||^2`` of one draw, one row at a time, from libm
     ``cos``/``sin`` and the per-point Jacobian ``w_ij x_j``."""

@@ -183,6 +183,26 @@ def test_saving_a_loaded_model_reproduces_the_file(tmp_path):
     ]
 
 
+def test_a_model_of_numpy_dimensions_saves_and_loads(tmp_path):
+    cfg = SpectralConfig(
+        d=np.int64(2), m=np.int64(3), signal_variance=np.float32(1.5),
+        noise_variance=np.float64(0.25),
+    )
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+    prior = PriorSpec.for_inputs(X, cfg)
+    model = TrainedModel(
+        state=initial_state(prior, cfg, seed=0),
+        prior=prior,
+        spectral=cfg,
+        partition=kmeans_partition(X, y, p=np.int64(2), seed=np.int64(1)),
+    )
+    save_model(tmp_path / "model.json", model)
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.spectral == SpectralConfig(d=2, m=3, signal_variance=1.5, noise_variance=0.25)
+    np.testing.assert_array_equal(loaded.state.M, model.state.M)
+
+
 def test_model_fields_cannot_be_reassigned():
     # predict_batch keeps factors in predict_memo, so a swapped field must not
     # meet a memo built from the old one

@@ -1,7 +1,9 @@
 import json
 import os
+import pathlib
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from specgp import (
     train,
     transform,
 )
-from specgp.config import KEYS
+from specgp.config import KEYS, train_config_doc, train_config_read
 from specgp.gradient import draw_sample_sets
 from specgp.model_io import model_to_doc
 from specgp.optimizer import data_file_path
@@ -278,6 +280,43 @@ def test_checkpoint_roundtrip_matches_uninterrupted_run(tmp_path, learn_variance
         assert (ra.iteration, ra.step_size, ra.gradient_norm, ra.elbo) == (
             rb.iteration, rb.step_size, rb.gradient_norm, rb.elbo,
         )
+
+
+def numpy_train_config(path):
+    """20 iterations, checkpointed every 10 at ``path``, from numpy scalars
+    and a path-like path."""
+    return TrainConfig(
+        iterations=np.int64(20),
+        plan=GradientSamplePlan(np.int32(2), np.uint8(3)),
+        schedule=StepSchedule(np.float32(0.125), np.float64(0.6)),
+        learn_variances=np.bool_(True),
+        checkpoint_every=np.int64(10),
+        checkpoint_path=pathlib.Path(path),
+        seed=np.uint16(5),
+        elbo_every=np.int16(4),
+        elbo_samples=np.int64(3),
+    )
+
+
+def test_a_numpy_train_config_round_trips_through_its_json_form(tmp_path):
+    tcfg = numpy_train_config(tmp_path / "ck.json")
+    assert train_config_read(json.loads(json.dumps(train_config_doc(tcfg)))) == tcfg
+
+
+def test_a_run_from_a_numpy_train_config_resumes_from_its_checkpoint(tmp_path):
+    cfg, data, prior = tiny_problem()
+    init = initial_state(prior, cfg, seed=4)
+    tcfg = numpy_train_config(tmp_path / "ck.json")
+    straight = train(
+        data, init, prior, cfg,
+        replace(tcfg, iterations=30, checkpoint_every=0, checkpoint_path=None),
+    )
+    train(data, init, prior, cfg, tcfg)
+    resumed = resume_training(tmp_path / "ck.json", iterations=30)
+    np.testing.assert_array_equal(resumed.state.M, straight.state.M)
+    np.testing.assert_array_equal(resumed.state.b, straight.state.b)
+    assert resumed.spectral == straight.spectral
+    assert [rec.elbo for rec in resumed.trace] == [rec.elbo for rec in straight.trace]
 
 
 def test_checkpoint_version_mismatch(tmp_path):
