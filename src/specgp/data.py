@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, DataError, Rule, checked
+from .errors import NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, DataError, Rule, checked
 from .features import SpectralConfig, feature_matrix
 from .variational import PriorSpec
 
@@ -55,6 +55,9 @@ class Standardization:
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
+
+    # What a model file may store for the target's transform; applied on load.
+    RULES = {"y_mean": Rule("number", "(-inf, inf)"), "y_scale": POSITIVE}
 
     @classmethod
     def fit(cls, X, y) -> "Standardization":
@@ -229,7 +232,7 @@ def synth_ssgp(
         ``feature_matrix(X, theta, cfg).T @ s`` up to roundoff.
     """
     n, seed = checked("n", n, POSITIVE_INT), checked("seed", seed, NONNEGATIVE_INT)
-    noise = checked("noise", noise, Rule("number", "[0, inf)"))
+    noise = checked("noise", noise, NONNEGATIVE)
     lengthscale = checked("lengthscale", lengthscale, POSITIVE)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # noise_variance is irrelevant to feature evaluation; 1.0 is a placeholder.

@@ -43,12 +43,14 @@ class ModelFormatError(DataError):
     """A model or checkpoint file failed validation."""
 
 
+_NUMBER = (int, float, np.integer, np.floating)
 # The types each kind admits (a bool is never a number) and the plain value it stores.
 _KINDS = {
     "integer": ((int, np.integer), int),
-    "number": ((int, float, np.integer, np.floating), float),
+    "number": (_NUMBER, float),
     "boolean": ((bool, np.bool_), bool),
     "string or null": ((str, os.PathLike, type(None)), lambda v: v and os.fsdecode(v)),
+    "number or null": ((*_NUMBER, type(None)), lambda v: v if v is None else float(v)),
 }
 
 
@@ -67,6 +69,7 @@ class Rule:
 POSITIVE_INT = Rule("integer", "[1, inf)")
 NONNEGATIVE_INT = Rule("integer", "[0, inf)")
 POSITIVE = Rule("number", "(0, inf)")
+NONNEGATIVE = Rule("number", "[0, inf)")
 FLAG = Rule("boolean")
 
 

@@ -91,14 +91,12 @@ def _random_problem(rng, max_m=3, max_d=2):
 
 def _random_blocks(rng, d, max_blocks=3, max_points=15):
     """1 to ``max_blocks`` blocks of 1 to ``max_points`` rows each."""
-    blocks, indices, start = [], [], 0
+    blocks = []
     for _ in range(int(rng.integers(1, max_blocks + 1))):
         n_k = int(rng.integers(1, max_points + 1))
         blocks.append((rng.uniform(-1.0, 1.0, size=(n_k, d)), rng.standard_normal(n_k)))
-        indices.append(np.arange(start, start + n_k))
-        start += n_k
     centroids = np.array([X_k.mean(axis=0) for X_k, _ in blocks])
-    return PartitionedDataset(blocks=blocks, centroids=centroids, block_indices=indices)
+    return PartitionedDataset(blocks=blocks, centroids=centroids)
 
 
 def _block_log_likelihood(X_k, y_k, alpha, cfg: SpectralConfig) -> float:

@@ -15,16 +15,19 @@ sin_1, ... instead of all cosines, then all sines, version 3 stored the
 m·d tiled frequency variances instead of the lengthscales, and version 4
 stored every array as nested lists of float text.
 
+Loading reads each stored scalar through its rule, so a string or a
+boolean where a number belongs is refused, not converted.
+
 Checkpoints (:mod:`specgp.optimizer`) share the posterior fields and, in
 their data file, the partition fields.  Every file is written by
-:func:`write_json_atomic`.
+:func:`write_json_atomic`, which only writes; the checkpoint code hashes
+the one file named by its digest, the data file.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Standardization, identity_standardization
-from .errors import ContractError, ModelFormatError, NumericalError
+from .errors import ContractError, ModelFormatError, NumericalError, checked
 from .features import SpectralConfig
 from .partition import PartitionedDataset
 from .variational import PriorSpec, VariationalState
@@ -122,10 +125,8 @@ def partition_to_doc(partition: PartitionedDataset) -> dict:
     """The ``partition`` and ``data`` fields that model files and checkpoint
     data files share: centroids, the row count of each block, and the
     training rows in block order."""
-    X_rows = [X_i for X_i, _ in partition.blocks]
-    y_rows = [y_i for _, y_i in partition.blocks]
-    X_all = np.vstack(X_rows) if X_rows else np.zeros((0, partition.d))
-    y_all = np.concatenate(y_rows) if y_rows else np.zeros(0)
+    X_all = np.vstack([X_i for X_i, _ in partition.blocks])
+    y_all = np.concatenate([y_i for _, y_i in partition.blocks])
     return {
         "partition": {
             "centroids": array_to_doc(partition.centroids),
@@ -185,12 +186,11 @@ def _check_partition(X_all, y_all, centroids, sizes, d) -> None:
 
 
 def _check_standardization(std: Standardization, d) -> None:
-    """Reject a standardization that does not fit ``d`` input columns or is
-    not a finite transform with positive scales."""
+    """Reject input vectors that do not fit ``d`` columns or are not a finite
+    transform with positive scales; ``Standardization.RULES`` check the rest."""
     if std.x_mean.shape != (d,) or std.x_scale.shape != (d,):
         raise ModelFormatError(f"model: standardization vectors need {d} entries")
-    values = np.concatenate([std.x_mean, std.x_scale, [std.y_mean, std.y_scale]])
-    if not np.all(np.isfinite(values)) or np.any(std.x_scale <= 0) or std.y_scale <= 0:
+    if not np.all(np.isfinite([std.x_mean, std.x_scale])) or np.any(std.x_scale <= 0):
         raise ModelFormatError("model: standardization is not finite with positive scales")
 
 
@@ -207,24 +207,10 @@ def _check_names(feature_names, target_name, d) -> None:
         raise ModelFormatError("model: target_name must be a string")
 
 
-def _check_header(doc, fmt, version, noun) -> None:
-    """Reject a document that is not a JSON object of format ``fmt`` at
-    ``version``, which must be a JSON integer (``3.0`` is not ``3``)."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"model: {noun} is not a JSON object")
-    if doc.get("format") != fmt:
-        raise ModelFormatError(
-            f"model: format mismatch (expected {fmt!r}, got {doc.get('format')!r})"
-        )
-    if type(doc.get("version")) is not int or doc["version"] != version:
-        raise ModelFormatError(
-            f"model: version mismatch (expected {version}, got {doc.get('version')!r})"
-        )
-
-
 def read_document(path, fmt, version, kind=None) -> dict:
     """The JSON object in the file at ``path``, checked to be of format ``fmt``
-    at ``version``.  A missing file, invalid JSON or a wrong header is a
+    at ``version``, which must be a JSON integer (``3.0`` is not ``3``).  A
+    missing file, invalid JSON or a wrong header is a
     :class:`ModelFormatError` whose message names the file's ``kind``
     (``"checkpoint"``) when one is given; any other ``OSError``, such as a
     directory at ``path``, propagates."""
@@ -236,7 +222,16 @@ def read_document(path, fmt, version, kind=None) -> dict:
         raise ModelFormatError(f"model: {label}file not found: {path}") from None
     except json.JSONDecodeError as bad:
         raise ModelFormatError(f"model: invalid {label}JSON ({bad})") from None
-    _check_header(doc, fmt, version, kind or "document")
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"model: {kind or 'document'} is not a JSON object")
+    if doc.get("format") != fmt:
+        raise ModelFormatError(
+            f"model: format mismatch (expected {fmt!r}, got {doc.get('format')!r})"
+        )
+    if type(doc.get("version")) is not int or doc["version"] != version:
+        raise ModelFormatError(
+            f"model: version mismatch (expected {version}, got {doc.get('version')!r})"
+        )
     return doc
 
 
@@ -281,14 +276,36 @@ def partition_from_doc(doc: dict, d: int) -> PartitionedDataset:
     _check_partition(X_all, y_all, centroids, sizes, d)
     # Each block is a view of the one decoded array.
     ends = np.cumsum(sizes, dtype=int)
-    block_indices = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
     blocks = [(X_all[end - size : end], y_all[end - size : end]) for size, end in zip(sizes, ends)]
-    return PartitionedDataset(blocks=blocks, centroids=centroids, block_indices=block_indices)
+    return PartitionedDataset(blocks=blocks, centroids=centroids)
 
 
-def model_from_doc(doc: dict) -> TrainedModel:
-    """Rebuild a :class:`TrainedModel`, validating format and version."""
-    _check_header(doc, MODEL_FORMAT, MODEL_VERSION, "document")
+def write_json_atomic(path, doc) -> None:
+    """Write ``doc`` as the bytes of ``json.dumps(doc)``.
+
+    The file holds its old or its new contents, never a partial file: the
+    text goes to the temporary file ``<path>.<pid>.tmp``, which then
+    replaces ``path`` in one rename.  There is no fsync, so this survives
+    an interrupted process, not a power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(doc).encode())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_model(path, model: TrainedModel) -> None:
+    write_json_atomic(path, model_to_doc(model))
+
+
+def load_model(path) -> TrainedModel:
+    """The model in the file at ``path``, every field that prediction reads
+    checked; a fault is a :class:`ModelFormatError`."""
+    doc = read_document(path, MODEL_FORMAT, MODEL_VERSION)
     with field_errors():
         spectral, prior, state = posterior_from_doc(doc)
         partition = partition_from_doc(doc, spectral.d)
@@ -296,8 +313,8 @@ def model_from_doc(doc: dict) -> TrainedModel:
         standardization = Standardization(
             x_mean=array_from_doc(std_doc["x_mean"], "standardization.x_mean", 1),
             x_scale=array_from_doc(std_doc["x_scale"], "standardization.x_scale", 1),
-            y_mean=float(std_doc["y_mean"]),
-            y_scale=float(std_doc["y_scale"]),
+            **{name: checked(f"standardization.{name}", std_doc[name], rule)
+               for name, rule in Standardization.RULES.items()},
         )
         _check_standardization(standardization, spectral.d)
         feature_names = doc.get("feature_names")
@@ -312,34 +329,3 @@ def model_from_doc(doc: dict) -> TrainedModel:
             feature_names=feature_names,
             target_name=target_name,
         )
-
-
-def write_json_atomic(path, doc, final_path=None) -> str:
-    """Write ``doc`` as the bytes of ``json.dumps(doc)`` and return their
-    sha256 hex digest.
-
-    The file holds its old or its new contents, never a partial file: the
-    text goes to the temporary file ``<path>.<pid>.tmp``, which then replaces
-    ``path``, or ``final_path(digest)`` when that function is given, in one
-    rename.  There is no fsync, so this survives an interrupted process,
-    not a power loss."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    raw = json.dumps(doc).encode()
-    hexdigest = hashlib.sha256(raw).hexdigest()
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(raw)
-        os.replace(tmp, path if final_path is None else final_path(hexdigest))
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    return hexdigest
-
-
-def save_model(path, model: TrainedModel) -> None:
-    write_json_atomic(path, model_to_doc(model))
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_doc(read_document(path, MODEL_FORMAT, MODEL_VERSION))

@@ -21,12 +21,14 @@ and the AdaGrad accumulator.
 A checkpoint comes in two files.  The first checkpoint of a run writes the
 partitioned training data once, to ``<checkpoint>.<digest16>.data.json``
 beside the checkpoint, named by the first 16 hex digits of the sha256 of
-its bytes.  Every checkpoint then holds only what changes or what resuming
-needs besides the data: the iteration, the data file's full digest, the
-posterior and hyperparameters, the train config, the accumulator and the
-trace.  So its size does not grow with n.  A new run on the same path
-removes the older runs' data files beside it once its own first checkpoint
-has replaced theirs, so the old checkpoint stays resumable until then.
+its bytes; it is the only file that is hashed.  Every checkpoint then
+holds only what changes or what resuming needs besides the data: the
+iteration, the data file's full digest, the posterior and
+hyperparameters, the train config, the accumulator and the trace (each
+cell checked on load by ``IterationRecord.RULES``).  So its size does not
+grow with n.  A new run on the same path removes the older runs' data
+files beside it once its own first checkpoint has replaced theirs, so the
+old checkpoint stays resumable until then.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FLAG, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Rule, check_fields
-from .errors import ContractError, ModelFormatError, NumericalError
+from .errors import FLAG, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Rule
+from .errors import ContractError, ModelFormatError, NumericalError, check_fields, checked
 from .features import SpectralConfig
 from .gradient import GradientSamplePlan, elbo_estimate, eta_views, stochastic_gradient
 from .model_io import (
@@ -119,6 +121,12 @@ class IterationRecord:
     elbo: Optional[float]
     wall_clock_ms: float
 
+    # What a checkpoint's trace row may hold.  Applied on load only: training
+    # builds a record every iteration.
+    RULES = {"iteration": NONNEGATIVE_INT, "step_size": NONNEGATIVE,
+             "gradient_norm": NONNEGATIVE, "elbo": Rule("number or null"),
+             "wall_clock_ms": NONNEGATIVE}
+
 
 # The --trace CSV columns and the checkpoint trace rows, in field order.
 TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
@@ -155,7 +163,7 @@ class _OptState:
     accumulator: np.ndarray
     trace: list = field(default_factory=list)
     iteration: int = 0
-    data_digest: Optional[str] = None  # sha256 of the run's data file, once written
+    data_digest: Optional[str] = None  # sha256 of the run's data file, from its first checkpoint
 
 
 def _iteration_seed(seed: int, t: int, stream: int = 0) -> int:
@@ -278,25 +286,27 @@ def _run(data, state, prior, cfg, tcfg, opt, gradient_fn=None) -> TrainResult:
 # checkpointing
 
 
-# How a checkpoint trace cell is read back, by the field's declared type.
-_TRACE_CELL = {
-    "int": int,
-    "float": float,
-    "Optional[float]": lambda value: None if value is None else float(value),
-}
-
-
 def _trace_rows(trace):
     return [[getattr(rec, name) for name in TRACE_COLUMNS] for rec in trace]
 
 
 def _trace_from_rows(rows):
+    """The trace stored as ``rows``: row ``t`` holds iteration ``t`` and one
+    cell per column, each admitted by ``IterationRecord.RULES``."""
     if any(len(row) != len(TRACE_COLUMNS) for row in rows):
         raise ModelFormatError(
             f"model: every checkpoint trace row needs {len(TRACE_COLUMNS)} fields"
         )
-    cells = [_TRACE_CELL[f.type] for f in fields(IterationRecord)]
-    return [IterationRecord(*(cell(v) for cell, v in zip(cells, row))) for row in rows]
+    trace = [
+        IterationRecord(*(
+            checked(f"trace[{t}].{name}", value, IterationRecord.RULES[name])
+            for name, value in zip(TRACE_COLUMNS, row)
+        ))
+        for t, row in enumerate(rows)
+    ]
+    if [record.iteration for record in trace] != list(range(len(trace))):
+        raise ModelFormatError("model: checkpoint trace row t must hold iteration t")
+    return trace
 
 
 def _accumulator_from_doc(value, size: int):
@@ -356,9 +366,9 @@ def save_checkpoint(path, data, state, prior, cfg, tcfg, opt: _OptState) -> None
     new_data = opt.data_digest is None
     if new_data:
         names_before = set(os.listdir(os.path.dirname(path) or os.curdir))
-        opt.data_digest = write_json_atomic(
-            path, partition_to_doc(data), final_path=lambda digest: data_file_path(path, digest)
-        )
+        data_doc = partition_to_doc(data)
+        opt.data_digest = hashlib.sha256(json.dumps(data_doc).encode()).hexdigest()
+        write_json_atomic(data_file_path(path, opt.data_digest), data_doc)
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -408,18 +418,13 @@ def load_checkpoint(path):
                 doc["optimizer"]["accumulator"], _moved_size(model.state.dim, tcfg)
             ),
             trace=_trace_from_rows(doc["trace"]),
-            iteration=doc["iteration"],
+            iteration=checked("iteration", doc["iteration"], NONNEGATIVE_INT),
             data_digest=digest,
         )
-    if type(opt.iteration) is not int or opt.iteration != len(opt.trace):
+    if not len(opt.trace) == opt.iteration <= tcfg.iterations:
         raise ModelFormatError(
-            f"model: checkpoint iteration {opt.iteration!r} does not match "
-            f"its {len(opt.trace)} trace rows"
-        )
-    if opt.iteration > tcfg.iterations:
-        raise ModelFormatError(
-            f"model: checkpoint iteration {opt.iteration} is past its "
-            f"train.iterations {tcfg.iterations}"
+            f"model: checkpoint iteration {opt.iteration} must equal its {len(opt.trace)} "
+            f"trace rows and be at most its train.iterations {tcfg.iterations}"
         )
     return model, tcfg, opt
 

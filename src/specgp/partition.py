@@ -42,10 +42,10 @@ class PartitionedDataset:
     centroids : numpy.ndarray, shape (p, d)
     block_indices : tuple of numpy.ndarray
         Row indices of each block's points.  From :func:`kmeans_partition`
-        they index the ``X`` it was given; for a loaded model they are the
-        consecutive ranges of the model file's block-ordered data.  Nothing
-        in the package reads them after construction: model files store
-        ``block_sizes()``, and prediction assigns test points by
+        they index the ``X`` it was given; by default, as for a loaded
+        model, they are each block's consecutive row range, in block order.
+        Nothing in the package reads them after construction: model files
+        store ``block_sizes()``, and prediction assigns test points by
         ``centroids``.
 
     The fields cannot be reassigned, ``blocks`` and ``block_indices`` are
@@ -56,7 +56,7 @@ class PartitionedDataset:
 
     blocks: tuple
     centroids: np.ndarray
-    block_indices: tuple
+    block_indices: tuple | None = None
 
     def __post_init__(self):
         blocks = tuple((_read_only(X_k), _read_only(y_k)) for X_k, y_k in self.blocks)
@@ -64,7 +64,11 @@ class PartitionedDataset:
             raise ContractError("the partition must contain at least one block")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "centroids", _read_only(self.centroids))
-        object.__setattr__(self, "block_indices", tuple(self.block_indices))
+        indices = self.block_indices
+        if indices is None:
+            ends = np.cumsum(self.block_sizes()).tolist()
+            indices = map(np.arange, [0, *ends], ends)
+        object.__setattr__(self, "block_indices", tuple(indices))
 
     @property
     def p(self) -> int:

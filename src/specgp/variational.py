@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import NONNEGATIVE_INT, ContractError, NumericalError, checked
 from .features import SpectralConfig
 
 FOUR_PI_SQ = 4.0 * np.pi**2
@@ -160,11 +160,11 @@ class VariationalState:
 
 
 def initial_state(prior: PriorSpec, cfg: SpectralConfig, seed: int = 0) -> VariationalState:
-    """Default starting point: ``M = 0.1 I``; ``b`` has a fresh prior draw in
-    its frequency block and zeros for the weights."""
+    """Default starting point: ``M = 0.1 I``; ``b`` has a prior draw seeded by
+    the integer ``seed`` >= 0 in its frequency block and zeros for the weights."""
     if prior.d != cfg.d:
         raise ContractError(f"prior has {prior.d} lengthscales, the config needs {cfg.d}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(checked("seed", seed, NONNEGATIVE_INT)))
     b = np.concatenate([prior.sample_theta(rng, cfg.m), np.zeros(cfg.num_features)])
     return VariationalState(0.1 * np.eye(cfg.alpha_dim), b)
 

@@ -946,6 +946,26 @@ def test_a_model_with_no_blocks_exits_three(trained_model_doc, tmp_path, capsys,
     assert "at least one block" in err
 
 
+@pytest.mark.parametrize(
+    "name, value", [("y_scale", "1.5"), ("y_scale", True), ("y_mean", "0")],
+    ids=["string-y-scale", "bool-y-scale", "string-y-mean"],
+)
+def test_predict_refuses_a_standardization_scalar_that_is_not_a_number(
+    trained_model_doc, tmp_path, capsys, name, value
+):
+    doc, data = trained_model_doc
+    doc = json.loads(json.dumps(doc))
+    doc["standardization"][name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["predict", "--model", str(bad), "--data", data, "--output", str(tmp_path / "out.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("specgp: data: model: ") and err.count("\n") == 1
+    assert f"standardization.{name}: expected number" in err
+
+
 def test_train_refuses_a_repeated_column_name(tmp_path, capsys):
     # a model trained on such a file could never be loaded, so nothing is
     # trained and no model is written

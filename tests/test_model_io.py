@@ -315,12 +315,27 @@ def test_a_float_version_is_a_version_mismatch(saved_files, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("y_scale", "1.5"), ("y_scale", True), ("y_mean", "0")],
+    ids=["string-y-scale", "bool-y-scale", "string-y-mean"],
+)
+def test_a_standardization_scalar_that_is_not_a_number_is_refused(
+    saved_files, tmp_path, name, value
+):
+    model, _, _ = saved_files
+    doc = read_json(model)
+    doc["standardization"][name] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=rf"standardization\.{name}: expected number"):
+        load_model(path)
+
+
 def written_as_dumps(path, doc):
     """Whether ``write_json_atomic`` writes exactly ``json.dumps(doc)`` and
-    returns the sha256 of the file's bytes."""
-    digest = write_json_atomic(path, doc)
-    raw = path.read_bytes()
-    return raw == json.dumps(doc).encode() and digest == hashlib.sha256(raw).hexdigest()
+    returns nothing."""
+    returned = write_json_atomic(path, doc)
+    return returned is None and path.read_bytes() == json.dumps(doc).encode()
 
 
 def test_writer_bytes_are_those_of_json_dumps(saved_files, tmp_path):

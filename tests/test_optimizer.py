@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -32,7 +33,7 @@ from specgp import (
 from specgp.config import KEYS, train_config_doc, train_config_read
 from specgp.gradient import draw_sample_sets
 from specgp.model_io import model_to_doc
-from specgp.optimizer import data_file_path
+from specgp.optimizer import TRACE_COLUMNS, data_file_path
 
 from conftest import (
     as_float_text,
@@ -355,6 +356,11 @@ def _set_array(*keys_and_edit):
     return _set(*keys, lambda value: storing(edit(stored_array(value))))
 
 
+def _set_cell(position, name, value):
+    """:func:`_set` of trace row ``position``'s cell in column ``name``."""
+    return _set("trace", position, TRACE_COLUMNS.index(name), value)
+
+
 def _drop(*keys):
     def corrupt(doc):
         for key in keys[:-1]:
@@ -373,6 +379,12 @@ def _drop(*keys):
         _set("iteration", 3),
         _set("train_config", "train", "iterations", 1),
         _set("trace", lambda rows: [rows[0][:4]] + rows[1:]),
+        _set_cell(0, "iteration", 2.7),
+        _set_cell(1, "iteration", True),
+        _set_cell(0, "step_size", "0.05"),
+        _set_cell(1, "elbo", "1e3"),
+        _set_cell(0, "wall_clock_ms", True),
+        _set_cell(1, "iteration", 0),
         _set_array("optimizer", "accumulator", lambda acc: acc[:-1]),
         _set_array("optimizer", "accumulator", lambda acc: np.r_[np.nan, acc[1:]]),
         _set_array("optimizer", "accumulator", lambda acc: np.r_[-1.0, acc[1:]]),
@@ -399,7 +411,10 @@ def _drop(*keys):
     ],
     ids=[
         "iteration_not_a_number", "iteration_float", "iteration_negative",
-        "iteration_past_trace", "iteration_past_target", "trace_row_short", "accumulator_short",
+        "iteration_past_trace", "iteration_past_target", "trace_row_short",
+        "trace_iteration_float", "trace_iteration_bool", "trace_step_size_string",
+        "trace_elbo_string", "trace_wall_clock_bool", "trace_iteration_not_its_row",
+        "accumulator_short",
         "accumulator_nan", "accumulator_negative", "variance_accumulator_long",
         "accumulator_missing", "variance_accumulator_missing",
         "train_config_zero_iterations", "train_config_bad_seed", "train_config_bad_plan",
@@ -426,6 +441,19 @@ def test_corrupt_checkpoint_is_a_format_error(tmp_path, corrupt):
         json.dump(doc, handle)
     with pytest.raises(ModelFormatError):
         load_checkpoint(path)
+
+
+def test_the_data_file_is_named_by_the_sha256_of_its_own_bytes(tmp_path):
+    cfg, data, prior = tiny_problem()
+    path = str(tmp_path / "checkpoint.json")
+    train(
+        data, initial_state(prior, cfg, seed=0), prior, cfg,
+        train_config(2, checkpoint_every=1, checkpoint_path=path),
+    )
+    [name] = [name for name in os.listdir(tmp_path) if name != "checkpoint.json"]
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert name == f"checkpoint.json.{digest[:16]}.data.json"
+    assert load_checkpoint(path)[2].data_digest == digest
 
 
 def test_resume_below_the_checkpoint_is_refused(tmp_path):

@@ -216,6 +216,15 @@ def test_partition_arrays_are_read_only_views():
     assert np.shares_memory(by_hand.blocks[0][0], X_k)
 
 
+def test_block_indices_default_to_consecutive_row_ranges():
+    X, y = np.zeros((9, 2)), np.zeros(9)
+    part = PartitionedDataset(
+        blocks=[(X[:4], y[:4]), (X[4:4], y[4:4]), (X[4:], y[4:])], centroids=X[:3]
+    )
+    assert [idx.tolist() for idx in part.block_indices] == [[0, 1, 2, 3], [], [4, 5, 6, 7, 8]]
+    assert isinstance(part.block_indices, tuple)
+
+
 def test_partition_blocks_and_fields_cannot_be_replaced():
     # a replaced block or a reassigned centroids array would leave a model's
     # prediction memo stale, and a reassigned array would be writable

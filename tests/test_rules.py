@@ -97,8 +97,14 @@ def test_the_field_table_is_complete():
         (np.bool_(False), FLAG, False),
         (pathlib.Path("ck.json"), Rule("string or null"), "ck.json"),
         (None, Rule("string or null"), None),
+        (np.float32(0.5), Rule("number or null"), 0.5),
+        (2, Rule("number or null"), 2.0),
+        (None, Rule("number or null"), None),
     ],
-    ids=["int64", "uint8", "float32", "int-as-number", "bool_", "path", "null"],
+    ids=[
+        "int64", "uint8", "float32", "int-as-number", "bool_", "path", "null",
+        "float32-or-null", "int-as-number-or-null", "number-or-null-null",
+    ],
 )
 def test_checked_returns_plain_python_values(value, rule, plain):
     got = checked("x", value, rule)
@@ -113,8 +119,11 @@ def test_checked_returns_plain_python_values(value, rule, plain):
         (POSITIVE, 10**400, r"^x: must be in \(0, inf\), got 1000"),
         (POSITIVE_INT, 2.0, r"^x: expected integer, got 2\.0$"),
         (FLAG, 1, r"^x: expected boolean, got 1$"),
+        (Rule("number or null"), "1e3", r"^x: expected number or null, got '1e3'$"),
+        (Rule("number or null"), True, r"^x: expected number or null, got True$"),
     ],
-    ids=["open-low", "nan", "overflow", "float-integer", "int-boolean"],
+    ids=["open-low", "nan", "overflow", "float-integer", "int-boolean", "string-number-or-null",
+         "bool-number-or-null"],
 )
 def test_checked_names_the_setting_and_its_rule(rule, value, message):
     with pytest.raises(ContractError, match=message):

@@ -373,6 +373,21 @@ def test_kl_gradient_finite_differences():
         assert np.abs(gb - fd_b).max() / scale <= 1e-5
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
+def test_initial_state_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    cfg = make_cfg()
+    with pytest.raises(ContractError, match="^seed: "):
+        initial_state(PriorSpec(np.ones(cfg.d)), cfg, seed=seed)
+
+
+def test_initial_state_takes_a_numpy_integer_seed():
+    cfg = make_cfg()
+    prior = PriorSpec(np.ones(cfg.d))
+    plain, numpy = initial_state(prior, cfg, seed=3), initial_state(prior, cfg, seed=np.int64(3))
+    np.testing.assert_array_equal(numpy.M, plain.M)
+    np.testing.assert_array_equal(numpy.b, plain.b)
+
+
 def test_initial_state_shape_and_determinism():
     cfg = make_cfg(d=2, m=3)
     rng = np.random.default_rng(11)
